@@ -9,8 +9,6 @@ each factor. Decisions stay exact and no factorization is ever required.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .mpoly import MPoly, _divmod_univar, exact_div, normalized, poly_gcd
 
 
@@ -97,12 +95,44 @@ def eval_bivar_mod(F, y_rule, f, xvar, yvar):
     return acc
 
 
-def mod_pow(a, k, f, var):
-    result = MPoly.const(a.vars, 1)
-    base = mod_reduce(a, f, var)
-    while k:
-        if k & 1:
-            result = mod_reduce(result * base, f, var)
-        base = mod_reduce(base * base, f, var)
-        k >>= 1
-    return result
+# -- the splitting driver ------------------------------------------------------------
+
+
+def _split_of(status_payload):
+    """The status of a zero_split answer; a "split" is raised as SplitNeeded."""
+    status, payload = status_payload
+    if status == "split":
+        raise SplitNeeded(payload[0])
+    return status
+
+
+def _resolve_clusters(f, xt, yt, job):
+    """Run job(f, xt, yt) on the cluster, splitting until every piece answers.
+
+    The cluster is the points (xt(tau), yt(tau)) over the roots tau of f. job
+    returns one answer valid at every root of its modulus, or raises
+    SplitNeeded with a proper factor h of it; the driver then runs job on h
+    and on the cofactor f/h, in that order and depth first, each piece
+    normalized and with the coordinates reduced modulo it. Returns
+    [(modulus, xt, yt, answer)] covering every root of f; an unsplit cluster
+    comes back as given.
+
+    The driver is private so that the tracer in bench/ leaves it unwrapped:
+    the time of each job stays with the public function that started it.
+    """
+    out = []
+    stack = [(f, xt, yt)]
+    while stack:
+        fi, xi, yi = stack.pop()
+        try:
+            out.append((fi, xi, yi, job(fi, xi, yi)))
+        except SplitNeeded as s:
+            tau = fi.vars[0]
+            h = normalized(s.factor.with_vars((tau,)))
+            c = exact_div(fi, h)
+            if c is None:
+                raise ArithmeticError("split factor does not divide the modulus")
+            for g in (normalized(c), h):
+                stack.append((g, mod_reduce(xi, g, tau).with_vars((tau,)),
+                              mod_reduce(yi, g, tau).with_vars((tau,))))
+    return out

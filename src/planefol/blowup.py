@@ -31,7 +31,7 @@ from .singularities import (
     classify_singularity,
     infinity_singular_points,
 )
-from .algebraic import zero_split
+from .algebraic import _resolve_clusters, _split_of, zero_split
 
 
 class BlowupUnavailableError(Exception):
@@ -618,18 +618,14 @@ class IndexRecord:
 def _on_curve_parts(sp, curve):
     """Subclusters of the singular cluster that lie on {curve = 0}."""
     x, y = sp.field.vars
-    tau = sp.modulus.vars[0]
-    stack = [sp.modulus]
-    out = []
-    while stack:
-        f = stack.pop()
-        w = _eval_on_cluster(curve, f, sp.xt, sp.yt, x, y)
-        status, payload = zero_split(w, f, tau)
-        if status == "all":
-            out.append(SingularPoint(sp.chart, sp.field, f, sp.xt, sp.yt, sp.milnor))
-        elif status == "split":
-            stack.extend(payload)
-    return out
+
+    def on_curve(f, xt, yt):
+        w = _eval_on_cluster(curve, f, xt, yt, x, y)
+        return _split_of(zero_split(w, f, f.vars[0])) == "all"
+
+    return [SingularPoint(sp.chart, sp.field, f, xt, yt, sp.milnor)
+            for f, xt, yt, on in _resolve_clusters(sp.modulus, sp.xt, sp.yt, on_curve)
+            if on]
 
 
 def _curve_in_chart(C, n, chart_field, which):

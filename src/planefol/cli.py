@@ -67,10 +67,6 @@ class InputError(Exception):
     """Unusable input; maps to exit status 2."""
 
 
-class Undetermined(Exception):
-    """Honest refusal; maps to exit status 3."""
-
-
 def _read_json(path):
     try:
         with open(path, "rb") as fh:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import mod_reduce, zero_split
+from .algebraic import _resolve_clusters, _split_of, zero_split
 from .foliation import Foliation, _fresh_name
-from .mpoly import MPoly, exact_div, normalized, poly_gcd, squarefree_part
+from .mpoly import MPoly, bareiss_det, exact_div, normalized, poly_gcd, squarefree_part
 from .singularities import _eval_on_cluster, affine_singular_points
 
 
@@ -165,33 +165,6 @@ def _extactic_matrix(F, m):
     return rows
 
 
-def _poly_det(M, vars):
-    """Fraction-free Gaussian elimination; exact over the polynomial ring."""
-    n = len(M)
-    sign = 1
-    prev = MPoly.const(vars, 1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q = exact_div(num, prev)
-                if q is None:
-                    raise ArithmeticError("fraction-free elimination lost exact divisibility")
-                M[i][j] = q
-            M[i][k] = MPoly.zero(vars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def extactic(F, m):
     """The m-th extactic polynomial of F.
 
@@ -204,7 +177,7 @@ def extactic(F, m):
     diag = _diagonal_coefficients(F)
     if diag is not None:
         return _eigen_extactic(F, m, *diag)
-    return _poly_det(_extactic_matrix(F, m), F.vars)
+    return bareiss_det(_extactic_matrix(F, m))
 
 
 _PROBE_POINTS = (
@@ -212,28 +185,6 @@ _PROBE_POINTS = (
     (Fraction(-5), Fraction(7)),
     (Fraction(1, 2), Fraction(-3, 2)),
 )
-
-
-def _scalar_det(rows):
-    n = len(rows)
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if rows[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, n):
-            if rows[r][k] != 0:
-                factor = rows[r][k] / rows[k][k]
-                rows[r] = [rows[r][c] - factor * rows[k][c] for c in range(n)]
-    return det
 
 
 def _extactic_vanishes(F, m):
@@ -247,9 +198,9 @@ def _extactic_vanishes(F, m):
     for px, py in _PROBE_POINTS:
         at = {x: px, y: py}
         rows = [[e.eval_all(at) for e in row] for row in M]
-        if _scalar_det(rows) != 0:
+        if bareiss_det(rows) != 0:
             return False
-    return _poly_det(M, F.vars).is_zero()
+    return bareiss_det(M).is_zero()
 
 
 def first_integral_degree(F, max_m):
@@ -312,36 +263,6 @@ class CurveSingularity:
         return f"CurveSingularity({self.describe()}, {tag})"
 
 
-def _keep_vanishing(stack, cond, x, y):
-    """Restrict each cluster on the stack to the part where cond vanishes."""
-    out = []
-    for g, xt, yt in stack:
-        tau = g.vars[0]
-        val = _eval_on_cluster(cond, g, xt, yt, x, y)
-        status, payload = zero_split(val, g, tau)
-        if status == "all":
-            out.append((g, xt, yt))
-        elif status == "split":
-            h, _ = payload
-            out.append((h, mod_reduce(xt, h, tau), mod_reduce(yt, h, tau)))
-    return out
-
-
-def _node_tagged(g, xt, yt, disc, x, y):
-    """Split one cluster by the Hessian discriminant; yields (g, xt, yt, node)."""
-    tau = g.vars[0]
-    val = _eval_on_cluster(disc, g, xt, yt, x, y)
-    status, payload = zero_split(val, g, tau)
-    if status == "none":
-        yield g, xt, yt, True
-    elif status == "all":
-        yield g, xt, yt, False
-    else:
-        h, c = payload
-        yield h, mod_reduce(xt, h, tau), mod_reduce(yt, h, tau), False
-        yield c, mod_reduce(xt, c, tau), mod_reduce(yt, c, tau), True
-
-
 def _affine_singularities(C):
     f = C.f
     x, y = f.vars
@@ -362,15 +283,21 @@ def _affine_singularities(C):
     # cluster machinery of the singularity module solves that system exactly
     pts = affine_singular_points(Foliation(f, aux))
     disc = f.diff(y).diff(x) ** 2 - f.diff(x).diff(x) * f.diff(y).diff(y)
-    out = []
-    for sp in pts:
-        stack = [(sp.modulus, sp.xt, sp.yt)]
-        for cond in (fx, fy):
-            stack = _keep_vanishing(stack, cond, x, y)
-        for g, xt, yt in stack:
-            for gg, xtt, ytt, node in _node_tagged(g, xt, yt, disc, x, y):
-                out.append(CurveSingularity("affine", gg, xtt, ytt, node))
-    return out
+
+    def node_tag(g, xt, yt):
+        def vanishes(p):
+            # uniform on the cluster, or SplitNeeded
+            w = _eval_on_cluster(p, g, xt, yt, x, y)
+            return _split_of(zero_split(w, g, g.vars[0])) == "all"
+
+        if not (vanishes(fx) and vanishes(fy)):
+            return None  # a common zero of (f, aux) that is a smooth point
+        return not vanishes(disc)
+
+    return [CurveSingularity("affine", g, xt, yt, node)
+            for sp in pts
+            for g, xt, yt, node in _resolve_clusters(sp.modulus, sp.xt, sp.yt, node_tag)
+            if node is not None]
 
 
 def _univar_gcd(polys, var):
@@ -419,15 +346,12 @@ def _infinity_singularities(C):
             at_chart1(fn1.diff(y)) ** 2
             - at_chart1(fn.diff(y).diff(y)) * (at_chart1(fn2) * 2)
         )
-        status, payload = zero_split(disc_parts, g, tau)
-        if status == "none":
-            out.append(CurveSingularity("inf1", g, tv, zero, True))
-        elif status == "all":
-            out.append(CurveSingularity("inf1", g, tv, zero, False))
-        else:
-            h, c = payload
-            out.append(CurveSingularity("inf1", h, mod_reduce(tv, h, tau), zero, False))
-            out.append(CurveSingularity("inf1", c, mod_reduce(tv, c, tau), zero, True))
+
+        def node_tag(gi, bi, wi):
+            return _split_of(zero_split(disc_parts, gi, tau)) == "none"
+
+        out += [CurveSingularity("inf1", *piece)
+                for piece in _resolve_clusters(g, tv, zero, node_tag)]
 
     # the point [0 : 1 : 0], in the chart x = a, w at y = 1
     def at_top(p):

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import zero_split
+from .algebraic import _resolve_clusters, _split_of, zero_split
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
 from .foliation import Foliation, make_foliation
@@ -231,7 +231,7 @@ def _xy_parts(p, tau):
 
 
 def _census(field, chart, f, xt, yt, deadline):
-    """Dicritical points within one non-reduced cluster.
+    """Dicritical points within one non-reduced cluster, or SplitNeeded.
 
     The first blow-up at a point is dicritical exactly when the tangent
     cone x*Q_nu - y*P_nu vanishes there. Where it does not, the census
@@ -249,10 +249,6 @@ def _census(field, chart, f, xt, yt, deadline):
     pparts = _xy_parts(PT, tau)
     qparts = _xy_parts(QT, tau)
 
-    def split_off(h, c):
-        return (_census(field, chart, h, xt, yt, deadline)
-                + _census(field, chart, c, xt, yt, deadline))
-
     # lowest (x, y)-order of the translated field on this cluster
     nu = None
     for d in sorted(set(pparts) | set(qparts)):
@@ -265,9 +261,8 @@ def _census(field, chart, f, xt, yt, deadline):
         if any(st == "none" for st, _ in statuses):
             nu = d
             break
-        for st, payload in statuses:
-            if st == "split":
-                return split_off(*payload)
+        for st in statuses:
+            _split_of(st)  # SplitNeeded at the first mixed coefficient
         # every coefficient vanishes on the whole cluster: not the order yet
     if nu is None:
         raise ArithmeticError("field vanished identically along a cluster")
@@ -286,9 +281,8 @@ def _census(field, chart, f, xt, yt, deadline):
         # tangent cone vanishes on the whole cluster: dicritical first blow-up
         return f.deg_in(tau)
     if not any(st == "none" for st, _ in statuses):
-        for st, payload in statuses:
-            if st == "split":
-                return split_off(*payload)
+        for st in statuses:
+            _split_of(st)  # SplitNeeded at the first mixed coefficient
     # the cone is nonzero at every point of the cluster; walk each reduction
     sub = SingularPoint(chart, field, f, xt, yt)
     try:
@@ -327,8 +321,10 @@ def dicritical_count(F, budget_seconds=None):
                 raise CensusUndetermined(f"cannot classify {sub}")
             if kind != NON_REDUCED:
                 continue
-            total += _census(sub.field, sub.chart, sub.modulus, sub.xt, sub.yt,
-                             deadline)
+            pieces = _resolve_clusters(
+                sub.modulus, sub.xt, sub.yt,
+                lambda f, xt, yt: _census(sub.field, sub.chart, f, xt, yt, deadline))
+            total += sum(count for *_, count in pieces)
     return total
 
 

@@ -61,11 +61,6 @@ class Foliation:
             return m - 1
         return m
 
-    def cotangent_degree(self):
-        """Sections of the i-th cotangent power are plane curves of degree
-        i * cotangent_degree(); the value is degree() - 1."""
-        return self.degree() - 1
-
     def jacobian(self):
         return (
             self.P.diff(self.x),
@@ -73,19 +68,6 @@ class Foliation:
             self.Q.diff(self.x),
             self.Q.diff(self.y),
         )
-
-    def translate(self, a, b):
-        """The field in coordinates centered at (a, b); scalars may be QuadExt."""
-        xs = MPoly.variable(self.x, self.vars) + a
-        ys = MPoly.variable(self.y, self.vars) + b
-        return Foliation(
-            self.P.subs({self.x: xs, self.y: ys}),
-            self.Q.subs({self.x: xs, self.y: ys}),
-        )
-
-    def evaluate(self, a, b):
-        point = {self.x: a, self.y: b}
-        return self.P.eval_all(point), self.Q.eval_all(point)
 
     def infinity_chart(self, which):
         """The induced field in a chart at infinity.

@@ -180,21 +180,23 @@ class MPoly:
         return out
 
     def with_vars(self, vars):
-        """Reinterpret over a variable superset (order given by `vars`)."""
+        """Reinterpret over `vars` (in that order); a variable left out of
+        `vars` must not occur in any term."""
         vars = tuple(vars)
         if vars == self.vars:
             return self
         pos = []
-        for v in self.vars:
-            if v not in vars:
+        for i, v in enumerate(self.vars):
+            if v in vars:
+                pos.append((i, vars.index(v)))
+            elif any(e[i] for e in self.terms):
                 raise ValueError(f"variable {v!r} missing from {vars}")
-            pos.append(vars.index(v))
         n = len(vars)
         out = {}
         for e, c in self.terms.items():
             ne = [0] * n
-            for slot, power in zip(pos, e):
-                ne[slot] = power
+            for i, slot in pos:
+                ne[slot] = e[i]
             out[tuple(ne)] = c
         return MPoly(vars, out)
 
@@ -540,10 +542,6 @@ def parse_poly(text, vars=None):
     return result
 
 
-def poly(text, vars=None):
-    return parse_poly(text, vars)
-
-
 # -- division, gcd, squarefree ---------------------------------------------------
 
 
@@ -577,10 +575,6 @@ def exact_div(f, g):
     """Exact quotient f/g, or None when g does not divide f."""
     q, r = poly_divmod(f, g)
     return q if r.is_zero() else None
-
-
-def divides(g, f):
-    return exact_div(f, g) is not None
 
 
 def rational_content(f):
@@ -908,7 +902,6 @@ def resultant(f, g, var):
     rows = sylvester_matrix(f, g, var)
     det = bareiss_det(rows)
     if isinstance(det, MPoly):
-        out = {}
         i = det.vars.index(var) if var in det.vars else None
         if i is not None:
             for e, c in det.terms.items():

@@ -398,10 +398,6 @@ def _single_var(f):
     return live[0]
 
 
-def count_real_roots(f, var=None):
-    return len(isolate_real_roots(f, var))
-
-
 # -- complex isolation ----------------------------------------------------------------
 
 

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import SplitNeeded, invert_mod, mod_reduce, zero_split
-from .foliation import Foliation
+from .algebraic import (
+    SplitNeeded,
+    _resolve_clusters,
+    _split_of,
+    invert_mod,
+    mod_reduce,
+    zero_split,
+)
+from .foliation import _fresh_name
 from .mpoly import (
     MPoly,
-    exact_div,
     linear_subresultant,
     normalized,
     poly_gcd,
@@ -72,8 +78,8 @@ class SingularPoint:
         self.field = field
         self.modulus = normalized(modulus)
         tau = self.param
-        self.xt = _onto(mod_reduce(_share(xt, self.modulus), self.modulus, tau), (tau,))
-        self.yt = _onto(mod_reduce(_share(yt, self.modulus), self.modulus, tau), (tau,))
+        self.xt = mod_reduce(_share(xt, self.modulus), self.modulus, tau).with_vars((tau,))
+        self.yt = mod_reduce(_share(yt, self.modulus), self.modulus, tau).with_vars((tau,))
         self.milnor = milnor
 
     @property
@@ -146,70 +152,13 @@ def _share(p, like):
     return p
 
 
-def _onto(p, vars):
-    """Rewrite p over exactly `vars`; other variables must not occur in p."""
-    if p.vars == tuple(vars):
-        return p
-    keep = []
-    for i, v in enumerate(p.vars):
-        if v in vars:
-            keep.append((i, vars.index(v)))
-        elif any(e[i] for e in p.terms):
-            raise ValueError(f"variable {v!r} occurs but is not in {vars}")
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * len(vars)
-        for i, slot in keep:
-            ne[slot] = e[i]
-        out[tuple(ne)] = c
-    return MPoly(tuple(vars), out)
-
-
 def _eval_scalar(p, value):
     if p.is_constant():
         return p.constant_value()
     return p.eval_all({p.vars[0]: value})
 
 
-def _fresh(base, taken):
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 # -- split-driven cluster work ------------------------------------------------------
-
-
-def _resolve_clusters(f, xt, yt, job):
-    """Run job(f, xt, yt) on each piece, splitting until it answers uniformly.
-
-    Returns (modulus, xt, yt, answer) tuples covering all roots of f.
-    """
-    out = []
-    stack = [(normalized(f), xt, yt)]
-    while stack:
-        fi, xi, yi = stack.pop()
-        tau = fi.vars[0]
-        xi = _onto(mod_reduce(xi, fi, tau), (tau,))
-        yi = _onto(mod_reduce(yi, fi, tau), (tau,))
-        try:
-            out.append((fi, xi, yi, job(fi, xi, yi)))
-        except SplitNeeded as s:
-            h = normalized(_onto(s.factor, (tau,)))
-            c = exact_div(fi, h)
-            if c is None:
-                raise ArithmeticError("split factor does not divide the modulus")
-            stack.append((h, xi, yi))
-            stack.append((normalized(c), xi, yi))
-    return out
-
-
-def _split_of(status_payload):
-    status, payload = status_payload
-    if status == "split":
-        raise SplitNeeded(payload[0])
-    return status
 
 
 def _tau_mod(p, f, tau):
@@ -303,7 +252,7 @@ def _monomial_in(p, f, tau, var):
     for k in sorted({e[p.vars.index(var)] for e in high.terms}):
         if k == 0:
             continue
-        w = _onto(high.coeff_in(var, k), (tau,))
+        w = high.coeff_in(var, k).with_vars((tau,))
         w = mod_reduce(w, f, tau)
         if w.is_zero():
             continue
@@ -345,7 +294,7 @@ def _milnor_once(field, f, xt, yt):
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = _trim(resultant(Pt, Qt, y), f, tau)
-        mu = _ord_ladder(_onto(R, (x, tau)), f, tau, x)
+        mu = _ord_ladder(R.with_vars((x, tau)), f, tau, x)
         if mu is None:
             raise ArithmeticError("resultant vanished despite the certificates")
         return mu
@@ -355,8 +304,8 @@ def _milnor_once(field, f, xt, yt):
 def _axis_certificate(Pt, Qt, f, tau, x, y):
     """True when, at every root, the only common zero of (Pt, Qt) on the line
     x = 0 is the origin. Splits the cluster on a mixed answer."""
-    A = _trim(_onto(Pt.coeff_in(x, 0), (y, tau)), f, tau)
-    B = _trim(_onto(Qt.coeff_in(x, 0), (y, tau)), f, tau)
+    A = _trim(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
+    B = _trim(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
     if A.is_zero() and B.is_zero():
         raise ArithmeticError("both components vanish on a line; field not coprime")
     if A.is_zero():
@@ -372,7 +321,7 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
     B1 = _shift_out(B, y, b)
     if A1.deg_in(y) == 0 or B1.deg_in(y) == 0:
         return True
-    res = mod_reduce(_onto(resultant(A1, B1, y), (tau,)), f, tau)
+    res = mod_reduce(resultant(A1, B1, y).with_vars((tau,)), f, tau)
     if res.is_zero():
         return False
     return _split_of(zero_split(res, f, tau)) == "none"
@@ -389,7 +338,7 @@ def milnor_number(field, point):
     Coordinates may be rational or quadratic irrationals (QuadExt).
     """
     a, b = point
-    tau = _fresh("t", field.vars)
+    tau = _fresh_name("t", field.vars)
     f = MPoly.variable(tau, (tau,))
     xt = MPoly.const((tau,), a)
     yt = MPoly.const((tau,), b)
@@ -402,7 +351,7 @@ def milnor_number(field, point):
 
 def _monic_in_y(p, f, tau, y):
     d = p.deg_in(y)
-    lc = _onto(p.coeff_in(y, d), (tau,))
+    lc = p.coeff_in(y, d).with_vars((tau,))
     # SplitNeeded when the leading coefficient dies on part of the cluster
     inv = invert_mod(lc, f, tau)
     return _trim(p * inv, f, tau)
@@ -446,14 +395,14 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
     k = G.deg_in(y)
     if k <= 0:
         raise ArithmeticError("empty fiber above a resultant root")
-    ck1 = _onto(G.coeff_in(y, k - 1), (tau,))
+    ck1 = G.coeff_in(y, k - 1).with_vars((tau,))
     y0 = mod_reduce(ck1 * Fraction(-1, k), fi, tau)
     if k >= 2:
         yv = MPoly.variable(y, G.vars)
         diff = _trim(G - (yv - y0) ** k, fi, tau)
         if not diff.is_zero():
             for j in range(diff.deg_in(y) + 1):
-                w = _onto(diff.coeff_in(y, j), (tau,))
+                w = diff.coeff_in(y, j).with_vars((tau,))
                 if w.is_zero():
                     continue
                 st = _split_of(zero_split(w, fi, tau))
@@ -481,7 +430,7 @@ def affine_singular_points(F):
         else:
             sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * tq
             Pt, Qt = P.subs({x: sx}), Q.subs({x: sx})
-        R = _onto(resultant(Pt, Qt, y), (x,))
+        R = resultant(Pt, Qt, y).with_vars((x,))
         if R.is_zero():
             raise ArithmeticError("resultant vanished for a coprime field")
         if R.total_degree() == 0:
@@ -495,12 +444,12 @@ def affine_singular_points(F):
 
 def _affine_clusters(F, shear, R, Pt, Qt):
     x, y = F.vars
-    tau = _fresh("t", F.vars)
+    tau = _fresh_name("t", F.vars)
     S1 = linear_subresultant(Pt, Qt, y)
     t1 = t0 = None
     if S1 is not None:
-        t1 = _onto(S1.coeff_in(y, 1), (x,)).rename({x: tau})
-        t0 = _onto(S1.coeff_in(y, 0), (x,)).rename({x: tau})
+        t1 = S1.coeff_in(y, 1).with_vars((x,)).rename({x: tau})
+        t0 = S1.coeff_in(y, 0).with_vars((x,)).rename({x: tau})
     Pf = Pt.rename({x: tau})
     Qf = Qt.rename({x: tau})
     out = []
@@ -539,11 +488,11 @@ def infinity_singular_points(F, with_milnor=True):
     out = []
     ch1 = F.infinity_chart(1)
     b, w = ch1.vars
-    A0 = _onto(ch1.P.coeff_in(w, 0), (b,))
-    B0 = _onto(ch1.Q.coeff_in(w, 0), (b,))
+    A0 = ch1.P.coeff_in(w, 0).with_vars((b,))
+    B0 = ch1.Q.coeff_in(w, 0).with_vars((b,))
     g = poly_gcd(A0, B0)
     if g.total_degree() > 0:
-        tau = _fresh("t", ch1.vars)
+        tau = _fresh_name("t", ch1.vars)
         f = normalized(squarefree_part(g)).rename({g.vars[0]: tau})
         xt = MPoly.variable(tau, (tau,))
         yt = MPoly.zero((tau,))
@@ -557,7 +506,7 @@ def infinity_singular_points(F, with_milnor=True):
     p0 = ch2.P.eval_all({pa: Fraction(0), pw: Fraction(0)})
     q0 = ch2.Q.eval_all({pa: Fraction(0), pw: Fraction(0)})
     if p0 == 0 and q0 == 0:
-        tau = _fresh("t", ch2.vars)
+        tau = _fresh_name("t", ch2.vars)
         f = MPoly.variable(tau, (tau,))
         zero = MPoly.zero((tau,))
         if with_milnor:
@@ -609,7 +558,7 @@ def classify_singularity(sp):
 
 def classify_point(field, a, b):
     """Classification kind of the (singular) point (a, b) of `field`."""
-    tau = _fresh("t", field.vars)
+    tau = _fresh_name("t", field.vars)
     f = MPoly.variable(tau, (tau,))
     res = _resolve_clusters(
         f, MPoly.const((tau,), a), MPoly.const((tau,), b),
@@ -628,7 +577,7 @@ def classify_all(F):
 def _eval_on_cluster(E, f, xt, yt, x, y):
     tau = f.vars[0]
     img = E.subs({x: xt, y: yt})
-    return _onto(_tau_mod(img, f, tau), (tau,))
+    return _tau_mod(img, f, tau).with_vars((tau,))
 
 
 def _classify_once(field, f, xt, yt):
@@ -660,7 +609,7 @@ def _classify_once(field, f, xt, yt):
 
     # eigenvalue ratios r at the cluster roots satisfy
     #   W(tau, r) = D(tau) * (r^2 + 1) - (T(tau)^2 - 2 D(tau)) * r = 0
-    rname = _fresh("r", (tau,))
+    rname = _fresh_name("r", (tau,))
     vars2 = (tau, rname)
     r = MPoly.variable(rname, vars2)
     Dl = D.with_vars(vars2)
@@ -671,8 +620,8 @@ def _classify_once(field, f, xt, yt):
         split = _quadratic_root_in_base(f)
         if split is not None:
             raise SplitNeeded(split)
-        W0 = _onto(W.coeff_in(tau, 0), (rname,))
-        W1 = _onto(W.coeff_in(tau, 1), (rname,))
+        W0 = W.coeff_in(tau, 0).with_vars((rname,))
+        W1 = W.coeff_in(tau, 1).with_vars((rname,))
         g = poly_gcd(W0, W1)
         if _positive_rational_root_exists(g):
             return NON_REDUCED
@@ -683,7 +632,7 @@ def _classify_once(field, f, xt, yt):
     rho = None
     for p in reversed(subresultant_prs(f.with_vars(vars2), W, tau)):
         if p.deg_in(tau) == 0 and not p.is_zero():
-            rho = _onto(p, (rname,))
+            rho = p.with_vars((rname,))
             break
     if rho is None:
         raise ArithmeticError("tau resultant collapsed despite nonzero determinant")
@@ -717,7 +666,7 @@ def _classify_once(field, f, xt, yt):
         if fraction_height(c) > RATIO_HEIGHT_BOUND:
             unresolved = True
             continue
-        Wc = _onto(_tau_mod(W.subs({rname: c}), f, tau), (tau,))
+        Wc = _tau_mod(W.subs({rname: c}), f, tau).with_vars((tau,))
         st = _split_of(zero_split(Wc, f, tau))
         if st == "all":
             return NON_REDUCED

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -50,13 +49,6 @@ def test_degree_no_drop():
     assert fol("(x^3-1)*x", "(y^3-1)*y").degree() == 4
 
 
-def test_translate():
-    F = fol("x", "y - 1")
-    G = F.translate(Fraction(0), Fraction(1))
-    assert G.P == parse_poly("x", V)
-    assert G.Q == parse_poly("y", V)
-
-
 def test_infinity_chart_radial_is_regular():
     # the radial field leaves no singularity at infinity after the common
     # w factor is removed
@@ -89,8 +81,3 @@ def test_jacobian():
     assert py == parse_poly("1", V)
     assert qx == parse_poly("y", V)
     assert qy == parse_poly("x", V)
-
-
-def test_evaluate():
-    F = fol("x^2 + y", "x*y")
-    assert F.evaluate(Fraction(2), Fraction(3)) == (7, 6)

@@ -12,7 +12,6 @@ from planefol.mpoly import (
     linear_subresultant,
     normalized,
     parse_poly,
-    poly,
     poly_divmod,
     poly_gcd,
     prem,
@@ -44,13 +43,13 @@ def to_sympy(f):
 
 
 def test_parse_and_str_round_trip():
-    f = poly("3/2*x^2*y - 1", vars=("x", "y"))
+    f = parse_poly("3/2*x^2*y - 1", vars=("x", "y"))
     assert str(f) == "3/2*x^2*y - 1"
     assert parse_poly(str(f), vars=("x", "y")) == f
 
 
 def test_gradlex_print_order():
-    f = poly("1 + y^2 + x + x*y + x^2 + y", vars=("x", "y"))
+    f = parse_poly("1 + y^2 + x + x*y + x^2 + y", vars=("x", "y"))
     assert str(f) == "x^2 + x*y + y^2 + x + y + 1"
 
 
@@ -60,13 +59,13 @@ def test_parse_rejects_implicit_multiplication():
 
 
 def test_parse_nested_and_signs():
-    f = poly("-(x - 2)^2 + x^2", vars=("x",))
-    assert f == poly("4*x - 4", vars=("x",))
-    assert poly("x**3 - x", vars=("x",)) == poly("x^3 - x", vars=("x",))
+    f = parse_poly("-(x - 2)^2 + x^2", vars=("x",))
+    assert f == parse_poly("4*x - 4", vars=("x",))
+    assert parse_poly("x**3 - x", vars=("x",)) == parse_poly("x^3 - x", vars=("x",))
 
 
 def test_json_round_trip_bit_exact():
-    f = poly("3/2*x^2*y - y + 7", vars=("x", "y"))
+    f = parse_poly("3/2*x^2*y - y + 7", vars=("x", "y"))
     blob = json.dumps(f.to_json(), sort_keys=True)
     g = MPoly.from_json(json.loads(blob))
     assert g == f
@@ -74,20 +73,33 @@ def test_json_round_trip_bit_exact():
 
 
 def test_degrees_and_parts():
-    f = poly("x^2*y + x*y + 3", vars=("x", "y"))
+    f = parse_poly("x^2*y + x*y + 3", vars=("x", "y"))
     assert f.total_degree() == 3
     assert f.min_total_degree() == 0
     assert f.deg_in("x") == 2 and f.deg_in("y") == 1
-    assert f.homogeneous_part(2) == poly("x*y", vars=("x", "y"))
+    assert f.homogeneous_part(2) == parse_poly("x*y", vars=("x", "y"))
     assert MPoly.zero(("x",)).total_degree() == -1
 
 
 def test_variable_alignment():
-    f = poly("x + 1", vars=("x",))
-    g = poly("y + 1", vars=("y",))
+    f = parse_poly("x + 1", vars=("x",))
+    g = parse_poly("y + 1", vars=("y",))
     h = f + g
     assert set(h.vars) == {"x", "y"}
-    assert h == poly("x + y + 2", vars=("x", "y"))
+    assert h == parse_poly("x + y + 2", vars=("x", "y"))
+
+
+def test_with_vars_drops_absent_variable():
+    f = parse_poly("t^2 - 2", vars=("x", "t", "y"))
+    g = f.with_vars(("t",))
+    assert g.vars == ("t",)
+    assert g == parse_poly("t^2 - 2", vars=("t",))
+
+
+def test_with_vars_rejects_occurring_variable():
+    f = parse_poly("t^2 - x", vars=("x", "t"))
+    with pytest.raises(ValueError, match="'x'"):
+        f.with_vars(("t",))
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -104,17 +116,17 @@ def test_mul_pow_diff():
 
 def test_subs_blowup_map():
     # y -> x*y must be a simultaneous substitution, not sequential
-    f = poly("x*y + y^2", vars=("x", "y"))
-    g = f.subs({"y": poly("x*y", vars=("x", "y"))})
-    assert g == poly("x^2*y + x^2*y^2", vars=("x", "y"))
-    h = poly("x + y", vars=("x", "y")).subs(
-        {"x": poly("y", vars=("x", "y")), "y": poly("x", vars=("x", "y"))}
+    f = parse_poly("x*y + y^2", vars=("x", "y"))
+    g = f.subs({"y": parse_poly("x*y", vars=("x", "y"))})
+    assert g == parse_poly("x^2*y + x^2*y^2", vars=("x", "y"))
+    h = parse_poly("x + y", vars=("x", "y")).subs(
+        {"x": parse_poly("y", vars=("x", "y")), "y": parse_poly("x", vars=("x", "y"))}
     )
-    assert h == poly("x + y", vars=("x", "y"))
+    assert h == parse_poly("x + y", vars=("x", "y"))
 
 
 def test_eval_all():
-    f = poly("x^2 - y/2", vars=("x", "y"))
+    f = parse_poly("x^2 - y/2", vars=("x", "y"))
     assert f.eval_all({"x": Fraction(3), "y": Fraction(4)}) == Fraction(7)
 
 
@@ -132,46 +144,46 @@ def test_quadext_coefficients_flow_through():
 
 
 def test_divmod_and_exact_div():
-    f = poly("x^3 - 1", vars=("x",))
-    g = poly("x - 1", vars=("x",))
+    f = parse_poly("x^3 - 1", vars=("x",))
+    g = parse_poly("x - 1", vars=("x",))
     q, r = poly_divmod(f, g)
-    assert r.is_zero() and q == poly("x^2 + x + 1", vars=("x",))
-    assert exact_div(f, poly("x + 1", vars=("x",))) is None
+    assert r.is_zero() and q == parse_poly("x^2 + x + 1", vars=("x",))
+    assert exact_div(f, parse_poly("x + 1", vars=("x",))) is None
 
 
 def test_content_and_normalized():
-    f = poly("6*x - 4", vars=("x",))
+    f = parse_poly("6*x - 4", vars=("x",))
     assert rational_content(f) == Fraction(2)
-    assert normalized(f) == poly("3*x - 2", vars=("x",))
-    assert normalized(-f) == poly("3*x - 2", vars=("x",))
-    h = poly("x/2 - 1/3", vars=("x",))
-    assert normalized(h) == poly("3*x - 2", vars=("x",))
+    assert normalized(f) == parse_poly("3*x - 2", vars=("x",))
+    assert normalized(-f) == parse_poly("3*x - 2", vars=("x",))
+    h = parse_poly("x/2 - 1/3", vars=("x",))
+    assert normalized(h) == parse_poly("3*x - 2", vars=("x",))
 
 
 def test_gcd_univariate_frozen():
-    f = poly("(x^3 - 1)*(x - 2)", vars=("x",))
-    g = poly("x^3 - 1", vars=("x",))
-    assert poly_gcd(f, g) == poly("x^3 - 1", vars=("x",))
-    assert poly_gcd(g, poly("x - 5", vars=("x",))) == 1
+    f = parse_poly("(x^3 - 1)*(x - 2)", vars=("x",))
+    g = parse_poly("x^3 - 1", vars=("x",))
+    assert poly_gcd(f, g) == parse_poly("x^3 - 1", vars=("x",))
+    assert poly_gcd(g, parse_poly("x - 5", vars=("x",))) == 1
 
 
 def test_gcd_bivariate():
-    f = poly("(x + y)^2 * (x - y)", vars=("x", "y"))
-    g = poly("(x + y) * (x - y)^2", vars=("x", "y"))
-    assert poly_gcd(f, g) == poly("x^2 - y^2", vars=("x", "y"))
+    f = parse_poly("(x + y)^2 * (x - y)", vars=("x", "y"))
+    g = parse_poly("(x + y) * (x - y)^2", vars=("x", "y"))
+    assert poly_gcd(f, g) == parse_poly("x^2 - y^2", vars=("x", "y"))
 
 
 def test_gcd_with_zero_and_constants():
-    f = poly("2*x + 2", vars=("x",))
+    f = parse_poly("2*x + 2", vars=("x",))
     z = MPoly.zero(("x",))
-    assert poly_gcd(f, z) == poly("x + 1", vars=("x",))
-    assert poly_gcd(poly("4", vars=("x",)), poly("6", vars=("x",))) == 1
+    assert poly_gcd(f, z) == parse_poly("x + 1", vars=("x",))
+    assert poly_gcd(parse_poly("4", vars=("x",)), parse_poly("6", vars=("x",))) == 1
 
 
 def test_prem_is_full_collins():
     # prem must carry lc(g)^(df-dg+1) even when elimination shortcuts occur
-    f = poly("x^3", vars=("x", "y"))
-    g = poly("2*x^2 + y", vars=("x", "y"))
+    f = parse_poly("x^3", vars=("x", "y"))
+    g = parse_poly("2*x^2 + y", vars=("x", "y"))
     r = prem(f, g, "x")
     # 2^2 * x^3 mod g = x*(4x^2) -> x*(-2y) -> 4x^3 - 2xy*... direct: 4*x^3 = 2x*g - 2xy => r = -2xy... times remaining power
     q, rr = poly_divmod(f * 4, g)
@@ -179,13 +191,13 @@ def test_prem_is_full_collins():
 
 
 def test_yun_decomposition():
-    f = poly("(x - 1)*(x - 2)^2*(x - 3)^3", vars=("x",))
+    f = parse_poly("(x - 1)*(x - 2)^2*(x - 3)^3", vars=("x",))
     unit, parts = yun_decomposition(f)
     assert unit == 1
     assert parts == [
-        (poly("x - 1", vars=("x",)), 1),
-        (poly("x - 2", vars=("x",)), 2),
-        (poly("x - 3", vars=("x",)), 3),
+        (parse_poly("x - 1", vars=("x",)), 1),
+        (parse_poly("x - 2", vars=("x",)), 2),
+        (parse_poly("x - 3", vars=("x",)), 3),
     ]
     unit6, parts6 = yun_decomposition(f * 6)
     assert unit6 == 6 and parts6 == parts
@@ -196,15 +208,15 @@ def test_yun_decomposition():
 
 
 def test_yun_squarefree_input():
-    f = poly("x^2 + 1", vars=("x",))
+    f = parse_poly("x^2 + 1", vars=("x",))
     unit, parts = yun_decomposition(f)
     assert unit == 1 and parts == [(f, 1)]
 
 
 def test_squarefree_part_bivariate():
-    f = poly("(x^2 - y)^2 * (x + y)", vars=("x", "y"))
+    f = parse_poly("(x^2 - y)^2 * (x + y)", vars=("x", "y"))
     s = squarefree_part(f)
-    assert s == normalized(poly("(x^2 - y)*(x + y)", vars=("x", "y")))
+    assert s == normalized(parse_poly("(x^2 - y)*(x + y)", vars=("x", "y")))
 
 
 # -- determinants and resultants ---------------------------------------------------
@@ -233,34 +245,34 @@ def test_bareiss_det_poly_matches_sympy():
 
 
 def test_resultant_frozen_values():
-    f = poly("x^2 + 1", vars=("x",))
-    g = poly("x^2 - 1", vars=("x",))
+    f = parse_poly("x^2 + 1", vars=("x",))
+    g = parse_poly("x^2 - 1", vars=("x",))
     assert resultant(f, g, "x") == 4
-    f2 = poly("x^2 - y", vars=("x", "y"))
-    g2 = poly("x - 1", vars=("x", "y"))
-    assert resultant(f2, g2, "x") == poly("1 - y", vars=("x", "y"))
-    assert resultant(poly("x", vars=("x", "y")), poly("y", vars=("x", "y")), "x") == poly(
+    f2 = parse_poly("x^2 - y", vars=("x", "y"))
+    g2 = parse_poly("x - 1", vars=("x", "y"))
+    assert resultant(f2, g2, "x") == parse_poly("1 - y", vars=("x", "y"))
+    assert resultant(parse_poly("x", vars=("x", "y")), parse_poly("y", vars=("x", "y")), "x") == parse_poly(
         "y", vars=("x", "y")
     )
 
 
 def test_resultant_rejects_degenerate():
-    c = poly("3", vars=("x",))
+    c = parse_poly("3", vars=("x",))
     with pytest.raises(ValueError):
         resultant(c, c, "x")
     with pytest.raises(ValueError):
-        resultant(MPoly.zero(("x",)), poly("x", vars=("x",)), "x")
+        resultant(MPoly.zero(("x",)), parse_poly("x", vars=("x",)), "x")
 
 
 def test_resultant_common_factor_is_zero():
-    f = poly("(x - y)*(x + 1)", vars=("x", "y"))
-    g = poly("(x - y)*(x + 2)", vars=("x", "y"))
+    f = parse_poly("(x - y)*(x + 1)", vars=("x", "y"))
+    g = parse_poly("(x - y)*(x + 2)", vars=("x", "y"))
     assert resultant(f, g, "x").is_zero()
 
 
 def test_resultant_matches_sympy_small():
-    f = poly("x^3 - 2*x*y + y^2 + 1", vars=("x", "y"))
-    g = poly("2*x^2 + x*y - 3", vars=("x", "y"))
+    f = parse_poly("x^3 - 2*x*y + y^2 + 1", vars=("x", "y"))
+    g = parse_poly("2*x^2 + x*y - 3", vars=("x", "y"))
     mine = resultant(f, g, "x")
     theirs = sympy.expand(sympy.resultant(to_sympy(f), to_sympy(g), X))
     assert to_sympy(mine) == theirs
@@ -268,23 +280,23 @@ def test_resultant_matches_sympy_small():
 
 def test_resultant_interpolation_path_matches_sympy():
     # degrees force (m+n)*(m*n) > 600 so the evaluation path runs
-    f = poly("x^7 + y^3*x^2 - 2*x + y + 1", vars=("x", "y"))
-    g = poly("x^7 - y*x^4 + 3*y^2 - 1", vars=("x", "y"))
+    f = parse_poly("x^7 + y^3*x^2 - 2*x + y + 1", vars=("x", "y"))
+    g = parse_poly("x^7 - y*x^4 + 3*y^2 - 1", vars=("x", "y"))
     mine = resultant(f, g, "x")
     theirs = sympy.expand(sympy.resultant(to_sympy(f), to_sympy(g), X))
     assert to_sympy(mine) == theirs
 
 
 def test_sylvester_shape():
-    f = poly("x^2 + 1", vars=("x",))
-    g = poly("x^3 - x", vars=("x",))
+    f = parse_poly("x^2 + 1", vars=("x",))
+    g = parse_poly("x^3 - x", vars=("x",))
     rows = sylvester_matrix(f, g, "x")
     assert len(rows) == 5 and all(len(r) == 5 for r in rows)
 
 
 def test_subresultant_prs_proportional_to_sympy():
-    f = poly("x^4 + x^3*y - 3*x + y^2", vars=("x", "y"))
-    g = poly("x^3 - x*y + 1", vars=("x", "y"))
+    f = parse_poly("x^4 + x^3*y - 3*x + y^2", vars=("x", "y"))
+    g = parse_poly("x^3 - x*y + 1", vars=("x", "y"))
     mine = subresultant_prs(f, g, "x")
     theirs = sympy.subresultants(to_sympy(f), to_sympy(g), X)
     assert len(mine) >= 3
@@ -298,13 +310,13 @@ def test_subresultant_prs_proportional_to_sympy():
 def test_linear_subresultant_gives_y_rule():
     # common solutions of this pair satisfy y = x; the degree-1 element of the
     # PRS must encode exactly that rule
-    f = poly("y^2 - x", vars=("x", "y"))
-    g = poly("y^2 - 2*y + x", vars=("x", "y"))
+    f = parse_poly("y^2 - x", vars=("x", "y"))
+    g = parse_poly("y^2 - 2*y + x", vars=("x", "y"))
     lin = linear_subresultant(f, g, "y")
     assert lin is not None and lin.deg_in("y") == 1
     t1 = lin.coeff_in("y", 1)
     t0 = lin.coeff_in("y", 0)
-    assert (t1 * poly("x", vars=("x", "y")) + t0).is_zero()
+    assert (t1 * parse_poly("x", vars=("x", "y")) + t0).is_zero()
 
 
 # -- property tests ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planefol.mpoly import MPoly, poly
+from planefol.mpoly import MPoly, parse_poly
 from planefol.roots import (
     Interval,
     interval_eval,
@@ -26,14 +26,14 @@ def test_interval_arithmetic():
 
 
 def test_interval_eval_contains_range():
-    f = poly("x^2 - 2*x", vars=("x",))
+    f = parse_poly("x^2 - 2*x", vars=("x",))
     iv = interval_eval(f, {"x": Interval(0, 2)})
     # true range is [-1, 0]; the interval hull must contain it
     assert iv.lo <= -1 and iv.hi >= 0
 
 
 def test_real_roots_simple():
-    f = poly("x^2 - 2", vars=("x",))
+    f = parse_poly("x^2 - 2", vars=("x",))
     roots = isolate_real_roots(f)
     assert len(roots) == 2
     neg, pos = roots
@@ -46,7 +46,7 @@ def test_real_roots_simple():
 
 
 def test_real_roots_rational_detected():
-    f = poly("(x - 1/2)*(x + 3)*(x^2 + 1)", vars=("x",))
+    f = parse_poly("(x - 1/2)*(x + 3)*(x^2 + 1)", vars=("x",))
     roots = isolate_real_roots(f)
     assert len(roots) == 2
     # exact pinning of rational roots is opportunistic; the boxes are the contract
@@ -58,24 +58,24 @@ def test_real_roots_rational_detected():
 
 
 def test_real_roots_multiplicity_collapsed():
-    f = poly("(x - 1)^3 * (x + 2)", vars=("x",))
+    f = parse_poly("(x - 1)^3 * (x + 2)", vars=("x",))
     roots = isolate_real_roots(f)
     assert len(roots) == 2
 
 
 def test_real_roots_of_root_free_poly():
-    assert isolate_real_roots(poly("x^2 + 1", vars=("x",))) == []
+    assert isolate_real_roots(parse_poly("x^2 + 1", vars=("x",))) == []
 
 
 def test_real_roots_match_sympy_counts():
     for text in ["x^3 - 3*x + 1", "x^5 - x - 1", "x^4 - 5*x^2 + 6", "x^6 - 1"]:
-        f = poly(text, vars=("x",))
+        f = parse_poly(text, vars=("x",))
         distinct = len(set(sympy.Poly(sympy.sympify(text.replace("^", "**"))).real_roots()))
         assert len(isolate_real_roots(f)) == distinct
 
 
 def test_complex_roots_quadratic():
-    f = poly("x^2 + 1", vars=("x",))
+    f = parse_poly("x^2 + 1", vars=("x",))
     roots = isolate_roots(f)
     assert len(roots) == 2
     up = [r for r in roots if r.im.lo > 0]
@@ -87,7 +87,7 @@ def test_complex_roots_quadratic():
 
 def test_complex_roots_cyclotomic():
     # x^4 + x^3 + x^2 + x + 1: four primitive fifth roots of unity
-    f = poly("x^4 + x^3 + x^2 + x + 1", vars=("x",))
+    f = parse_poly("x^4 + x^3 + x^2 + x + 1", vars=("x",))
     roots = isolate_roots(f)
     assert len(roots) == 4
     assert all(not r.is_real() for r in roots)
@@ -100,7 +100,7 @@ def test_complex_roots_cyclotomic():
 
 
 def test_complex_roots_mixed():
-    f = poly("(x - 2) * (x^2 + x + 1)", vars=("x",))
+    f = parse_poly("(x - 2) * (x^2 + x + 1)", vars=("x",))
     roots = isolate_roots(f)
     assert len(roots) == 3
     reals = [r for r in roots if r.is_real()]
@@ -114,7 +114,7 @@ def test_complex_roots_mixed():
 
 
 def test_cube_roots_of_unity():
-    f = poly("x^3 - 1", vars=("x",))
+    f = parse_poly("x^3 - 1", vars=("x",))
     roots = isolate_roots(f)
     assert len(roots) == 3
     reals = [r for r in roots if r.is_real()]
@@ -122,7 +122,7 @@ def test_cube_roots_of_unity():
 
 
 def test_refine_complex_shrinks():
-    f = poly("x^2 - 2*x + 5", vars=("x",))  # roots 1 +- 2i
+    f = parse_poly("x^2 - 2*x + 5", vars=("x",))  # roots 1 +- 2i
     roots = isolate_roots(f)
     r = [b for b in roots if b.im.lo > 0][0]
     w0 = r.width()
@@ -133,37 +133,37 @@ def test_refine_complex_shrinks():
 
 
 def test_vanishes_at_rational_root():
-    f = poly("(x - 1)*(x + 2)", vars=("x",))
+    f = parse_poly("(x - 1)*(x + 2)", vars=("x",))
     roots = isolate_real_roots(f)
-    g = poly("x^2 - 1", vars=("x",))
+    g = parse_poly("x^2 - 1", vars=("x",))
     flags = sorted(vanishes_at(g, r) for r in roots)
     assert flags == [False, True]
 
 
 def test_vanishes_at_irrational_root():
-    f = poly("x^2 - 2", vars=("x",))
+    f = parse_poly("x^2 - 2", vars=("x",))
     roots = isolate_real_roots(f)
-    g = poly("x^4 - 4", vars=("x",))  # divisible by x^2 - 2
+    g = parse_poly("x^4 - 4", vars=("x",))  # divisible by x^2 - 2
     assert all(vanishes_at(g, r) for r in roots)
-    h = poly("x^2 - 3", vars=("x",))
+    h = parse_poly("x^2 - 3", vars=("x",))
     assert not any(vanishes_at(h, r) for r in roots)
 
 
 def test_vanishes_at_distinguishes_cluster_members():
     # f has roots 1 and -1; g = x - 1 vanishes at exactly one of them
-    f = poly("x^2 - 1", vars=("x",))
+    f = parse_poly("x^2 - 1", vars=("x",))
     roots = isolate_real_roots(f)
-    g = poly("x - 1", vars=("x",))
+    g = parse_poly("x - 1", vars=("x",))
     flags = [vanishes_at(g, r) for r in roots]
     assert sorted(flags) == [False, True]
 
 
 def test_vanishes_at_complex_root():
-    f = poly("x^2 + 1", vars=("x",))
+    f = parse_poly("x^2 + 1", vars=("x",))
     roots = isolate_roots(f)
-    g = poly("x^4 - 1", vars=("x",))  # x^2 + 1 divides
+    g = parse_poly("x^4 - 1", vars=("x",))  # x^2 + 1 divides
     assert all(vanishes_at(g, r) for r in roots)
-    h = poly("x^2 + 2", vars=("x",))
+    h = parse_poly("x^2 + 2", vars=("x",))
     assert not any(vanishes_at(h, r) for r in roots)
 
 
