@@ -47,9 +47,10 @@ from .families import (
     build_family,
     dicritical_count,
 )
-from .foliation import Foliation, foliation_degree, make_foliation
+from .foliation import foliation_degree, make_foliation
 from .mpoly import MPoly, parse_poly
 from .singularities import (
+    DecompositionError,
     ExactnessError,
     UNDETERMINED,
     bezout_total,
@@ -188,27 +189,39 @@ def _cmd_degree(args):
     return EXIT_OK
 
 
+# failures of an exact computation that are refused with exit 3, not raised
+_REFUSALS = (DecompositionError, ExactnessError, ArithmeticError)
+
+
+def _refuse(e, args):
+    _emit({"error": str(e)}, args, lambda r: [f"undetermined: {r['error']}"])
+    return EXIT_UNDETERMINED
+
+
 def _cmd_singularities(args):
     F = _load_foliation(args.foliation)
-    pts = singular_points(F)
-    report = {
-        "clusters": [_cluster_json(sp) for sp in pts],
-        "bezout": bezout_total(F),
-        "total_milnor": total_milnor(pts),
-    }
-    if args.boxes:
-        width = _precision()
-        boxed = []
-        for sp in pts:
-            for (xre, xim), (yre, yim) in sp.boxes(max_width=width):
-                boxed.append({
-                    "chart": sp.chart,
-                    "x": {"re": [_rat(xre.lo), _rat(xre.hi)],
-                          "im": [_rat(xim.lo), _rat(xim.hi)]},
-                    "y": {"re": [_rat(yre.lo), _rat(yre.hi)],
-                          "im": [_rat(yim.lo), _rat(yim.hi)]},
-                })
-        report["boxes"] = boxed
+    try:
+        pts = singular_points(F)
+        report = {
+            "clusters": [_cluster_json(sp) for sp in pts],
+            "bezout": bezout_total(F),
+            "total_milnor": total_milnor(pts),
+        }
+        if args.boxes:
+            width = _precision()
+            boxed = []
+            for sp in pts:
+                for (xre, xim), (yre, yim) in sp.boxes(max_width=width):
+                    boxed.append({
+                        "chart": sp.chart,
+                        "x": {"re": [_rat(xre.lo), _rat(xre.hi)],
+                              "im": [_rat(xim.lo), _rat(xim.hi)]},
+                        "y": {"re": [_rat(yre.lo), _rat(yre.hi)],
+                              "im": [_rat(yim.lo), _rat(yim.hi)]},
+                    })
+            report["boxes"] = boxed
+    except _REFUSALS as e:
+        return _refuse(e, args)
 
     def lines(r):
         out = [f"{len(r['clusters'])} clusters, "
@@ -226,10 +239,13 @@ def _cmd_classify(args):
     F = _load_foliation(args.foliation)
     rows = []
     saw_undetermined = False
-    for sp in singular_points(F):
-        for sub, kind in classify_singularity(sp):
-            rows.append({**_cluster_json(sub), "kind": kind})
-            saw_undetermined |= kind == UNDETERMINED
+    try:
+        for sp in singular_points(F):
+            for sub, kind in classify_singularity(sp):
+                rows.append({**_cluster_json(sub), "kind": kind})
+                saw_undetermined |= kind == UNDETERMINED
+    except _REFUSALS as e:
+        return _refuse(e, args)
     report = {"classification": rows}
 
     def lines(r):

@@ -7,14 +7,17 @@ higher total degree first, ties broken by reverse-lex on the exponent tuple.
 
 The module also houses the polynomial algebra the rest of the package needs:
 exact single-divisor division, multivariate gcd (primitive PRS), Yun squarefree
-decomposition, Sylvester/Bareiss resultants with an evaluation-interpolation
-fast path for large bivariate inputs, and the subresultant PRS.
+decomposition, a fraction-free determinant on packed exponents with integer
+coefficients, Sylvester/Bareiss resultants, and the subresultant PRS.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .numbers import QuadExt, rat_str
 
@@ -545,6 +548,68 @@ def parse_poly(text, vars=None):
 # -- division, gcd, squarefree ---------------------------------------------------
 
 
+def _packing(vars, top):
+    """Packed exponents over `vars` for total degrees up to `top`.
+
+    An exponent tuple becomes one int whose s-bit digits are (total degree,
+    e1, ..., en), most significant first, so int order is the grad-lex order
+    of `_gradlex_key` and a monomial product is one int addition. The high bit
+    of every digit stays clear as a guard: `(a + guard - b) & guard == guard`
+    exactly when no digit of b exceeds the matching digit of a, i.e. when b's
+    monomial divides a's. Returns (pack, unpack, guard); `pack` takes an MPoly
+    over a subset of `vars`.
+    """
+    n = len(vars)
+    s = top.bit_length() + 1
+    shifts = [s * (n - 1 - i) for i in range(n)]
+    slot = {v: (1 << (s * n)) + (1 << sh) for v, sh in zip(vars, shifts)}
+    mask = (1 << s) - 1
+    guard = sum(1 << (s * i + s - 1) for i in range(n + 1))
+
+    def pack(f):
+        w = [slot[v] for v in f.vars]
+        return {sum(map(operator.mul, e, w)): c for e, c in f.terms.items()}
+
+    def unpack(d):
+        return {tuple((k >> sh) & mask for sh in shifts): c for k, c in d.items()}
+
+    return pack, unpack, guard
+
+
+def _heap_divmod(a, b, guard, quo):
+    """Grad-lex division of packed a by packed b: a = q*b + r.
+
+    Leading terms of the running remainder are popped from a heap of its keys;
+    the remainder is one dict updated in place. `quo` divides coefficients.
+    Every key pushed is below the key just popped, so none is popped twice.
+    """
+    (bk, bc), *tail = sorted(b.items(), reverse=True)
+    work = dict(a)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    q, r = {}, {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = work.pop(k)
+        if not c:
+            continue
+        d = k + guard - bk
+        if d & guard != guard:
+            r[k] = c
+            continue
+        qk, qc = d - guard, quo(c, bc)
+        q[qk] = qc
+        for tk, tc in tail:
+            key = qk + tk
+            old = work.get(key)
+            if old is None:
+                work[key] = -qc * tc
+                heapq.heappush(heap, -key)
+            else:
+                work[key] = old - qc * tc
+    return q, r
+
+
 def poly_divmod(f, g):
     """Single-divisor long division over a coefficient field: f = q*g + r.
 
@@ -554,21 +619,9 @@ def poly_divmod(f, g):
     f, g = f._pair(g)
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    gexp, gcoef = g.lt()
-    q = MPoly.zero(f.vars)
-    r = MPoly.zero(f.vars)
-    work = f
-    while work.terms:
-        exp, c = work.lt()
-        if all(a >= b for a, b in zip(exp, gexp)):
-            t = MPoly.monomial(f.vars, tuple(a - b for a, b in zip(exp, gexp)), c / gcoef)
-            q = q + t
-            work = work - t * g
-        else:
-            t = MPoly.monomial(f.vars, exp, c)
-            r = r + t
-            work = work - t
-    return q, r
+    pack, unpack, guard = _packing(f.vars, max(f.total_degree(), g.total_degree()))
+    q, r = _heap_divmod(pack(f), pack(g), guard, operator.truediv)
+    return MPoly(f.vars, unpack(q)), MPoly(f.vars, unpack(r))
 
 
 def exact_div(f, g):
@@ -581,8 +634,6 @@ def rational_content(f):
     """Positive rational c with f/c having coprime integer coefficients."""
     if f.is_zero():
         return Fraction(1)
-    from math import gcd, lcm
-
     den = 1
     for c in f.terms.values():
         den = lcm(den, c.denominator)
@@ -790,67 +841,83 @@ def yun_decomposition(f, var=None):
 
 
 def bareiss_det(rows):
-    """Fraction-free determinant; entries are MPoly over a common variable set
-    or plain Fractions. Intermediate divisions are exact by Bareiss's identity."""
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Entries are exact scalars or MPoly over any variable sets. Every entry is
+    packed (see `_packing`). Rational rows are scaled to integers, eliminated
+    with int coefficients, and the product of the row scales is divided out at
+    the end; entries with QuadExt coefficients run through the same loop over
+    their field, unscaled. Each division by the previous pivot is exact by
+    Bareiss's identity and is checked. Returns a scalar for scalar input,
+    otherwise an MPoly over the union of the variables in first-seen order.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    scalar = all(isinstance(x, _SCALARS) for row in rows for x in row)
-    if scalar:
-        m = [[_coef(x) for x in row] for row in rows]
-
-        def is_nonzero(x):
-            return bool(x)
-
-        def quot(a, b):
-            return a / b
-    else:
-        vars = None
-        for row in rows:
-            for x in row:
-                if isinstance(x, MPoly):
-                    vars = x.vars if vars is None else vars
-        m = []
-        for row in rows:
-            m.append([
-                x.with_vars(vars) if isinstance(x, MPoly) else MPoly.const(vars, x)
-                for x in row
-            ])
-        # align to the union of all variable sets
-        union = []
+    polys = [x for row in rows for x in row if isinstance(x, MPoly)]
+    union = []
+    for x in polys:
+        union += [v for v in x.vars if v not in union]
+    rows = [[x if isinstance(x, MPoly) else MPoly.const(union, x) for x in row] for row in rows]
+    # a minor's degree is at most the sum of its rows' degrees
+    top = 2 * sum(max(max(x.total_degree() for x in row), 0) for row in rows)
+    pack, unpack, guard = _packing(union, top)
+    m = [[pack(x) for x in row] for row in rows]
+    integral = all(isinstance(c, Fraction) for row in m for x in row for c in x.values())
+    scale = 1
+    if integral:
         for row in m:
+            s = lcm(*(c.denominator for x in row for c in x.values()))
+            scale *= s
             for x in row:
-                for v in x.vars:
-                    if v not in union:
-                        union.append(v)
-        union = tuple(union)
-        m = [[x.with_vars(union) for x in row] for row in m]
-
-        def is_nonzero(x):
-            return not x.is_zero()
-
-        def quot(a, b):
-            q = exact_div(a, b)
-            if q is None:
-                raise ArithmeticError("Bareiss division was not exact")
-            return q
-
-    sign = 1
-    prev = Fraction(1) if scalar else MPoly.const(m[0][0].vars, 1)
+                for k, c in x.items():
+                    x[k] = c.numerator * (s // c.denominator)
+    quo = _zquo if integral else operator.truediv
+    sign, prev = 1, None
     for k in range(n - 1):
-        if not is_nonzero(m[k][k]):
-            pivot = next((i for i in range(k + 1, n) if is_nonzero(m[i][k])), None)
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return Fraction(0) if scalar else MPoly.zero(m[0][0].vars)
+                return MPoly.zero(union) if polys else Fraction(0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        rk = m[k]
+        for ri in m[k + 1:]:
             for j in range(k + 1, n):
-                m[i][j] = quot(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = Fraction(0) if scalar else MPoly.zero(m[0][0].vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+                e = _mul_sub(rk[k], ri[j], ri[k], rk[j])
+                ri[j] = _exact_quo(e, prev, guard, quo) if prev and e else e
+        prev = rk[k]
+    det = {k: (Fraction(c, scale) if integral else c) * sign for k, c in m[n - 1][n - 1].items()}
+    if not polys:
+        return det.get(0, Fraction(0))
+    return MPoly(union, unpack(det))
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d on packed polynomials."""
+    out = {}
+    get = out.get
+    for u, v in ((a, b), ({k: -x for k, x in c.items()}, d)):
+        for k1, c1 in u.items():
+            for k2, c2 in v.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _zquo(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("Bareiss division was not exact")
+    return q
+
+
+def _exact_quo(a, b, guard, quo):
+    """Packed a/b when b divides a; raises ArithmeticError otherwise."""
+    q, r = _heap_divmod(a, b, guard, quo)
+    if r:
+        raise ArithmeticError("Bareiss division was not exact")
+    return q
 
 
 def sylvester_matrix(f, g, var):
@@ -876,11 +943,8 @@ def sylvester_matrix(f, g, var):
 
 
 def resultant(f, g, var):
-    """Resultant eliminating `var`, by fraction-free Sylvester elimination.
-
-    Large strictly-bivariate rational inputs switch to evaluation and Lagrange
-    interpolation in the surviving variable.
-    """
+    """Resultant eliminating `var`: the Bareiss determinant of the Sylvester
+    matrix."""
     f, g = f._pair(g)
     m = f.deg_in(var)
     n = g.deg_in(var)
@@ -892,13 +956,6 @@ def resultant(f, g, var):
         return f ** n
     if n <= 0:
         return g ** m
-    others = (_occurring(f) | _occurring(g)) - {var}
-    if len(others) == 1 and (m + n) * (m * n) > 600:
-        keep = next(iter(others))
-        if all(isinstance(c, Fraction) for c in f.terms.values()) and all(
-            isinstance(c, Fraction) for c in g.terms.values()
-        ):
-            return _resultant_interp(f, g, var, keep)
     rows = sylvester_matrix(f, g, var)
     det = bareiss_det(rows)
     if isinstance(det, MPoly):
@@ -909,77 +966,6 @@ def resultant(f, g, var):
                     raise ArithmeticError("resultant failed to eliminate the variable")
         return det
     return MPoly.const(f.vars, det)
-
-
-def _res_scalar(fa, ga):
-    """Resultant of two dense Fraction coefficient lists (Euclidean recursion)."""
-
-    def deg(a):
-        return len(a) - 1
-
-    def rem(a, b):
-        a = list(a)
-        db = deg(b)
-        lb = b[-1]
-        for k in range(len(a) - 1, db - 1, -1):
-            if not a[k]:
-                continue
-            factor = a[k] / lb
-            for j in range(db + 1):
-                a[k - db + j] -= factor * b[j]
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    res = Fraction(1)
-    a, b = list(fa), list(ga)
-    while True:
-        if not b:
-            return Fraction(0)
-        if deg(b) == 0:
-            return res * b[0] ** deg(a)
-        r = rem(a, b)
-        da, db, dr = deg(a), deg(b), (deg(r) if r else -1)
-        res *= Fraction(-1) ** (da * db) * b[-1] ** (da - (dr if dr >= 0 else 0))
-        if not r:
-            return Fraction(0)
-        a, b = b, r
-
-
-def _resultant_interp(f, g, var, keep):
-    m, n = f.deg_in(var), g.deg_in(var)
-    bound = f.deg_in(keep) * n + g.deg_in(keep) * m
-    f_rows = f.as_univar(var)
-    g_rows = g.as_univar(var)
-    lc_f, lc_g = f_rows[-1], g_rows[-1]
-    xs, ys = [], []
-    t = 0
-    while len(xs) <= bound:
-        for cand in (Fraction(t), Fraction(-t)) if t else (Fraction(0),):
-            if len(xs) > bound:
-                break
-            if lc_f.eval_all({keep: cand}) == 0 or lc_g.eval_all({keep: cand}) == 0:
-                continue
-            fa = [c.eval_all({keep: cand}) for c in f_rows]
-            ga = [c.eval_all({keep: cand}) for c in g_rows]
-            xs.append(cand)
-            ys.append(_res_scalar(fa, ga))
-        t += 1
-    return _lagrange(xs, ys, keep, f.vars)
-
-
-def _lagrange(xs, ys, var, vars):
-    # Newton form accumulation keeps the arithmetic incremental
-    n = len(xs)
-    coefs = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - j])
-    x = MPoly.variable(var, vars)
-    result = MPoly.const(vars, coefs[-1])
-    for k in range(n - 2, -1, -1):
-        result = result * (x - MPoly.const(vars, xs[k])) + MPoly.const(vars, coefs[k])
-    return result
 
 
 def subresultant_prs(f, g, var):

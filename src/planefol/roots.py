@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mpoly import MPoly, exact_div, normalized, poly_gcd, resultant, squarefree_part
+from .mpoly import MPoly, exact_div, poly_gcd, resultant, squarefree_part
 
 
 class IsolationError(Exception):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from planefol import cli
 from planefol.cli import main
+from planefol.singularities import DecompositionError, ExactnessError
 
 
 def write(tmp_path, name, obj):
@@ -134,6 +136,22 @@ class TestClassifyAndReduce:
         code, data, _ = jrun(capsys, "safe-resolve", "--foliation", saddle)
         assert code == 0 and data["mode"] == "safe"
         assert data["reduced_untouched"] == []
+
+
+class TestRefusals:
+    """A failed exact computation is refused with exit 3, not raised."""
+
+    @pytest.mark.parametrize("command", ["singularities", "classify"])
+    @pytest.mark.parametrize("exc", [DecompositionError, ExactnessError, ArithmeticError])
+    def test_refused_with_exit_3(self, capsys, monkeypatch, saddle, command, exc):
+        def fail(F):
+            raise exc("forced failure")
+
+        monkeypatch.setattr(cli, "singular_points", fail)
+        code, data, err = jrun(capsys, command, "--foliation", saddle)
+        assert code == 3
+        assert data == {"error": "forced failure"}
+        assert "Traceback" not in err
 
 
 class TestIndexAndInvariance:

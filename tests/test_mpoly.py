@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from planefol.mpoly import (
     MPoly,
+    _exact_quo,
+    _packing,
+    _zquo,
     bareiss_det,
     exact_div,
     linear_subresultant,
@@ -244,6 +247,61 @@ def test_bareiss_det_poly_matches_sympy():
     assert to_sympy(mine) == sympy.expand(sympy.Matrix(srows).det())
 
 
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, a in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total = total + (-1) ** j * a * _cofactor_det(minor)
+    return total
+
+
+def test_bareiss_det_quadext_matches_cofactor_expansion():
+    s2 = QuadExt(0, 1, 2)
+    x = MPoly.variable("x", ("x", "y"))
+    y = MPoly.variable("y", ("x", "y"))
+    rows = [
+        [x + s2, y * s2, MPoly.const(("x", "y"), Fraction(1, 3))],
+        [x * y - 1, MPoly.const(("x", "y"), s2 + 1), x * s2],
+        [y, x - y * Fraction(1, 2), MPoly.zero(("x", "y"))],
+    ]
+    det = bareiss_det(rows)
+    assert not det.is_zero() and det == _cofactor_det(rows)
+    scalars = [[s2, 1, Fraction(2, 3)], [0, s2 + 1, 3], [1, 2, s2]]
+    assert bareiss_det(scalars) == _cofactor_det(scalars)
+
+
+def test_bareiss_det_keeps_first_seen_variable_order():
+    y = parse_poly("y", vars=("y",))
+    x = parse_poly("x", vars=("x",))
+    zx = parse_poly("z + x", vars=("z", "x"))
+    det = bareiss_det([[y, x], [zx, 2]])
+    assert det.vars == ("y", "x", "z")
+    assert det == parse_poly("2*y - x*z - x^2", vars=("y", "x", "z"))
+
+
+def test_bareiss_det_singular_is_zero_over_the_union():
+    x = parse_poly("x", vars=("x",))
+    y = parse_poly("y", vars=("y",))
+    for rows in ([[x, y], [x * 2, y * 2]], [[0, x], [0, y]]):
+        det = bareiss_det(rows)
+        assert isinstance(det, MPoly) and det.is_zero() and det.vars == ("x", "y")
+
+
+def test_bareiss_division_checks_exactness():
+    pack, _, guard = _packing(("x",), 2)
+
+    def zpack(text):
+        return {k: int(c) for k, c in pack(parse_poly(text, vars=("x",))).items()}
+
+    with pytest.raises(ArithmeticError, match="not exact"):
+        _exact_quo(zpack("x^2 + 1"), zpack("x + 1"), guard, _zquo)
+    with pytest.raises(ArithmeticError, match="not exact"):
+        _exact_quo(zpack("2*x"), zpack("3*x"), guard, _zquo)
+    assert _exact_quo(zpack("x^2 - 1"), zpack("x + 1"), guard, _zquo) == zpack("x - 1")
+
+
 def test_resultant_frozen_values():
     f = parse_poly("x^2 + 1", vars=("x",))
     g = parse_poly("x^2 - 1", vars=("x",))
@@ -278,11 +336,23 @@ def test_resultant_matches_sympy_small():
     assert to_sympy(mine) == theirs
 
 
-def test_resultant_interpolation_path_matches_sympy():
-    # degrees force (m+n)*(m*n) > 600 so the evaluation path runs
-    f = parse_poly("x^7 + y^3*x^2 - 2*x + y + 1", vars=("x", "y"))
-    g = parse_poly("x^7 - y*x^4 + 3*y^2 - 1", vars=("x", "y"))
+@pytest.mark.parametrize("f, g", [
+    ("x^7 + y^3*x^2 - 2*x + y + 1", "x^7 - y*x^4 + 3*y^2 - 1"),
+    ("x^11 + y*x^5 - 2*x^2*y^2 + y^3 + 1", "x^11 - 3*y^2*x^7 + x*y + y - 2"),
+], ids=["deg7", "deg11"])
+def test_resultant_bivariate_matches_sympy(f, g):
+    f, g = parse_poly(f, vars=("x", "y")), parse_poly(g, vars=("x", "y"))
     mine = resultant(f, g, "x")
+    theirs = sympy.expand(sympy.resultant(to_sympy(f), to_sympy(g), X))
+    assert to_sympy(mine) == theirs
+
+
+def test_resultant_trivariate_matches_sympy():
+    vars = ("x", "y", "z")
+    f = parse_poly("x^3 + y*z*x - z^2 + 1/2", vars=vars)
+    g = parse_poly("x^2*y - z*x + y^2 - 3", vars=vars)
+    mine = resultant(f, g, "x")
+    assert mine.vars == vars and mine.deg_in("x") <= 0
     theirs = sympy.expand(sympy.resultant(to_sympy(f), to_sympy(g), X))
     assert to_sympy(mine) == theirs
 
@@ -353,6 +423,40 @@ def test_divmod_identity(f, g):
         return
     q, r = poly_divmod(f, g)
     assert q * g + r == f
+
+
+def _divmod_reference(f, g):
+    # long division with the leading term taken by max over grad-lex keys
+    gexp, gcoef = g.lt()
+    q, r, work = MPoly.zero(f.vars), MPoly.zero(f.vars), f
+    while work.terms:
+        exp, c = work.lt()
+        if all(a >= b for a, b in zip(exp, gexp)):
+            t = MPoly.monomial(f.vars, tuple(a - b for a, b in zip(exp, gexp)), c / gcoef)
+            q, work = q + t, work - t * g
+        else:
+            t = MPoly.monomial(f.vars, exp, c)
+            r, work = r + t, work - t
+    return q, r
+
+
+@given(small_polys(max_deg=4, max_terms=6), small_polys(max_deg=2))
+@settings(max_examples=60, deadline=None)
+def test_divmod_matches_reference_loop(f, g):
+    if g.is_zero():
+        return
+    assert poly_divmod(f, g) == _divmod_reference(f, g)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_polys(max_deg=2, max_terms=3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=30, deadline=None)
+def test_bareiss_det_matches_sympy_property(rows):
+    mine = bareiss_det(rows)
+    srows = [[to_sympy(e) for e in row] for row in rows]
+    theirs = sympy.expand(sympy.Matrix(srows).det(method="berkowitz"))
+    assert mine.vars == ("x", "y") and to_sympy(mine) == theirs
 
 
 @given(small_polys(vars=("x",), max_deg=4), small_polys(vars=("x",), max_deg=4))
