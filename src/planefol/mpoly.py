@@ -6,9 +6,10 @@ are Fraction by default; any exact field scalar with +,-,*,/ and truthiness
 higher total degree first, ties broken by reverse-lex on the exponent tuple.
 
 The module also houses the polynomial algebra the rest of the package needs:
-exact single-divisor division, multivariate gcd (primitive PRS), Yun squarefree
-decomposition, a fraction-free determinant on packed exponents with integer
-coefficients, Sylvester/Bareiss resultants, and the subresultant PRS.
+exact single-divisor division, multivariate gcd (a primitive PRS behind a
+coprimality certificate from images mod p), Yun squarefree decomposition, a
+fraction-free determinant on packed exponents with integer coefficients,
+Sylvester/Bareiss resultants, and the subresultant PRS.
 """
 
 from __future__ import annotations
@@ -713,7 +714,12 @@ def _occurring(f):
 
 
 def poly_gcd(f, g):
-    """GCD over Q (or a quadratic extension), normalized deterministically."""
+    """GCD over Q (or a quadratic extension), normalized deterministically.
+
+    A rational pair whose images mod p prove it coprime (`_coprime_mod_p`)
+    skips the primitive PRS, which then only runs on a really shared factor or
+    on QuadExt coefficients; the answer is the one the PRS gives.
+    """
     if isinstance(f, _SCALARS):
         f = MPoly.const(g.vars, f)
     if isinstance(g, _SCALARS):
@@ -727,6 +733,8 @@ def poly_gcd(f, g):
     if not occ:
         return MPoly.const(f.vars, 1)
     if len(occ) == 1:
+        if _coprime_mod_p(f, g):
+            return MPoly.const(f.vars, 1)
         var = next(iter(occ))
         return normalized(_euclid_univar_scaled(f, g, var))
     # primitive PRS in the variable of least combined degree
@@ -734,6 +742,8 @@ def poly_gcd(f, g):
     cf, pf = _content_primitive(f, var)
     cg, pg = _content_primitive(g, var)
     cont = poly_gcd(cf, cg)
+    if _coprime_mod_p(pf, pg):
+        return normalized(cont)
     a, b = (pf, pg) if pf.deg_in(var) >= pg.deg_in(var) else (pg, pf)
     while not b.is_zero():
         r = prem(a, b, var)
@@ -746,6 +756,65 @@ def poly_gcd(f, g):
         _, ap = _content_primitive(a, var)
         return normalized(cont * ap)
     return normalized(cont)
+
+
+# Two primes below 2^61, and the small values given to the other variables of an
+# image in F_p[v]: variable j takes _CERT_POINTS[(j + k) % 6] at attempt k.
+_CERT_PRIMES = (2**61 - 1, 2**61 - 31)
+_CERT_POINTS = (3, 5, 7, 11, 13, 17)
+
+
+def _coprime_mod_p(f, g):
+    """True only when f and g are proved coprime over Q (Brown 1971).
+
+    For each occurring variable v the other variables are set to small integers
+    and the images are reduced mod p, skipping points where a leading
+    coefficient in v vanishes. There the leading coefficient of G = gcd(f, g)
+    does not vanish either, so deg_v G is at most the degree of the images' gcd
+    in F_p[v]; a constant gcd for every v gives deg G = 0. False means no
+    certificate, not a shared factor; QuadExt coefficients never get one.
+    """
+    coeffs = [*f.terms.values(), *g.terms.values()]
+    if not all(isinstance(c, Fraction) for c in coeffs):
+        return False
+    p = next((p for p in _CERT_PRIMES if all(c.denominator % p for c in coeffs)), None)
+    if p is None:
+        return False
+    for i in range(len(f.vars)):
+        if not any(e[i] for e in f.terms) and not any(e[i] for e in g.terms):
+            continue
+        for k in range(len(_CERT_POINTS)):
+            point = [_CERT_POINTS[(j + k) % len(_CERT_POINTS)] for j in range(len(f.vars))]
+            a, b = _image_mod_p(f, i, point, p), _image_mod_p(g, i, point, p)
+            if a[-1] and b[-1]:
+                break
+        else:
+            return False
+        while b:
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                q, shift = a[-1] * inv % p, len(a) - len(b)
+                for j, bj in enumerate(b):
+                    a[shift + j] = (a[shift + j] - q * bj) % p
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _image_mod_p(f, i, point, p):
+    """Dense coefficients mod p, in variable i, of f with the other variables
+    set to `point`; the last entry is the image of the leading coefficient."""
+    out = [0] * (max(e[i] for e in f.terms) + 1)
+    for exp, c in f.terms.items():
+        t = c.numerator * pow(c.denominator, -1, p)
+        for j, e in enumerate(exp):
+            if e and j != i:
+                t = t * pow(point[j], e, p) % p
+        out[exp[i]] = (out[exp[i]] + t) % p
+    return out
 
 
 def _euclid_univar_scaled(f, g, var):

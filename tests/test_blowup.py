@@ -37,6 +37,10 @@ def fol(p, q):
     return make_foliation(pp(p), pp(q))
 
 
+# The cubic field whose chart fields once hung the coprimality gcd of Foliation.
+ITEM3 = ("1/2*x^2 - 2*x^2*y + 7/2*x*y^2", "2*y^3 - x + 2*x^3")
+
+
 # -- the blow-up itself ----------------------------------------------------------------
 
 
@@ -299,3 +303,22 @@ def test_resolved_total_z_requires_safe():
     t = seidenberg_reduce(fol("x", "-y"))
     with pytest.raises(ValueError):
         resolved_total_z(t, pp("y"))
+
+
+# -- the item 3 field: chart-field construction must not hang --------------------------
+
+
+def test_item3_field_reduces_with_twelve_blowups(wall_clock_ceiling):
+    with wall_clock_ceiling(10):
+        tree = seidenberg_reduce(fol(*ITEM3))
+    assert tree.blowup_count() == 12
+
+
+def test_item3_chart_fields_pass_make_foliation_unchanged(wall_clock_ceiling):
+    with wall_clock_ceiling(10):
+        tree = seidenberg_reduce(fol(*ITEM3))
+        fields = [f for node in tree.all_nodes() for f in (node.chart1, node.chart2)]
+        assert len(fields) == 24
+        for P, Q in fields:
+            F = make_foliation(P, Q)
+            assert (F.P, F.Q) == (P, Q)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planefol import cli
 from planefol.cli import main
+from planefol.mpoly import MPoly
 from planefol.singularities import DecompositionError, ExactnessError
 
 
@@ -29,6 +33,13 @@ def jrun(capsys, *argv):
 def saddle(tmp_path):
     return write(tmp_path, "saddle.json",
                  {"vars": ["x", "y"], "P": "x", "Q": "-y"})
+
+
+@pytest.fixture
+def item3_field(tmp_path):
+    return write(tmp_path, "item3.json",
+                 {"vars": ["x", "y"], "P": "1/2*x^2 - 2*x^2*y + 7/2*x*y^2",
+                  "Q": "2*y^3 - x + 2*x^3"})
 
 
 @pytest.fixture
@@ -136,6 +147,18 @@ class TestClassifyAndReduce:
         code, data, _ = jrun(capsys, "safe-resolve", "--foliation", saddle)
         assert code == 0 and data["mode"] == "safe"
         assert data["reduced_untouched"] == []
+
+    def test_reduce_item3_field(self, capsys, item3_field, wall_clock_ceiling):
+        with wall_clock_ceiling(10):
+            code, data, _ = jrun(capsys, "reduce", "--foliation", item3_field)
+        assert code == 0 and data["blowups"] == 12
+
+    def test_safe_resolve_item3_field_refuses(self, capsys, item3_field, wall_clock_ceiling):
+        with wall_clock_ceiling(10):
+            code, data, _ = jrun(capsys, "safe-resolve", "--foliation", item3_field)
+        assert code == 3
+        assert data == {"error": "exact blow-up unavailable: "
+                                 "no exact coordinates for a degree-4 cluster"}
 
 
 class TestRefusals:
@@ -320,3 +343,38 @@ class TestDeterminism:
         ):
             code, data, _ = jrun(capsys, *argv)
             assert code == 0 and isinstance(data, dict)
+
+
+@st.composite
+def quadratic_fields(draw):
+    def poly(degree):
+        coef = st.integers(min_value=-3, max_value=3)
+        return MPoly(("x", "y"), {(i, j): draw(coef)
+                                  for i in range(degree + 1) for j in range(degree + 1 - i)})
+
+    P = poly(2)
+    if draw(st.booleans()):  # y = 0 invariant, so that `index` has work
+        Q = poly(1) * MPoly.variable("y", ("x", "y"))
+    else:
+        Q = poly(2)
+    return {"vars": ["x", "y"], "P": str(P), "Q": str(Q)}
+
+
+class TestExitCodes:
+    """Every run on a small field computes (0), rejects its input (2) or
+    refuses (3) within a ceiling; it never raises."""
+
+    @given(field=quadratic_fields())
+    @settings(max_examples=20, deadline=None)
+    def test_exit_codes_on_random_quadratic_fields(self, field, tmp_path_factory,
+                                                   wall_clock_ceiling):
+        folder = tmp_path_factory.mktemp("field")
+        fol = write(folder, "fol.json", field)
+        curve = write(folder, "curve.json", {"f": "y"})
+        for argv in (("reduce",), ("safe-resolve",), ("index", "--curve", curve),
+                     ("singularities",), ("classify",)):
+            out, err = io.StringIO(), io.StringIO()
+            with wall_clock_ceiling(10), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["--format", "json", *argv, "--foliation", fol])
+            assert code in (0, 2, 3), (argv, field, code, err.getvalue())

@@ -5,8 +5,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from planefol import mpoly
 from planefol.mpoly import (
+    _CERT_POINTS,
+    _CERT_PRIMES,
     MPoly,
+    _coprime_mod_p,
     _exact_quo,
     _packing,
     _zquo,
@@ -181,6 +185,44 @@ def test_gcd_with_zero_and_constants():
     z = MPoly.zero(("x",))
     assert poly_gcd(f, z) == parse_poly("x + 1", vars=("x",))
     assert poly_gcd(parse_poly("4", vars=("x",)), parse_poly("6", vars=("x",))) == 1
+
+
+def test_gcd_certificate_skips_images_that_lose_degree():
+    # At the first specialisation values the leading coefficients of G in x
+    # (y - b) and in y (x - a) vanish, and the images of G become 1.
+    a, b = _CERT_POINTS[0], _CERT_POINTS[1]
+    V = ("x", "y")
+    G = parse_poly(f"(x - {a})*(y - {b}) + 1", vars=V)
+    f, g = G * parse_poly("x + y + 2", vars=V), G * parse_poly("x - y + 5", vars=V)
+    assert not _coprime_mod_p(f, g)
+    assert poly_gcd(f, g) == normalized(G)
+
+
+def test_gcd_certificate_skips_a_prime_dividing_a_denominator():
+    V = ("x", "y")
+    p, q = _CERT_PRIMES
+    h = MPoly(V, {(1, 0): 1, (0, 1): Fraction(1, p)})
+    assert poly_gcd(h * parse_poly("x - y", vars=V), h * parse_poly("x + 2*y", vars=V)) == normalized(h)
+    assert _coprime_mod_p(h, parse_poly("x + 2*y + 1", vars=V))
+    assert poly_gcd(h, parse_poly("x + 2*y + 1", vars=V)) == 1
+    # no usable prime: no certificate, and the PRS still answers
+    k = MPoly(V, {(1, 0): 1, (0, 1): Fraction(1, p * q)})
+    assert not _coprime_mod_p(k, parse_poly("x + 1", vars=V))
+    assert poly_gcd(k, parse_poly("x + 1", vars=V)) == 1
+
+
+def test_gcd_quadext_pair_runs_the_prs(monkeypatch):
+    V = ("x", "y")
+    s = QuadExt(0, 1, 2)
+    f = MPoly(V, {(1, 0): 1, (0, 1): s})
+    g = MPoly(V, {(1, 0): 1, (0, 1): -s, (0, 0): 1})
+    calls = []
+    real_prem = mpoly.prem
+    monkeypatch.setattr(mpoly, "prem", lambda *a: calls.append(a) or real_prem(*a))
+    assert not _coprime_mod_p(f, g)
+    assert poly_gcd(f, g) == 1
+    assert calls
+    assert poly_gcd(f * g, f * f) == f
 
 
 def test_prem_is_full_collins():
@@ -478,3 +520,28 @@ def test_resultant_matches_sympy_property(f, g):
     mine = resultant(f, g, "x")
     theirs = sympy.expand(sympy.resultant(to_sympy(f), to_sympy(g), X))
     assert to_sympy(mine) == theirs
+
+
+def _gcd_factor():
+    one = MPoly(("x", "y"), {(0, 0): 1})
+    content = st.tuples(small_polys(vars=("x", "y"), max_deg=2, max_terms=2),
+                        small_polys(vars=("x", "y"), max_deg=2, max_terms=2))
+    return st.one_of(
+        st.just(one),
+        small_polys(max_deg=2, max_terms=3),
+        # a factor in one variable only: nonconstant content in the PRS variable
+        content.map(lambda p: MPoly(("x", "y"), {(e[0], 0): c for e, c in p[0].terms.items()})
+                    * MPoly(("x", "y"), {(0, e[1]): c for e, c in p[1].terms.items()})),
+    )
+
+
+@given(small_polys(max_deg=2), small_polys(max_deg=2), _gcd_factor())
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy_property(A, B, G):
+    f, g = A * G, B * G
+    if f.is_zero() and g.is_zero():
+        return
+    mine = to_sympy(poly_gcd(f, g))
+    theirs = sympy.gcd(to_sympy(f), to_sympy(g))
+    q, r = sympy.div(mine, theirs, X, Y)
+    assert r == 0 and q != 0 and not q.free_symbols
