@@ -83,18 +83,6 @@ def zero_split(w, f, var):
     return "split", (normalized(h), normalized(c))
 
 
-def eval_bivar_mod(F, y_rule, f, xvar, yvar):
-    """F(x, y_rule(x)) reduced mod f(x); Horner in the y direction."""
-    if F.deg_in(yvar) < 0:
-        return MPoly.zero(F.vars)
-    coeffs = F.as_univar(yvar)
-    vars = F._pair(y_rule)[0].vars
-    acc = MPoly.zero(vars)
-    for c in reversed(coeffs):
-        acc = mod_reduce(acc * y_rule + c, f, xvar)
-    return acc
-
-
 # -- the splitting driver ------------------------------------------------------------
 
 

@@ -16,9 +16,10 @@ trees certify reducedness and nothing numeric can.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .mpoly import MPoly, exact_div, poly_gcd, squarefree_part
-from .numbers import QuadExt
+from .numbers import QuadExt, quadext_sqrt
 from .foliation import Foliation, _weighted_reindex
 from .singularities import (
     NON_REDUCED,
@@ -26,6 +27,7 @@ from .singularities import (
     ExactnessError,
     SingularPoint,
     _eval_on_cluster,
+    _shift_out,
     affine_singular_points,
     classify_point,
     classify_singularity,
@@ -70,26 +72,6 @@ def _ord(p, var):
     return min(e[i] for e in p.terms)
 
 
-def _drop(p, var, k):
-    if k == 0 or p.is_zero():
-        return p
-    i = p.vars.index(var)
-    return MPoly(p.vars, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in p.terms.items()})
-
-
-def _at_zero(p, var):
-    """p with var set to 0 (terms carrying var removed)."""
-    i = p.vars.index(var)
-    return MPoly(p.vars, {e: c for e, c in p.terms.items() if e[i] == 0})
-
-
-def _mult_at_origin(p):
-    """Order of vanishing at the origin: the smallest total degree present."""
-    if p.is_zero():
-        raise ValueError("multiplicity of the zero polynomial")
-    return min(sum(e) for e in p.terms)
-
-
 # -- the blow-up ----------------------------------------------------------------------
 
 
@@ -121,14 +103,14 @@ def blow_up(field, point):
     A1 = xv * P1
     B1 = Q1 - yv * P1
     l1 = min(k for k in (_ord(A1, x), _ord(B1, x)) if k is not None)
-    chart1 = (_drop(A1, x, l1), _drop(B1, x, l1))
+    chart1 = (_shift_out(A1, x, l1), _shift_out(B1, x, l1))
 
     P2 = Pp.subs({x: xv * yv})
     Q2 = Qp.subs({x: xv * yv})
     A2 = P2 - xv * Q2
     B2 = yv * Q2
     l2 = min(k for k in (_ord(A2, y), _ord(B2, y)) if k is not None)
-    chart2 = (_drop(A2, y, l2), _drop(B2, y, l2))
+    chart2 = (_shift_out(A2, y, l2), _shift_out(B2, y, l2))
 
     if l1 != l2:
         raise ArithmeticError("the two charts disagree on the exceptional power")
@@ -162,8 +144,6 @@ def _rational_roots(g, var):
     downstream stay honest either way."""
     coeffs = g.as_univar(var)
     vals = [c.constant_value() if not c.is_zero() else Fraction(0) for c in coeffs]
-    from math import lcm
-
     den = 1
     for v in vals:
         den = lcm(den, v.denominator)
@@ -207,8 +187,6 @@ def _exact_roots(g, var):
     if d == 2:
         disc = c[1] * c[1] - 4 * c[2] * c[0]
         if isinstance(disc, QuadExt):
-            from .singularities import quadext_sqrt
-
             s = quadext_sqrt(disc)
             if s is None:
                 raise BlowupUnavailableError(
@@ -233,7 +211,7 @@ def _exceptional_singularities(chart1, chart2):
     out = []
     A, B = chart1
     x, y = A.vars
-    g = poly_gcd(_at_zero(A, x), _at_zero(B, x))
+    g = poly_gcd(A.coeff_in(x, 0), B.coeff_in(x, 0))
     if g.deg_in(y) > 0:
         for v0 in _exact_roots(g, y):
             out.append((1, (Fraction(0), v0)))
@@ -365,24 +343,18 @@ def _node_json(node):
     }
 
 
-def _as_foliation(pair):
-    P, Q = pair
-    return Foliation(P, Q)
-
-
-def _classify_exact(pair, point):
-    return classify_point(_as_foliation(pair), point[0], point[1])
-
-
 def _reduce_at(field, point, chart_tag, budget, recurse=True):
     if budget[0] <= 0:
         raise ResolutionError("blow-up budget exhausted before reduction finished")
     budget[0] -= 1
     chart1, chart2, ell, dic = blow_up(field, point)
     node = ResolutionNode(chart_tag, point, chart1, chart2, ell, dic)
+    built = {}  # chart tag -> its Foliation, built at the chart's first point
     for tag, pt in _exceptional_singularities(chart1, chart2):
         fld = chart1 if tag == 1 else chart2
-        kind = _classify_exact(fld, pt)
+        if tag not in built:
+            built[tag] = Foliation(*fld)
+        kind = classify_point(built[tag], pt[0], pt[1])
         if kind == UNDETERMINED:
             raise ResolutionError(
                 f"undetermined classification at {pt} in chart {tag}"
@@ -507,9 +479,9 @@ def _transform_node(C, node):
     x, y = Cp.vars
     xv = MPoly.variable(x, Cp.vars)
     yv = MPoly.variable(y, Cp.vars)
-    m = 0 if _eval_origin(Cp) != 0 else _mult_at_origin(Cp)
-    c1 = _drop(Cp.subs({y: xv * yv}), x, m)
-    c2 = _drop(Cp.subs({x: xv * yv}), y, m)
+    m = Cp.min_total_degree()
+    c1 = _shift_out(Cp.subs({y: xv * yv}), x, m)
+    c2 = _shift_out(Cp.subs({x: xv * yv}), y, m)
     children = [
         _transform_node(c1 if child.chart == 1 else c2, child)
         for child in node.children
@@ -630,9 +602,7 @@ def _on_curve_parts(sp, curve):
 
 def _curve_in_chart(C, n, chart_field, which):
     """The projective curve of the affine {C = 0} written in an infinity chart."""
-    return _weighted_reindex(
-        C, n, chart_field.vars, slope_var=0 if which == 1 else 1
-    )
+    return _weighted_reindex(C, n, chart_field.vars, slope_var=which - 1)
 
 
 def total_z(tree, C):

@@ -47,7 +47,7 @@ from .families import (
     build_family,
     dicritical_count,
 )
-from .foliation import foliation_degree, make_foliation
+from .foliation import Foliation, foliation_degree
 from .mpoly import MPoly, parse_poly
 from .singularities import (
     DecompositionError,
@@ -100,7 +100,7 @@ def _load_foliation(path):
     P = _poly_from(data["P"], vars, path, "P")
     Q = _poly_from(data["Q"], vars, path, "Q")
     try:
-        return make_foliation(P, Q, vars=vars)
+        return Foliation(P, Q, vars=vars)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -455,9 +455,6 @@ def _build_parser():
         description="Exact invariants of polynomial plane foliations.",
     )
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallelism governor; accepted for compatibility, "
-                          "all current computations are sequential")
     sub = top.add_subparsers(dest="command", required=True)
 
     def with_foliation(p):
@@ -549,8 +546,6 @@ _DISPATCH = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
     try:
         return _DISPATCH[args.command](args)
     except InputError as e:

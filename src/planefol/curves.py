@@ -16,18 +16,6 @@ from .mpoly import MPoly, bareiss_det, exact_div, normalized, poly_gcd, squarefr
 from .singularities import _eval_on_cluster, affine_singular_points
 
 
-def _squarefree(f):
-    g = None
-    for v in f.vars:
-        d = f.diff(v)
-        if d.is_zero():
-            continue
-        g = poly_gcd(f, d) if g is None else poly_gcd(g, d)
-    if g is None:
-        return False  # constant
-    return g.total_degree() == 0
-
-
 def _aligned(f, target_vars):
     """The same polynomial with its variables renamed positionally."""
     if f.vars == tuple(target_vars):
@@ -55,7 +43,7 @@ class PlaneCurve:
             f = f.with_vars((f.vars[0], extra))
         if len(f.vars) != 2:
             raise ValueError(f"a plane curve needs two variables, got {f.vars}")
-        if not _squarefree(f):
+        if squarefree_part(f).total_degree() != f.total_degree():
             raise ValueError("curve polynomial must be squarefree")
         self.f = f
         self.degree = f.total_degree()

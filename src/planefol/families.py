@@ -17,7 +17,7 @@ from math import gcd
 from .algebraic import _resolve_clusters, _split_of, zero_split
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
-from .foliation import Foliation, make_foliation
+from .foliation import Foliation
 from .mpoly import MPoly
 from .singularities import (
     NON_REDUCED,
@@ -59,7 +59,7 @@ def linear_family(p, q):
     vars2 = ("x", "y")
     x = MPoly.variable("x", vars2)
     y = MPoly.variable("y", vars2)
-    F = make_foliation(q * x, p * y)
+    F = Foliation(q * x, p * y)
     expected = max(p, q) if p > 0 else abs(p) + abs(q)
     return F, expected
 
@@ -90,7 +90,7 @@ def lins_neto(alpha):
     one = MPoly.const(vars2, 1)
     P = (x ** 3 - one) * (x - a * y * y)
     Q = (y ** 3 - one) * (y - a * x * x)
-    return make_foliation(P, Q)
+    return Foliation(P, Q)
 
 
 # -- hypergeometric series and Riccati fields --------------------------------------
@@ -163,7 +163,7 @@ def hypergeometric_riccati(a, b, c):
     zz = z * (one - z)
     P = zz
     Q = -zz * y * y - (c * one - (a + b + 1) * z) * y + a * b * one
-    return make_foliation(P, Q)
+    return Foliation(P, Q)
 
 
 def riccati_invariant_curve(k, b, c):
@@ -193,13 +193,13 @@ def power_pullback(F, r):
     if r < 1:
         raise ValueError("r must be a positive integer")
     if r == 1:
-        return Foliation(F.P, F.Q)
+        return F
     x, y = F.vars
     xv = MPoly.variable(x, F.vars)
     yv = MPoly.variable(y, F.vars)
     Pr = F.P.subs({x: xv ** r, y: yv ** r})
     Qr = F.Q.subs({x: xv ** r, y: yv ** r})
-    return make_foliation(yv ** (r - 1) * Pr, xv ** (r - 1) * Qr)
+    return Foliation(yv ** (r - 1) * Pr, xv ** (r - 1) * Qr)
 
 
 # -- dicritical census --------------------------------------------------------------

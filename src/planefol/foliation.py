@@ -18,8 +18,16 @@ class Foliation:
 
     __slots__ = ("P", "Q", "vars")
 
-    def __init__(self, P, Q):
+    def __init__(self, P, Q, vars=None):
+        """Build the field, dividing out any common polynomial factor of P, Q."""
+        if vars is not None:
+            P = P.with_vars(vars) if isinstance(P, MPoly) else MPoly.const(vars, P)
+            Q = Q.with_vars(vars) if isinstance(Q, MPoly) else MPoly.const(vars, Q)
+        if isinstance(P, (int, Fraction)):
+            P = MPoly.const(Q.vars, P)
         P, Q = P._pair(Q)
+        if P.is_zero() and Q.is_zero():
+            raise ValueError("zero vector field")
         if len(P.vars) > 2:
             raise ValueError(f"a plane field needs two variables, got {P.vars}")
         if len(P.vars) == 1:
@@ -27,11 +35,10 @@ class Foliation:
             extra = "y" if P.vars[0] != "y" else "x"
             P = P.with_vars((P.vars[0], extra))
             Q = Q.with_vars(P.vars)
-        if P.is_zero() and Q.is_zero():
-            raise ValueError("zero vector field")
         g = poly_gcd(P, Q)
         if g.total_degree() > 0:
-            raise ValueError(f"components share the factor {g}; use make_foliation")
+            P = exact_div(P, g)
+            Q = exact_div(Q, g)
         self.P = P
         self.Q = Q
         self.vars = P.vars
@@ -75,28 +82,20 @@ class Foliation:
         Chart 1 has coordinates (b, w) covering the points [1 : b : 0]; chart 2
         has coordinates (a, w) covering [a : 1 : 0]. In both, w = 0 is the line
         at infinity. A common factor of w (the non-invariant-line case) is
-        removed by the gcd normalization in make_foliation.
+        removed by the gcd normalization of the constructor.
         """
+        if which not in (1, 2):
+            raise ValueError("chart must be 1 or 2")
         m = self.top_degree()
-        if which == 1:
-            bvar = _fresh_name("b", self.vars)
-            wvar = _fresh_name("w", self.vars + (bvar,))
-            vars2 = (bvar, wvar)
-            Ph = _weighted_reindex(self.P, m, vars2, slope_var=0)
-            Qh = _weighted_reindex(self.Q, m, vars2, slope_var=0)
-            b = MPoly.variable(bvar, vars2)
-            w = MPoly.variable(wvar, vars2)
-            return make_foliation(Qh - b * Ph, -w * Ph)
-        if which == 2:
-            avar = _fresh_name("a", self.vars)
-            wvar = _fresh_name("w", self.vars + (avar,))
-            vars2 = (avar, wvar)
-            Ph = _weighted_reindex(self.P, m, vars2, slope_var=1)
-            Qh = _weighted_reindex(self.Q, m, vars2, slope_var=1)
-            a = MPoly.variable(avar, vars2)
-            w = MPoly.variable(wvar, vars2)
-            return make_foliation(Ph - a * Qh, -w * Qh)
-        raise ValueError("chart must be 1 or 2")
+        svar = _fresh_name("b" if which == 1 else "a", self.vars)
+        wvar = _fresh_name("w", self.vars + (svar,))
+        vars2 = (svar, wvar)
+        Ph = _weighted_reindex(self.P, m, vars2, slope_var=which - 1)
+        Qh = _weighted_reindex(self.Q, m, vars2, slope_var=which - 1)
+        lead, other = (Qh, Ph) if which == 1 else (Ph, Qh)
+        s = MPoly.variable(svar, vars2)
+        w = MPoly.variable(wvar, vars2)
+        return Foliation(lead - s * other, -w * other)
 
     def to_json(self):
         return {
@@ -104,10 +103,6 @@ class Foliation:
             "P": self.P.to_json(),
             "Q": self.Q.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(MPoly.from_json(data["P"]), MPoly.from_json(data["Q"]))
 
     def __repr__(self):
         return f"Foliation(P={self.P}, Q={self.Q}; vars={self.vars})"
@@ -140,23 +135,8 @@ def _weighted_reindex(f, m, vars2, slope_var):
     return MPoly(vars2, out)
 
 
-def make_foliation(P, Q, vars=None):
-    """Build a Foliation, removing any common polynomial factor first."""
-    if vars is not None:
-        P = P.with_vars(vars) if isinstance(P, MPoly) else MPoly.const(vars, P)
-        Q = Q.with_vars(vars) if isinstance(Q, MPoly) else MPoly.const(vars, Q)
-    if isinstance(P, (int, Fraction)):
-        P = MPoly.const(Q.vars, P)
-    if isinstance(Q, (int, Fraction)):
-        Q = MPoly.const(P.vars, Q)
-    P, Q = P._pair(Q)
-    if P.is_zero() and Q.is_zero():
-        raise ValueError("zero vector field")
-    g = poly_gcd(P, Q)
-    if g.total_degree() > 0:
-        P = exact_div(P, g)
-        Q = exact_div(Q, g)
-    return Foliation(P, Q)
+# another name for the constructor, the one the README and callers import
+make_foliation = Foliation
 
 
 def foliation_degree(F):

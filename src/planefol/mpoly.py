@@ -855,16 +855,17 @@ def normalized_sign_stable(f):
 
 
 def squarefree_part(f):
-    """Squarefree part over Q; works for one or two variables."""
-    occ = _occurring(f)
-    g = f
-    for v in occ:
-        d = poly_gcd(g, g.diff(v))
-        if not d.is_constant():
-            g = exact_div(g, d)
-            if g is None:
-                raise ArithmeticError("squarefree division failed")
-    return normalized(g)
+    """Squarefree part over Q: f divided by the gcd of f and all its partials."""
+    d = f
+    for v in f.vars:
+        fv = f.diff(v)
+        if not fv.is_zero():
+            d = poly_gcd(d, fv)
+    if not d.is_constant():
+        f = exact_div(f, d)
+        if f is None:
+            raise ArithmeticError("squarefree division failed")
+    return normalized(f)
 
 
 def yun_decomposition(f, var=None):

@@ -9,19 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce an int, Fraction, or a string like '3/2' or '-1' to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
-
 
 def rat_str(q) -> str:
     """Canonical rational string: 'n' or 'n/d' with d > 0."""
@@ -268,11 +255,29 @@ class QuadExt:
         return f"{rat_str(self.a)} {sign} {mag}"
 
 
-def lift(value, field: "QuadExt | None"):
-    """Lift a rational into the field of `field` (a sample QuadExt), or keep it."""
-    if field is None or isinstance(value, QuadExt):
-        return value
-    return QuadExt(value, 0, field.d)
+def quadext_sqrt(q):
+    """Square root of q inside its own quadratic field Q(sqrt(d)), or None."""
+    if q.b == 0:
+        r = rational_sqrt(q.a)
+        if r is not None:
+            return QuadExt(r, 0, q.d) if r != 0 else Fraction(0)
+        s = QuadExt.from_sqrt(q.a)
+        if isinstance(s, QuadExt) and s.d == q.d:
+            return s
+        return None
+    norm = q.a * q.a - Fraction(q.d) * q.b * q.b
+    s = rational_sqrt(norm)
+    if s is None:
+        return None
+    for branch in (s, -s):
+        usq = (q.a + branch) / 2
+        u = rational_sqrt(usq)
+        if u is not None and u != 0:
+            v = q.b / (2 * u)
+            cand = QuadExt(u, v, q.d)
+            if cand * cand == q:
+                return cand
+    return None
 
 
 def simplest_between(lo, hi):

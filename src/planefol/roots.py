@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .mpoly import MPoly, exact_div, poly_gcd, resultant, squarefree_part
+from .mpoly import MPoly, resultant, squarefree_part
 
 
 class IsolationError(Exception):
@@ -406,14 +406,7 @@ class _ComplexSystem:
     Jacobian data a Krawczyk step needs."""
 
     def __init__(self, dense):
-        vars = ("re", "im")
-        R = MPoly.zero(vars)
-        I = MPoly.zero(vars)
-        a = MPoly.variable("re", vars)
-        b = MPoly.variable("im", vars)
-        for coef in reversed(dense):
-            R, I = R * a - I * b, R * b + I * a
-            R = R + MPoly.const(vars, coef)
+        R, I = _re_im(dense)
         self.R = R
         self.I = I
         self.Ra = R.diff("re")
@@ -635,67 +628,20 @@ def _isolate_upper_half(sf, dense, var, system, n_pairs):
     return certified
 
 
-# -- deciding vanishing at a certified root --------------------------------------------
-
-
-def vanishes_at(g, root):
-    """Does the univariate rational polynomial g vanish at the root in `root`?
-
-    Decided exactly through gcd structure: with f the defining polynomial and
-    h = gcd(f, g), the root satisfies g = 0 iff it is a root of h rather than
-    of the cofactor f/h. Interval evaluation separates the two.
-    """
-    f = root.poly
-    var = root.var
-    if g.is_zero():
-        return True
-    h = poly_gcd(f, g)
-    if h.is_constant():
-        return False
-    if root.exact is not None and root.is_real():
-        return _eval_dense(_dense(g, var), root.exact) == 0
-    c = exact_div(f, h)
-    if c is None:
-        raise ArithmeticError("gcd failed to divide")
-    if c.is_constant():
-        return True
-    guard = 300
-    while True:
-        box = {var: root.re} if root.is_real() else None
-        if root.is_real():
-            hv = interval_eval(h, box)
-            cv = interval_eval(c, box)
-            if not hv.contains_zero():
-                return False
-            if not cv.contains_zero():
-                return True
-        else:
-            hr, hi = _complex_pair(h, var)
-            cr, ci = _complex_pair(c, var)
-            b2 = {"re": root.re, "im": root.im}
-            if not interval_eval(hr, b2).contains_zero() or not interval_eval(
-                hi, b2
-            ).contains_zero():
-                return False
-            if not interval_eval(cr, b2).contains_zero() or not interval_eval(
-                ci, b2
-            ).contains_zero():
-                return True
-        root.refine()
-        guard -= 1
-        if guard < 0:
-            raise IsolationError("vanishing test exceeded its refinement budget")
-
-
 _pair_cache = {}
 
 
 def _complex_pair(g, var):
     key = (g.vars, frozenset(g.terms.items()), var)
     hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    dense = _dense(g, var)
+    if hit is None:
+        hit = _pair_cache[key] = _re_im(_dense(g, var))
+    return hit
+
+
+def _re_im(dense):
+    """Real and imaginary parts R(re, im), I(re, im) of f(re + i*im), for f
+    given by its dense coefficient list."""
     vars2 = ("re", "im")
     R = MPoly.zero(vars2)
     I = MPoly.zero(vars2)
@@ -704,7 +650,6 @@ def _complex_pair(g, var):
     for coef in reversed(dense):
         R, I = R * a - I * b, R * b + I * a
         R = R + MPoly.const(vars2, coef)
-    _pair_cache[key] = (R, I)
     return R, I
 
 

@@ -34,7 +34,7 @@ from .mpoly import (
     subresultant_prs,
     yun_decomposition,
 )
-from .numbers import QuadExt, fraction_height, rational_sqrt, simplest_between
+from .numbers import QuadExt, fraction_height, quadext_sqrt, rational_sqrt, simplest_between
 from .roots import isolate_real_roots, isolate_roots, poly_image_box
 
 REDUCED_NONDEGENERATE = "reduced-nondegenerate"
@@ -703,31 +703,6 @@ def _quadratic_root_in_base(f):
         return None
     root = (-c[1] + s) / (2 * c[2])
     return MPoly.variable(tau, (tau,)) - MPoly.const((tau,), root)
-
-
-def quadext_sqrt(q):
-    """Square root of q inside its own quadratic field Q(sqrt(d)), or None."""
-    if q.b == 0:
-        r = rational_sqrt(q.a)
-        if r is not None:
-            return QuadExt(r, 0, q.d) if r != 0 else Fraction(0)
-        s = QuadExt.from_sqrt(q.a)
-        if isinstance(s, QuadExt) and s.d == q.d:
-            return s
-        return None
-    norm = q.a * q.a - Fraction(q.d) * q.b * q.b
-    s = rational_sqrt(norm)
-    if s is None:
-        return None
-    for branch in (s, -s):
-        usq = (q.a + branch) / 2
-        u = rational_sqrt(usq)
-        if u is not None and u != 0:
-            v = q.b / (2 * u)
-            cand = QuadExt(u, v, q.d)
-            if cand * cand == q:
-                return cand
-    return None
 
 
 def _positive_rational_ratio(Tv, Dv):

@@ -7,7 +7,6 @@ from planefol.algebraic import (
     SplitNeeded,
     _resolve_clusters,
     _split_of,
-    eval_bivar_mod,
     invert_mod,
     mod_reduce,
     xgcd_univar,
@@ -62,16 +61,6 @@ def test_zero_split_cases():
     assert status == "split"
     h, c = parts
     assert {str(h), str(c)} == {"x - 1", "x + 1"}
-
-
-def test_eval_bivar_mod():
-    # evaluate F(x, y) at y = x (rule) modulo x^2 - 2: F = y^2 + x*y + 1
-    f = parse_poly("x^2 - 2", vars=("x",))
-    F = parse_poly("y^2 + x*y + 1", vars=("x", "y"))
-    rule = parse_poly("x", vars=("x", "y"))
-    val = eval_bivar_mod(F, rule, f, "x", "y")
-    # x^2 + x^2 + 1 = 2 + 2 + 1 = 5 mod (x^2 - 2)
-    assert val == 5
 
 
 # -- the splitting driver ------------------------------------------------------------

@@ -15,7 +15,7 @@ from planefol.blowup import (
     total_z,
     z_index,
 )
-from planefol.foliation import make_foliation
+from planefol.foliation import Foliation, make_foliation
 from planefol.mpoly import MPoly, parse_poly
 from planefol.numbers import QuadExt
 from planefol.singularities import (
@@ -65,6 +65,25 @@ def test_blow_up_rotated_saddle():
     F1 = make_foliation(*c1)
     for v0 in (Fraction(1), Fraction(-1)):
         assert classify_point(F1, Fraction(0), v0) == REDUCED_NONDEGENERATE
+
+
+def test_reduce_builds_each_chart_foliation_once(monkeypatch):
+    # both divisor points of the rotated saddle lie in chart 1
+    built = []
+    init = Foliation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Foliation, "__init__", counting_init)
+    node = reduce_local_field((pp("y"), pp("x")), O)
+    assert len(built) == 1
+    assert node.children == []
+    assert sorted(node.leaf_singularities, key=lambda leaf: leaf[1]) == [
+        (1, (Fraction(0), Fraction(-1)), REDUCED_NONDEGENERATE),
+        (1, (Fraction(0), Fraction(1)), REDUCED_NONDEGENERATE),
+    ]
 
 
 def test_blow_up_two_to_one_node():

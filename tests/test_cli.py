@@ -328,10 +328,10 @@ class TestExamples:
 
 
 class TestDeterminism:
-    def test_json_byte_identical_across_jobs_flag(self, capsys, saddle):
-        code1, out1, _ = run(capsys, "--format", "json", "--jobs", "1",
+    def test_json_byte_identical_across_runs(self, capsys, saddle):
+        code1, out1, _ = run(capsys, "--format", "json",
                              "classify", "--foliation", saddle)
-        code2, out2, _ = run(capsys, "--format", "json", "--jobs", "4",
+        code2, out2, _ = run(capsys, "--format", "json",
                              "classify", "--foliation", saddle)
         assert code1 == code2 == 0 and out1 == out2
 

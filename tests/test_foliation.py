@@ -1,8 +1,9 @@
 
 import pytest
 
+from planefol import foliation
 from planefol.foliation import Foliation, make_foliation
-from planefol.mpoly import parse_poly
+from planefol.mpoly import parse_poly, poly_gcd
 
 V = ("x", "y")
 
@@ -17,9 +18,22 @@ def test_common_factor_removed():
     assert F.Q == parse_poly("y", V)
 
 
-def test_constructor_rejects_shared_factor():
-    with pytest.raises(ValueError):
-        Foliation(parse_poly("x*(x+y)", V), parse_poly("y*(x+y)", V))
+def test_constructor_divides_shared_factor():
+    shared = Foliation(parse_poly("x*(x+y)", V), parse_poly("y*(x+y)", V))
+    assert shared == Foliation(parse_poly("x", V), parse_poly("y", V))
+
+
+def test_constructor_runs_one_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(foliation, "poly_gcd", counting_gcd)
+    F = make_foliation(parse_poly("x*(x+y)", V), parse_poly("y*(x+y)", V))
+    assert len(calls) == 1
+    assert (F.P, F.Q) == (parse_poly("x", V), parse_poly("y", V))
 
 
 def test_zero_field_rejected():

@@ -264,6 +264,23 @@ def test_squarefree_part_bivariate():
     assert s == normalized(parse_poly("(x^2 - y)*(x + y)", vars=("x", "y")))
 
 
+@pytest.mark.parametrize("text", [
+    "x*y",
+    "y*(x^2 + 1)",
+    "x*(x + y)",
+    "x^2*y^3",
+    "(x - y)^2*(x + 1)^3*y",
+    "(x^2 + y^2 - 1)^2*(x - 2*y)",
+    "3*x^4",
+])
+def test_squarefree_part_matches_sympy(text):
+    f = parse_poly(text, vars=("x", "y"))
+    s = squarefree_part(f)
+    ratio = sympy.cancel(to_sympy(s) / sympy.sqf_part(to_sympy(f)))
+    assert ratio.is_Number and ratio != 0
+    assert s == normalized(s)
+
+
 # -- determinants and resultants ---------------------------------------------------
 
 

@@ -1,0 +1,45 @@
+"""Every module-level function and class of the package is either used inside
+the package or exported through `planefol.__all__`.
+
+Uses are read from the source: a name counts as used when it appears as a
+name or an attribute anywhere in `src/planefol` outside its own definition.
+Imports alone do not count, so a helper that is imported but never called is
+still reported.
+"""
+
+import ast
+from pathlib import Path
+
+import planefol
+
+SRC = Path(planefol.__file__).parent
+
+
+def _definitions_and_uses():
+    defs = []  # (module, name, index of the defining top-level statement)
+    uses = {}  # (module, index of top-level statement) -> names used there
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, stmt.name, i))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            uses[(path.stem, i)] = names
+    return defs, uses
+
+
+def test_every_helper_is_used_or_exported():
+    defs, uses = _definitions_and_uses()
+    exported = set(planefol.__all__)
+    dead = sorted(
+        f"{module}.{name}"
+        for module, name, i in defs
+        if name not in exported
+        and not any(name in names for key, names in uses.items() if key != (module, i))
+    )
+    assert dead == []

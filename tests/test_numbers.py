@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from planefol.numbers import (
     QuadExt,
     isqrt_exact,
-    lift,
-    rat,
     rat_str,
     rational_sqrt,
     square_free_core,
@@ -15,9 +13,6 @@ from planefol.numbers import (
 
 
 def test_rat_coercions():
-    assert rat(3) == Fraction(3)
-    assert rat("3/2") == Fraction(3, 2)
-    assert rat(Fraction(-1, 7)) == Fraction(-1, 7)
     assert rat_str(Fraction(5)) == "5"
     assert rat_str(Fraction(-5, 3)) == "-5/3"
 
@@ -107,12 +102,6 @@ def test_quadext_complex_field_has_no_order():
     with pytest.raises(ValueError):
         i.sign()
     assert i * i == Fraction(-1)
-
-
-def test_lift():
-    s2 = QuadExt(0, 1, 2)
-    up = lift(Fraction(5, 3), s2)
-    assert isinstance(up, QuadExt) and up.d == 2 and up == Fraction(5, 3)
 
 
 small_rats = st.fractions(

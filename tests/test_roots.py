@@ -10,7 +10,6 @@ from planefol.roots import (
     interval_eval,
     isolate_real_roots,
     isolate_roots,
-    vanishes_at,
 )
 
 
@@ -130,41 +129,6 @@ def test_refine_complex_shrinks():
         r.refine()
     assert r.width() < w0 / 100
     assert r.re.contains(Fraction(1)) and r.im.contains(Fraction(2))
-
-
-def test_vanishes_at_rational_root():
-    f = parse_poly("(x - 1)*(x + 2)", vars=("x",))
-    roots = isolate_real_roots(f)
-    g = parse_poly("x^2 - 1", vars=("x",))
-    flags = sorted(vanishes_at(g, r) for r in roots)
-    assert flags == [False, True]
-
-
-def test_vanishes_at_irrational_root():
-    f = parse_poly("x^2 - 2", vars=("x",))
-    roots = isolate_real_roots(f)
-    g = parse_poly("x^4 - 4", vars=("x",))  # divisible by x^2 - 2
-    assert all(vanishes_at(g, r) for r in roots)
-    h = parse_poly("x^2 - 3", vars=("x",))
-    assert not any(vanishes_at(h, r) for r in roots)
-
-
-def test_vanishes_at_distinguishes_cluster_members():
-    # f has roots 1 and -1; g = x - 1 vanishes at exactly one of them
-    f = parse_poly("x^2 - 1", vars=("x",))
-    roots = isolate_real_roots(f)
-    g = parse_poly("x - 1", vars=("x",))
-    flags = [vanishes_at(g, r) for r in roots]
-    assert sorted(flags) == [False, True]
-
-
-def test_vanishes_at_complex_root():
-    f = parse_poly("x^2 + 1", vars=("x",))
-    roots = isolate_roots(f)
-    g = parse_poly("x^4 - 1", vars=("x",))  # x^2 + 1 divides
-    assert all(vanishes_at(g, r) for r in roots)
-    h = parse_poly("x^2 + 2", vars=("x",))
-    assert not any(vanishes_at(h, r) for r in roots)
 
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=5, unique=True))
