@@ -9,7 +9,7 @@ each factor. Decisions stay exact and no factorization is ever required.
 
 from __future__ import annotations
 
-from .mpoly import MPoly, _divmod_univar, exact_div, normalized, poly_gcd
+from .mpoly import MPoly, exact_div, normalized, poly_divmod, poly_gcd
 
 
 class SplitNeeded(Exception):
@@ -21,11 +21,15 @@ class SplitNeeded(Exception):
 
 
 def mod_reduce(g, f, var):
-    """g mod f; both univariate in `var`, f nonzero."""
+    """g mod f: the remainder of degree below deg f in `var`.
+
+    f is nonzero and univariate in `var`; g may hold other variables. The
+    grad-lex leading monomial of f is then var**deg f, so `poly_divmod` gives
+    exactly this remainder.
+    """
     if g.deg_in(var) < f.deg_in(var):
         return g
-    _, r = _divmod_univar(g, f, var)
-    return r
+    return poly_divmod(g, f)[1]
 
 
 def xgcd_univar(a, b, var):
@@ -37,7 +41,7 @@ def xgcd_univar(a, b, var):
     s0, s1 = one, zero
     t0, t1 = zero, one
     while not r1.is_zero():
-        q, r = _divmod_univar(r0, r1, var)
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1

@@ -142,8 +142,7 @@ def _rational_roots(g, var):
     test on the cleared-denominator form.  Skipped (returns []) when the
     trailing or leading integer exceeds 10**12; the quadratic and error paths
     downstream stay honest either way."""
-    coeffs = g.as_univar(var)
-    vals = [c.constant_value() if not c.is_zero() else Fraction(0) for c in coeffs]
+    vals = g.scalar_coeffs()
     den = 1
     for v in vals:
         den = lcm(den, v.denominator)
@@ -179,8 +178,7 @@ def _exact_roots(g, var):
     d = g.deg_in(var)
     if d == 0:
         return roots
-    c = g.as_univar(var)
-    c = [ci.constant_value() if not ci.is_zero() else Fraction(0) for ci in c]
+    c = g.scalar_coeffs()
     if d == 1:
         roots.append(-c[0] / c[1])
         return roots

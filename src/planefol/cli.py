@@ -49,6 +49,7 @@ from .families import (
 )
 from .foliation import Foliation, foliation_degree
 from .mpoly import MPoly, parse_poly
+from .roots import IsolationError
 from .singularities import (
     DecompositionError,
     ExactnessError,
@@ -189,39 +190,27 @@ def _cmd_degree(args):
     return EXIT_OK
 
 
-# failures of an exact computation that are refused with exit 3, not raised
-_REFUSALS = (DecompositionError, ExactnessError, ArithmeticError)
-
-
-def _refuse(e, args):
-    _emit({"error": str(e)}, args, lambda r: [f"undetermined: {r['error']}"])
-    return EXIT_UNDETERMINED
-
-
 def _cmd_singularities(args):
     F = _load_foliation(args.foliation)
-    try:
-        pts = singular_points(F)
-        report = {
-            "clusters": [_cluster_json(sp) for sp in pts],
-            "bezout": bezout_total(F),
-            "total_milnor": total_milnor(pts),
-        }
-        if args.boxes:
-            width = _precision()
-            boxed = []
-            for sp in pts:
-                for (xre, xim), (yre, yim) in sp.boxes(max_width=width):
-                    boxed.append({
-                        "chart": sp.chart,
-                        "x": {"re": [_rat(xre.lo), _rat(xre.hi)],
-                              "im": [_rat(xim.lo), _rat(xim.hi)]},
-                        "y": {"re": [_rat(yre.lo), _rat(yre.hi)],
-                              "im": [_rat(yim.lo), _rat(yim.hi)]},
-                    })
-            report["boxes"] = boxed
-    except _REFUSALS as e:
-        return _refuse(e, args)
+    pts = singular_points(F)
+    report = {
+        "clusters": [_cluster_json(sp) for sp in pts],
+        "bezout": bezout_total(F),
+        "total_milnor": total_milnor(pts),
+    }
+    if args.boxes:
+        width = _precision()
+        boxed = []
+        for sp in pts:
+            for (xre, xim), (yre, yim) in sp.boxes(max_width=width):
+                boxed.append({
+                    "chart": sp.chart,
+                    "x": {"re": [_rat(xre.lo), _rat(xre.hi)],
+                          "im": [_rat(xim.lo), _rat(xim.hi)]},
+                    "y": {"re": [_rat(yre.lo), _rat(yre.hi)],
+                          "im": [_rat(yim.lo), _rat(yim.hi)]},
+                })
+        report["boxes"] = boxed
 
     def lines(r):
         out = [f"{len(r['clusters'])} clusters, "
@@ -239,13 +228,10 @@ def _cmd_classify(args):
     F = _load_foliation(args.foliation)
     rows = []
     saw_undetermined = False
-    try:
-        for sp in singular_points(F):
-            for sub, kind in classify_singularity(sp):
-                rows.append({**_cluster_json(sub), "kind": kind})
-                saw_undetermined |= kind == UNDETERMINED
-    except _REFUSALS as e:
-        return _refuse(e, args)
+    for sp in singular_points(F):
+        for sub, kind in classify_singularity(sp):
+            rows.append({**_cluster_json(sub), "kind": kind})
+            saw_undetermined |= kind == UNDETERMINED
     report = {"classification": rows}
 
     def lines(r):
@@ -543,6 +529,10 @@ _DISPATCH = {
 }
 
 
+# failures of an exact computation, refused with exit 3 instead of raised
+_REFUSALS = (DecompositionError, ExactnessError, ArithmeticError, IsolationError)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -553,6 +543,9 @@ def main(argv=None):
         return EXIT_INPUT
     except OracleExhausted as e:
         print(f"undetermined: {e}", file=sys.stderr)
+        return EXIT_UNDETERMINED
+    except _REFUSALS as e:
+        _emit({"error": str(e)}, args, lambda r: [f"undetermined: {r['error']}"])
         return EXIT_UNDETERMINED
 
 

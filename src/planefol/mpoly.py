@@ -6,8 +6,9 @@ are Fraction by default; any exact field scalar with +,-,*,/ and truthiness
 higher total degree first, ties broken by reverse-lex on the exponent tuple.
 
 The module also houses the polynomial algebra the rest of the package needs:
-exact single-divisor division, multivariate gcd (a primitive PRS behind a
-coprimality certificate from images mod p), Yun squarefree decomposition, a
+exact single-divisor division (also behind every remainder modulo a cluster
+modulus), multivariate gcd (the subresultant PRS behind a coprimality
+certificate from images mod p), Yun squarefree decomposition, a
 fraction-free determinant on packed exponents with integer coefficients,
 Sylvester/Bareiss resultants, and the subresultant PRS.
 """
@@ -659,29 +660,6 @@ def normalized(f):
     return f / lc
 
 
-def _divmod_univar(f, g, var):
-    """Dense univariate division in `var` with scalar field coefficients."""
-    fa = f.as_univar(var)
-    ga = g.as_univar(var)
-    dg = len(ga) - 1
-    lc = ga[-1]
-    if not lc.is_constant():
-        raise ValueError("univariate division with nonconstant leading coefficient")
-    lcv = lc.constant_value()
-    q = [MPoly.zero(f.vars) for _ in range(max(len(fa) - dg, 0))]
-    rem = list(fa)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        if rem[k].is_zero():
-            continue
-        factor = rem[k] / lcv
-        q[k - dg] = factor
-        for j, gj in enumerate(ga):
-            rem[k - dg + j] = rem[k - dg + j] - factor * gj
-    qq = MPoly.from_univar(var, q, f.vars) if q else MPoly.zero(f.vars)
-    rr = MPoly.from_univar(var, rem[:dg] if dg > 0 else [], f.vars) if dg > 0 else MPoly.zero(f.vars)
-    return qq, rr
-
-
 def prem(f, g, var):
     """Pseudo-remainder: lc_g^(deg f - deg g + 1) * f reduced mod g in `var`.
 
@@ -717,8 +695,8 @@ def poly_gcd(f, g):
     """GCD over Q (or a quadratic extension), normalized deterministically.
 
     A rational pair whose images mod p prove it coprime (`_coprime_mod_p`)
-    skips the primitive PRS, which then only runs on a really shared factor or
-    on QuadExt coefficients; the answer is the one the PRS gives.
+    skips the subresultant PRS, which then only runs on a really shared factor
+    or on QuadExt coefficients; the answer is the one the PRS gives.
     """
     if isinstance(f, _SCALARS):
         f = MPoly.const(g.vars, f)
@@ -735,27 +713,18 @@ def poly_gcd(f, g):
     if len(occ) == 1:
         if _coprime_mod_p(f, g):
             return MPoly.const(f.vars, 1)
-        var = next(iter(occ))
-        return normalized(_euclid_univar_scaled(f, g, var))
-    # primitive PRS in the variable of least combined degree
+        return normalized(_euclid_univar_scaled(f, g))
+    # subresultant PRS of the primitive parts in the variable of least
+    # combined degree: the primitive part of its last element is their gcd
+    # (a constant when that element is free of var)
     var = min(occ, key=lambda v: max(f.deg_in(v), 0) + max(g.deg_in(v), 0))
     cf, pf = _content_primitive(f, var)
     cg, pg = _content_primitive(g, var)
     cont = poly_gcd(cf, cg)
     if _coprime_mod_p(pf, pg):
         return normalized(cont)
-    a, b = (pf, pg) if pf.deg_in(var) >= pg.deg_in(var) else (pg, pf)
-    while not b.is_zero():
-        r = prem(a, b, var)
-        if r.is_zero():
-            a, b = b, r
-            break
-        _, rp = _content_primitive(r, var)
-        a, b = b, rp
-    if b.is_zero():
-        _, ap = _content_primitive(a, var)
-        return normalized(cont * ap)
-    return normalized(cont)
+    last = subresultant_prs(pf, pg, var)[-1]
+    return normalized(cont * _content_primitive(last, var)[1])
 
 
 # Two primes below 2^61, and the small values given to the other variables of an
@@ -817,14 +786,12 @@ def _image_mod_p(f, i, point, p):
     return out
 
 
-def _euclid_univar_scaled(f, g, var):
+def _euclid_univar_scaled(f, g):
     # coefficients may be rationals of mixed size; Euclid with monic steps
     a, b = f, g
     while not b.is_zero():
-        blc = b.coeff_in(var, b.deg_in(var))
-        b_monic = b / blc.constant_value() if blc.is_constant() else b
-        _, r = _divmod_univar(a, b_monic, var)
-        a, b = b_monic, r
+        b = b / b.lt()[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a
 
 
@@ -837,21 +804,11 @@ def _content_primitive(f, var):
         if cont.is_constant():
             break
     if cont.is_constant():
-        cont = MPoly.const(f.vars, 1)
-        return cont, normalized_sign_stable(f)
+        return MPoly.const(f.vars, 1), f
     prim = exact_div(f, cont)
     if prim is None:
         raise ArithmeticError("content failed to divide")
     return cont, prim
-
-
-def normalized_sign_stable(f):
-    if f.is_zero():
-        return f
-    _, lc = f.lt()
-    if isinstance(lc, Fraction) and lc < 0:
-        return -f
-    return f
 
 
 def squarefree_part(f):

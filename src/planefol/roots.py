@@ -161,17 +161,6 @@ def interval_eval(f, box):
 # -- dense univariate helpers -------------------------------------------------------
 
 
-def _dense(f, var):
-    d = f.deg_in(var)
-    if d < 0:
-        return []
-    out = [Fraction(0)] * (d + 1)
-    i = f.vars.index(var)
-    for e, c in f.terms.items():
-        out[e[i]] = c
-    return out
-
-
 def _eval_dense(c, x):
     acc = Fraction(0)
     for coef in reversed(c):
@@ -301,7 +290,7 @@ def isolate_real_roots(f, var=None):
     if var is None:
         var = _single_var(f)
     sf = squarefree_part(f)
-    dense = _dense(sf, var)
+    dense = sf.scalar_coeffs()
     if len(dense) <= 1:
         if dense and dense[0] != 0:
             return []
@@ -496,7 +485,7 @@ def isolate_roots(f, var=None):
     if var is None:
         var = _single_var(f)
     sf = squarefree_part(f)
-    dense = _dense(sf, var)
+    dense = sf.scalar_coeffs()
     if len(dense) <= 1:
         if dense and dense[0] != 0:
             return []
@@ -631,11 +620,11 @@ def _isolate_upper_half(sf, dense, var, system, n_pairs):
 _pair_cache = {}
 
 
-def _complex_pair(g, var):
-    key = (g.vars, frozenset(g.terms.items()), var)
+def _complex_pair(g):
+    key = (g.vars, frozenset(g.terms.items()))
     hit = _pair_cache.get(key)
     if hit is None:
-        hit = _pair_cache[key] = _re_im(_dense(g, var))
+        hit = _pair_cache[key] = _re_im(g.scalar_coeffs())
     return hit
 
 
@@ -661,14 +650,14 @@ def poly_image_box(g, box):
     var = box.var
     if box.is_exact():
         if isinstance(box.exact, tuple):
-            R, I = _complex_pair(g, var)
+            R, I = _complex_pair(g)
             at = {"re": Fraction(box.exact[0]), "im": Fraction(box.exact[1])}
             return Interval.point(R.eval_all(at)), Interval.point(I.eval_all(at))
-        v = _eval_dense(_dense(g, var), box.exact)
+        v = _eval_dense(g.scalar_coeffs(), box.exact)
         return Interval.point(v), Interval.point(Fraction(0))
     if box.is_real():
         iv = interval_eval(g, {var: box.re})
         return iv, Interval.point(Fraction(0))
-    R, I = _complex_pair(g, var)
+    R, I = _complex_pair(g)
     at = {"re": box.re, "im": box.im}
     return interval_eval(R, at), interval_eval(I, at)

@@ -166,29 +166,6 @@ def _tau_mod(p, f, tau):
     return mod_reduce(p, f2, tau)
 
 
-def _trim(p, f, tau):
-    """Reduce tau-coefficients mod f and drop slices that vanish on the whole
-    cluster. Slices vanishing at only some roots stay; the zero tests that
-    depend on them split the cluster when they run."""
-    p = _tau_mod(p, f, tau)
-    ti = p.vars.index(tau)
-    slices = {}
-    for e, c in p.terms.items():
-        key = e[:ti] + (0,) + e[ti + 1:]
-        slices.setdefault(key, {})[(e[ti],)] = c
-    out = {}
-    for key, terms in slices.items():
-        w = mod_reduce(MPoly((tau,), terms), f, tau)
-        if w.is_zero():
-            # the slice vanishes on the whole cluster
-            continue
-        for (k,), c in w.terms.items():
-            ne = key[:ti] + (k,) + key[ti + 1:]
-            prev = out.get(ne)
-            out[ne] = c if prev is None else prev + c
-    return MPoly(p.vars, out)
-
-
 # -- local Milnor number ------------------------------------------------------------
 
 
@@ -223,13 +200,8 @@ def _ord_ladder(p, f, tau, var):
             raise ValueError("ladder expects a polynomial in (var, tau) only")
         buckets.setdefault(e[vi], {})[(e[ti],)] = c
     for k in sorted(buckets):
-        w = mod_reduce(MPoly((tau,), buckets[k]), f, tau)
-        if w.is_zero():
-            continue
-        st = _split_of(zero_split(w, f, tau))
-        if st == "none":
+        if _split_of(zero_split(MPoly((tau,), buckets[k]), f, tau)) == "none":
             return k
-        # "all" cannot happen after reduction unless w == 0
     return None
 
 
@@ -253,11 +225,7 @@ def _monomial_in(p, f, tau, var):
         if k == 0:
             continue
         w = high.coeff_in(var, k).with_vars((tau,))
-        w = mod_reduce(w, f, tau)
-        if w.is_zero():
-            continue
-        st = _split_of(zero_split(w, f, tau))
-        if st == "none":
+        if _split_of(zero_split(w, f, tau)) == "none":
             return False
     return True
 
@@ -269,8 +237,8 @@ def _milnor_once(field, f, xt, yt):
     vars3 = (x, y, tau)
     xs = MPoly.variable(x, vars3) + xt.with_vars(vars3)
     ys = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    Ploc = _trim(field.P.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
-    Qloc = _trim(field.Q.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
+    Ploc = _tau_mod(field.P.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
+    Qloc = _tau_mod(field.Q.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
     if Ploc.is_zero() or Qloc.is_zero():
         raise ArithmeticError("translated component vanished; field was degenerate")
     xi, yi, ti = 0, 1, 2
@@ -280,20 +248,19 @@ def _milnor_once(field, f, xt, yt):
             Pt, Qt = Ploc, Qloc
         else:
             sx = MPoly.variable(x, vars3) + MPoly.variable(y, vars3) * Fraction(t)
-            Pt = _trim(Ploc.subs({x: sx}), f, tau)
-            Qt = _trim(Qloc.subs({x: sx}), f, tau)
+            Pt = _tau_mod(Ploc.subs({x: sx}), f, tau)
+            Qt = _tau_mod(Qloc.subs({x: sx}), f, tau)
         ok = True
         for p in (Pt, Qt):
             terms, _ = _xy_top_eval(p, xi, yi, ti, t)
-            w = mod_reduce(MPoly((tau,), terms), f, tau)
-            if w.is_zero() or _split_of(zero_split(w, f, tau)) == "all":
+            if _split_of(zero_split(MPoly((tau,), terms), f, tau)) == "all":
                 ok = False
                 break
         if not ok:
             continue
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
-        R = _trim(resultant(Pt, Qt, y), f, tau)
+        R = _tau_mod(resultant(Pt, Qt, y), f, tau)
         mu = _ord_ladder(R.with_vars((x, tau)), f, tau, x)
         if mu is None:
             raise ArithmeticError("resultant vanished despite the certificates")
@@ -304,8 +271,8 @@ def _milnor_once(field, f, xt, yt):
 def _axis_certificate(Pt, Qt, f, tau, x, y):
     """True when, at every root, the only common zero of (Pt, Qt) on the line
     x = 0 is the origin. Splits the cluster on a mixed answer."""
-    A = _trim(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
-    B = _trim(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
+    A = _tau_mod(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
+    B = _tau_mod(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
     if A.is_zero() and B.is_zero():
         raise ArithmeticError("both components vanish on a line; field not coprime")
     if A.is_zero():
@@ -321,9 +288,7 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
     B1 = _shift_out(B, y, b)
     if A1.deg_in(y) == 0 or B1.deg_in(y) == 0:
         return True
-    res = mod_reduce(resultant(A1, B1, y).with_vars((tau,)), f, tau)
-    if res.is_zero():
-        return False
+    res = resultant(A1, B1, y).with_vars((tau,))
     return _split_of(zero_split(res, f, tau)) == "none"
 
 
@@ -354,7 +319,7 @@ def _monic_in_y(p, f, tau, y):
     lc = p.coeff_in(y, d).with_vars((tau,))
     # SplitNeeded when the leading coefficient dies on part of the cluster
     inv = invert_mod(lc, f, tau)
-    return _trim(p * inv, f, tau)
+    return _tau_mod(p * inv, f, tau)
 
 
 def _ring_gcd_y(A, B, f, tau, y):
@@ -364,8 +329,8 @@ def _ring_gcd_y(A, B, f, tau, y):
     an exact identity on the whole cluster; leading coefficients that vanish
     at only some roots surface as SplitNeeded.
     """
-    A = _trim(A, f, tau)
-    B = _trim(B, f, tau)
+    A = _tau_mod(A, f, tau)
+    B = _tau_mod(B, f, tau)
     if A.deg_in(y) < B.deg_in(y):
         A, B = B, A
     while not B.is_zero():
@@ -376,7 +341,7 @@ def _ring_gcd_y(A, B, f, tau, y):
             dr = R.deg_in(y)
             co = R.coeff_in(y, dr)
             shift = MPoly.variable(y, R.vars) ** (dr - db)
-            R = _trim(R - co * shift * Bm, f, tau)
+            R = _tau_mod(R - co * shift * Bm, f, tau)
         A, B = Bm, R
     if A.is_zero():
         raise ArithmeticError("gcd of two polynomials that vanish on the cluster")
@@ -399,14 +364,11 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
     y0 = mod_reduce(ck1 * Fraction(-1, k), fi, tau)
     if k >= 2:
         yv = MPoly.variable(y, G.vars)
-        diff = _trim(G - (yv - y0) ** k, fi, tau)
+        diff = _tau_mod(G - (yv - y0) ** k, fi, tau)
         if not diff.is_zero():
             for j in range(diff.deg_in(y) + 1):
                 w = diff.coeff_in(y, j).with_vars((tau,))
-                if w.is_zero():
-                    continue
-                st = _split_of(zero_split(w, fi, tau))
-                if st == "none":
+                if _split_of(zero_split(w, fi, tau)) == "none":
                     raise _ShearReject("two singular points share a fiber")
             raise ArithmeticError("trimmed difference has no nonzero slice")
     return y0
@@ -709,20 +671,10 @@ def _positive_rational_ratio(Tv, Dv):
     """Does a 2x2 linear part with trace Tv and det Dv != 0 have an eigenvalue
     ratio in the positive rationals? Exact; Tv, Dv rational or QuadExt."""
     if isinstance(Tv, QuadExt) or isinstance(Dv, QuadExt):
-        d = Tv.d if isinstance(Tv, QuadExt) else Dv.d
-        Tq = Tv if isinstance(Tv, QuadExt) else QuadExt(Tv, 0, d)
-        Dq = Dv if isinstance(Dv, QuadExt) else QuadExt(Dv, 0, d)
-        c2 = Dq
-        c1 = -(Tq * Tq - 2 * Dq)
-        c0 = Dq
-        ra = [c.a for c in (c0, c1, c2)]
-        rb = [c.b for c in (c0, c1, c2)]
-        vars1 = ("r",)
-        ga = MPoly.from_univar("r", [MPoly.const(vars1, v) for v in ra], vars1)
-        gb = MPoly.from_univar("r", [MPoly.const(vars1, v) for v in rb], vars1)
-        if ga.is_zero() and gb.is_zero():
+        # the ratios are the roots of D r^2 - (T^2 - 2D) r + D
+        g = MPoly.from_univar("r", [Dv, -(Tv * Tv - 2 * Dv), Dv], ("r",))
+        if g.is_zero():
             raise ArithmeticError("ratio quadratic vanished with det nonzero")
-        g = gb if ga.is_zero() else (ga if gb.is_zero() else poly_gcd(ga, gb))
         return _positive_rational_root_exists(g)
     disc = Tv * Tv * (Tv * Tv - 4 * Dv)
     s = rational_sqrt(disc)

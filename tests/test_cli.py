@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from planefol import cli
 from planefol.cli import main
 from planefol.mpoly import MPoly
+from planefol.roots import IsolationError
 from planefol.singularities import DecompositionError, ExactnessError
 
 
@@ -164,14 +165,28 @@ class TestClassifyAndReduce:
 class TestRefusals:
     """A failed exact computation is refused with exit 3, not raised."""
 
-    @pytest.mark.parametrize("command", ["singularities", "classify"])
-    @pytest.mark.parametrize("exc", [DecompositionError, ExactnessError, ArithmeticError])
-    def test_refused_with_exit_3(self, capsys, monkeypatch, saddle, command, exc):
-        def fail(F):
+    # subcommand -> the cli name that runs its computation
+    TARGETS = {
+        "singularities": "singular_points",
+        "classify": "singular_points",
+        "reduce": "seidenberg_reduce",
+        "safe-resolve": "safe_resolution",
+        "index": "total_z",
+        "examples census": "dicritical_count",
+    }
+
+    @pytest.mark.parametrize("command", list(TARGETS))
+    @pytest.mark.parametrize("exc", [DecompositionError, ExactnessError, ArithmeticError,
+                                     IsolationError])
+    def test_refused_with_exit_3(self, capsys, monkeypatch, tmp_path, saddle, command, exc):
+        def fail(*args, **kwargs):
             raise exc("forced failure")
 
-        monkeypatch.setattr(cli, "singular_points", fail)
-        code, data, err = jrun(capsys, command, "--foliation", saddle)
+        argv = [*command.split(), "--foliation", saddle]
+        if command == "index":
+            argv += ["--curve", write(tmp_path, "axis.json", {"f": "y"})]
+        monkeypatch.setattr(cli, self.TARGETS[command], fail)
+        code, data, err = jrun(capsys, *argv)
         assert code == 3
         assert data == {"error": "forced failure"}
         assert "Traceback" not in err

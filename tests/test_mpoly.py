@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from planefol import mpoly
+from planefol.algebraic import mod_reduce
 from planefol.mpoly import (
     _CERT_POINTS,
     _CERT_PRIMES,
@@ -505,6 +506,56 @@ def test_divmod_matches_reference_loop(f, g):
     if g.is_zero():
         return
     assert poly_divmod(f, g) == _divmod_reference(f, g)
+
+
+def _divmod_univar_reference(f, g, var):
+    # the dense univariate division that `mod_reduce` and the univariate gcd
+    # ran before `poly_divmod` replaced it: constant-MPoly coefficients in
+    # `var`, eliminated from the top power down
+    fa, ga = f.as_univar(var), g.as_univar(var)
+    dg = len(ga) - 1
+    lcv = ga[-1].constant_value()
+    q = [MPoly.zero(f.vars) for _ in range(max(len(fa) - dg, 0))]
+    rem = list(fa)
+    for k in range(len(rem) - 1, dg - 1, -1):
+        if rem[k].is_zero():
+            continue
+        factor = rem[k] / lcv
+        q[k - dg] = factor
+        for j, gj in enumerate(ga):
+            rem[k - dg + j] = rem[k - dg + j] - factor * gj
+    qq = MPoly.from_univar(var, q, f.vars) if q else MPoly.zero(f.vars)
+    rr = MPoly.from_univar(var, rem[:dg], f.vars) if dg > 0 else MPoly.zero(f.vars)
+    return qq, rr
+
+
+@st.composite
+def _modulus_division(draw):
+    """(dividend over (x, y, t), divisor univariate in t with a leading
+    coefficient other than 1), coefficients rational or in Q(sqrt d)."""
+    d = draw(st.sampled_from([None, 2, -3]))
+
+    def scalar():
+        a = draw(coef)
+        return a if d is None else QuadExt(a, draw(coef), d)
+
+    n = draw(st.integers(min_value=1, max_value=3))
+    lc = draw(coef.filter(lambda c: c not in (0, 1)))
+    lc = lc if d is None else QuadExt(lc, draw(coef), d)
+    g = MPoly(("t",), {**{(k,): scalar() for k in range(n)}, (n,): lc})
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 5))
+    f = MPoly(("x", "y", "t"), {e: scalar() for e in draw(st.lists(exps, max_size=6))})
+    return f, g
+
+
+@given(_modulus_division())
+@settings(max_examples=60, deadline=None)
+def test_modulus_division_matches_dense_reference(case):
+    f, g = case
+    q, r = _divmod_univar_reference(f, g, "t")
+    assert poly_divmod(f, g) == (q, r)
+    red = mod_reduce(f, g, "t")
+    assert red == r and red.vars == f.vars and str(red) == str(r)
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(

@@ -1,5 +1,6 @@
 """Every module-level function and class of the package is either used inside
-the package or exported through `planefol.__all__`.
+the package or exported through `planefol.__all__`, and every name a module
+imports is used in that module.
 
 Uses are read from the source: a name counts as used when it appears as a
 name or an attribute anywhere in `src/planefol` outside its own definition.
@@ -43,3 +44,21 @@ def test_every_helper_is_used_or_exported():
         and not any(name in names for key, names in uses.items() if key != (module, i))
     )
     assert dead == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add((alias.asname or alias.name).split(".")[0])
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported) if name not in used]
+    assert unused == []
