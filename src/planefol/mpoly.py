@@ -10,7 +10,8 @@ exact single-divisor division (also behind every remainder modulo a cluster
 modulus), multivariate gcd (the subresultant PRS behind a coprimality
 certificate from images mod p), Yun squarefree decomposition, a
 fraction-free determinant on packed exponents with integer coefficients,
-Sylvester/Bareiss resultants, and the subresultant PRS.
+Sylvester/Bareiss resultants, the subresultant S1 as one such determinant,
+and the subresultant PRS.
 """
 
 from __future__ import annotations
@@ -1000,7 +1001,10 @@ def subresultant_prs(f, g, var):
 
     Returns the list [f, g, r1, r2, ...]; each element is proportional over the
     base field to a subresultant, which is all the genericity certificates here
-    need. Coefficient growth stays polynomial, unlike the naive PRS.
+    need. Coefficient growth stays polynomial, unlike the naive PRS. Its
+    callers are the eigenvalue-ratio polynomial of `singularities` and the
+    multivariate `poly_gcd` when the coprimality certificate fails;
+    `linear_subresultant` takes S1 from a determinant instead.
     """
     f, g = f._pair(g)
     if f.deg_in(var) < g.deg_in(var):
@@ -1038,8 +1042,35 @@ def subresultant_prs(f, g, var):
 
 
 def linear_subresultant(f, g, var):
-    """An element of the subresultant PRS of degree exactly 1 in `var`, or None."""
-    for p in subresultant_prs(f, g, var):
+    """The subresultant S1 of f and g in `var` when its degree in `var` is
+    exactly 1, else None.
+
+    With f and g ordered so that m = deg f >= n = deg g, S1 is one Bareiss
+    determinant of the (m+n-2)-square subresultant matrix (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6): its rows are var^(n-2) f, ...,
+    f, var^(m-2) g, ..., g; its columns their coefficients of var^(m+n-2),
+    ..., var^2, and a last column holding each row's c1*var + c0 part. By the
+    subresultant theorem it is None exactly when `subresultant_prs` has no
+    element of degree 1, and otherwise proportional to that element over the
+    fraction field of the other variables. As in the PRS, an input of degree 1
+    is returned as it is, f before g after that ordering. A zero input raises
+    ValueError.
+    """
+    f, g = f._pair(g)
+    if f.is_zero() or g.is_zero():
+        raise ValueError("subresultant of a zero polynomial")
+    if f.deg_in(var) < g.deg_in(var):
+        f, g = g, f
+    for p in (f, g):
         if p.deg_in(var) == 1:
             return p
-    return None
+    n = g.deg_in(var)
+    if n < 2:
+        return None
+    # the Sylvester rows without the top shift of each block, less the
+    # var^(m+n-1) column, with the var^1 and var^0 columns folded into one
+    rows = sylvester_matrix(f, g, var)
+    v = MPoly.variable(var, f.vars)
+    s1 = bareiss_det([row[1:-2] + [row[-2] * v + row[-1]]
+                      for row in rows[1:n] + rows[n + 1:]])
+    return s1 if s1.deg_in(var) == 1 else None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planefol import mpoly
 from planefol.algebraic import mod_reduce
@@ -437,16 +437,41 @@ def test_subresultant_prs_proportional_to_sympy():
         assert sympy.expand(sp * cq - q * cp) == 0
 
 
-def test_linear_subresultant_gives_y_rule():
-    # common solutions of this pair satisfy y = x; the degree-1 element of the
-    # PRS must encode exactly that rule
-    f = parse_poly("y^2 - x", vars=("x", "y"))
-    g = parse_poly("y^2 - 2*y + x", vars=("x", "y"))
+@pytest.mark.parametrize("f, g, rule", [
+    # common solutions of this pair satisfy y = x; S1 must encode that rule
+    ("y^2 - x", "y^2 - 2*y + x", "x"),
+    # an input of degree 1 in y is returned as it is
+    ("y^2 - x", "y - x", "x"),
+    # a common factor of degree 2 in y: no subresultant of degree 1
+    ("(y^2 - x)*(y + 1)", "(y^2 - x)*(y - 2)", None),
+], ids=["y-equals-x", "degree-1-input", "common-quadratic"])
+def test_linear_subresultant_gives_y_rule(f, g, rule):
+    f, g = parse_poly(f, vars=("x", "y")), parse_poly(g, vars=("x", "y"))
     lin = linear_subresultant(f, g, "y")
+    if rule is None:
+        assert lin is None
+        return
     assert lin is not None and lin.deg_in("y") == 1
+    if g.deg_in("y") == 1:
+        assert lin is g
     t1 = lin.coeff_in("y", 1)
     t0 = lin.coeff_in("y", 0)
-    assert (t1 * parse_poly("x", vars=("x", "y")) + t0).is_zero()
+    assert (t1 * parse_poly(rule, vars=("x", "y")) + t0).is_zero()
+
+
+def test_linear_subresultant_runs_no_prs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linear_subresultant ran a PRS step")
+
+    monkeypatch.setattr(mpoly, "subresultant_prs", refuse)
+    monkeypatch.setattr(mpoly, "prem", refuse)
+    # the pullback(0) field x^7 - x, y^7 - y sheared by x -> x + 3y, the first
+    # shear `affine_singular_points` accepts on it
+    shear = {"x": parse_poly("x + 3*y", vars=("x", "y"))}
+    P = parse_poly("x^7 - x", vars=("x", "y")).subs(shear)
+    Q = parse_poly("y^7 - y", vars=("x", "y")).subs(shear)
+    lin = linear_subresultant(P, Q, "y")
+    assert lin is not None and lin.deg_in("y") == 1
 
 
 # -- property tests ----------------------------------------------------------------
@@ -613,3 +638,54 @@ def test_gcd_matches_sympy_property(A, B, G):
     theirs = sympy.gcd(to_sympy(f), to_sympy(g))
     q, r = sympy.div(mine, theirs, X, Y)
     assert r == 0 and q != 0 and not q.free_symbols
+
+
+def _linear_subresultant_reference(f, g, var):
+    """The PRS loop `linear_subresultant` ran before it became a determinant:
+    the first element of degree 1 in `var`."""
+    return next((p for p in subresultant_prs(f, g, var) if p.deg_in(var) == 1), None)
+
+
+def _below_in_y(f, top):
+    """The terms of f of degree at most `top` in y."""
+    return MPoly(f.vars, {e: c for e, c in f.terms.items() if e[1] <= top})
+
+
+@st.composite
+def _subresultant_pair(draw):
+    nonzero = small_polys(max_deg=3).filter(bool)
+    f, g = draw(nonzero), draw(nonzero)
+    kind = draw(st.sampled_from(("plain", "common", "low", "jump")))
+    if kind == "common":
+        h = draw(small_polys(max_deg=2).filter(bool))
+        f, g = f * h, g * h
+    elif kind == "low":
+        # degree 0 or 1 in y, on one input or both
+        g = _below_in_y(g, draw(st.integers(0, 1)))
+        if draw(st.booleans()):
+            f = _below_in_y(f, draw(st.integers(0, 1)))
+    elif kind == "jump":
+        # g = c(x) f + r with deg_y r <= deg_y f - 2: a defective PRS whose
+        # degree drops by two or more after g (to 0 when deg_y f = 2)
+        c = draw(small_polys(vars=("x",), max_deg=2).filter(bool)).with_vars(("x", "y"))
+        g = c * f + _below_in_y(g, f.deg_in("y") - 2)
+    if draw(st.booleans()):
+        f, g = g, f
+    assume(f and g)
+    return f, g
+
+
+@given(_subresultant_pair())
+@settings(max_examples=120, deadline=None)
+def test_linear_subresultant_matches_prs_reference(pair):
+    f, g = pair
+    mine = linear_subresultant(f, g, "y")
+    ref = _linear_subresultant_reference(f, g, "y")
+    assert (mine is None) == (ref is None)
+    if ref is None:
+        return
+    assert mine.deg_in("y") == 1
+    if ref is f or ref is g:
+        assert mine is ref
+    # proportional over Q(x): cross-multiply the leading coefficients in y
+    assert (mine * ref.coeff_in("y", 1) - ref * mine.coeff_in("y", 1)).is_zero()

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planefol import singularities
+from planefol.cli import main
 from planefol.foliation import make_foliation
-from planefol.mpoly import MPoly, parse_poly
+from planefol.mpoly import MPoly, parse_poly, subresultant_prs
 from planefol.numbers import QuadExt
 from planefol.singularities import (
     NON_REDUCED,
@@ -256,6 +259,37 @@ def test_classify_all_covers_every_point():
     for _, kind in rows:
         assert kind in {REDUCED_NONDEGENERATE, REDUCED_SADDLE_NODE,
                         NON_REDUCED, UNDETERMINED}
+
+
+# -- S1 by determinant: the same singular points as by the PRS ------------------------
+
+
+def _linear_subresultant_reference(f, g, var):
+    """The first element of degree 1 in `var` of the subresultant PRS, which
+    `linear_subresultant` returned before it became a determinant."""
+    return next((p for p in subresultant_prs(f, g, var) if p.deg_in(var) == 1), None)
+
+
+@pytest.mark.parametrize("p,q", [
+    # the pullback(0) field: lins_neto(0) pulled back by (x, y) -> (x^2, y^2)
+    ("y*(x^6 - 1)*x^2", "x*(y^6 - 1)*y^2"),
+    ("x^3 - 2*x^2*y + 3*x*y^2 - y^3 + x^2 - x*y + 2*y^2 - x + 3*y - 1",
+     "2*x^3 + x^2*y - x*y^2 + 3*y^3 - 2*x^2 + x*y + y^2 + 2*x - y + 2"),
+    ("3*x^3 + x^2*y - 2*x*y^2 + y^3 - x^2 + 3*x*y - y^2 + 2*x + y - 3",
+     "x^3 - x^2*y + 2*x*y^2 + 2*y^3 + 3*x^2 - 2*x*y + y^2 - x - 2*y + 1"),
+], ids=["pullback0", "cubic-a", "cubic-b"])
+def test_singular_points_json_same_with_prs_s1(p, q, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"P": p, "Q": q}))
+    argv = ["--format", "json", "singularities", "--foliation", str(path)]
+
+    def canonical():
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    by_det = canonical()
+    monkeypatch.setattr(singularities, "linear_subresultant", _linear_subresultant_reference)
+    assert canonical() == by_det
 
 
 # -- the identity under random grids --------------------------------------------------
