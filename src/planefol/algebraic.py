@@ -71,7 +71,8 @@ def zero_split(w, f, var):
     """Where does w vanish on the roots of f?
 
     Returns ('all', None) when f | w, ('none', None) when gcd is trivial, and
-    ('split', (h, c)) otherwise with h = gcd(f, w), c = f/h both nonconstant.
+    ('split', h) otherwise, with h = gcd(f, w) normalized and a proper factor
+    of f (deg h <= deg(w mod f) < deg f).
     """
     w = mod_reduce(w, f, var)
     if w.is_zero():
@@ -79,23 +80,39 @@ def zero_split(w, f, var):
     h = poly_gcd(f, w)
     if h.total_degree() == 0:
         return "none", None
-    c = exact_div(f, h)
-    if c is None:
-        raise ArithmeticError("gcd failed to divide its argument")
-    if c.total_degree() == 0:
-        return "all", None
-    return "split", (normalized(h), normalized(c))
+    return "split", normalized(h)
 
 
 # -- the splitting driver ------------------------------------------------------------
 
 
-def _split_of(status_payload):
-    """The status of a zero_split answer; a "split" is raised as SplitNeeded."""
-    status, payload = status_payload
+def _vanishes(w, f):
+    """Does w vanish at every root of f? False when it vanishes at none;
+    SplitNeeded when it vanishes at some roots only."""
+    status, h = zero_split(w, f, f.vars[0])
     if status == "split":
-        raise SplitNeeded(payload[0])
-    return status
+        raise SplitNeeded(h)
+    return status == "all"
+
+
+def _first_nonzero(groups, f):
+    """Index of the first group holding a value nonzero at every root of f.
+
+    The groups are decided in turn, so a generator builds only those it
+    reaches. Every value of a group is tested, and one that is nonzero at
+    every root answers for the group even after a mixed value. A group with
+    no such value but a mixed one raises SplitNeeded at its first mixed
+    value; a group that vanishes at every root is passed over. Returns None
+    when every group vanishes.
+    """
+    for i, group in enumerate(groups):
+        answers = [zero_split(w, f, f.vars[0]) for w in group]
+        if any(status == "none" for status, _ in answers):
+            return i
+        for status, h in answers:
+            if status == "split":
+                raise SplitNeeded(h)
+    return None
 
 
 def _resolve_clusters(f, xt, yt, job):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .mpoly import MPoly, exact_div, poly_gcd, squarefree_part
-from .numbers import QuadExt, quadext_sqrt
+from .numbers import QuadExt, quadratic_roots
 from .foliation import Foliation, _weighted_reindex
 from .singularities import (
     NON_REDUCED,
@@ -33,7 +33,7 @@ from .singularities import (
     classify_singularity,
     infinity_singular_points,
 )
-from .algebraic import _resolve_clusters, _split_of, zero_split
+from .algebraic import _resolve_clusters, _vanishes
 
 
 class BlowupUnavailableError(Exception):
@@ -183,18 +183,12 @@ def _exact_roots(g, var):
         roots.append(-c[0] / c[1])
         return roots
     if d == 2:
-        disc = c[1] * c[1] - 4 * c[2] * c[0]
-        if isinstance(disc, QuadExt):
-            s = quadext_sqrt(disc)
-            if s is None:
-                raise BlowupUnavailableError(
-                    "exact blow-up unavailable: root leaves the quadratic field"
-                )
-        else:
-            s = QuadExt.from_sqrt(disc)
-        roots.append((-c[1] + s) / (2 * c[2]))
-        roots.append((-c[1] - s) / (2 * c[2]))
-        return roots
+        pair = quadratic_roots(c, adjoin=True)
+        if pair is None:
+            raise BlowupUnavailableError(
+                "exact blow-up unavailable: root leaves the quadratic field"
+            )
+        return roots + list(pair)
     raise BlowupUnavailableError(
         f"exact blow-up unavailable: degree-{d} factor has no quadratic splitting"
     )
@@ -591,16 +585,11 @@ def _on_curve_parts(sp, curve):
 
     def on_curve(f, xt, yt):
         w = _eval_on_cluster(curve, f, xt, yt, x, y)
-        return _split_of(zero_split(w, f, f.vars[0])) == "all"
+        return _vanishes(w, f)
 
     return [SingularPoint(sp.chart, sp.field, f, xt, yt, sp.milnor)
             for f, xt, yt, on in _resolve_clusters(sp.modulus, sp.xt, sp.yt, on_curve)
             if on]
-
-
-def _curve_in_chart(C, n, chart_field, which):
-    """The projective curve of the affine {C = 0} written in an infinity chart."""
-    return _weighted_reindex(C, n, chart_field.vars, slope_var=which - 1)
 
 
 def total_z(tree, C):
@@ -626,7 +615,7 @@ def total_z(tree, C):
         which = 1 if sp.chart == "inf1" else 2
         if which not in charts:
             ch = sp.field
-            charts[which] = (ch, _curve_in_chart(C, n, ch, which))
+            charts[which] = (ch, _weighted_reindex(C, n, ch.vars, slope_var=which - 1))
         ch, curve = charts[which]
         for sub in _on_curve_parts(sp, curve):
             for pt in _cluster_points(sub):

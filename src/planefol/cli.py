@@ -137,10 +137,6 @@ def _parse_point(text):
         raise InputError(f"point {text!r}: {e}") from e
 
 
-def _rat(v):
-    return str(v)
-
-
 def _cluster_json(sp):
     out = {
         "chart": sp.chart,
@@ -205,10 +201,10 @@ def _cmd_singularities(args):
             for (xre, xim), (yre, yim) in sp.boxes(max_width=width):
                 boxed.append({
                     "chart": sp.chart,
-                    "x": {"re": [_rat(xre.lo), _rat(xre.hi)],
-                          "im": [_rat(xim.lo), _rat(xim.hi)]},
-                    "y": {"re": [_rat(yre.lo), _rat(yre.hi)],
-                          "im": [_rat(yim.lo), _rat(yim.hi)]},
+                    "x": {"re": [str(xre.lo), str(xre.hi)],
+                          "im": [str(xim.lo), str(xim.hi)]},
+                    "y": {"re": [str(yre.lo), str(yre.hi)],
+                          "im": [str(yim.lo), str(yim.hi)]},
                 })
         report["boxes"] = boxed
 
@@ -274,7 +270,7 @@ def _cmd_index(args):
             k = z_index((F.P, F.Q), C.f.with_vars(F.vars), pt)
         except ValueError as e:
             raise InputError(str(e)) from e
-        report = {"z_index": k, "point": [_rat(pt[0]), _rat(pt[1])]}
+        report = {"z_index": k, "point": [str(pt[0]), str(pt[1])]}
         _emit(report, args, lambda r: [f"z-index {r['z_index']}"])
         return EXIT_OK
     try:
@@ -288,7 +284,7 @@ def _cmd_index(args):
         "Z": z,
         "points": [
             {"chart": rec.chart,
-             "point": [_rat(rec.point[0]), _rat(rec.point[1])],
+             "point": [str(rec.point[0]), str(rec.point[1])],
              "z_index": rec.z_index}
             for rec in records
         ],

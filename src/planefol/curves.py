@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import _resolve_clusters, _split_of, zero_split
+from .algebraic import _resolve_clusters, _vanishes
 from .foliation import Foliation, _fresh_name
 from .mpoly import MPoly, bareiss_det, exact_div, normalized, poly_gcd, squarefree_part
 from .singularities import _eval_on_cluster, affine_singular_points
@@ -276,7 +276,7 @@ def _affine_singularities(C):
         def vanishes(p):
             # uniform on the cluster, or SplitNeeded
             w = _eval_on_cluster(p, g, xt, yt, x, y)
-            return _split_of(zero_split(w, g, g.vars[0])) == "all"
+            return _vanishes(w, g)
 
         if not (vanishes(fx) and vanishes(fy)):
             return None  # a common zero of (f, aux) that is a smooth point
@@ -336,7 +336,7 @@ def _infinity_singularities(C):
         )
 
         def node_tag(gi, bi, wi):
-            return _split_of(zero_split(disc_parts, gi, tau)) == "none"
+            return not _vanishes(disc_parts, gi)
 
         out += [CurveSingularity("inf1", *piece)
                 for piece in _resolve_clusters(g, tv, zero, node_tag)]

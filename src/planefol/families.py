@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import _resolve_clusters, _split_of, zero_split
+from .algebraic import _first_nonzero, _resolve_clusters
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
 from .foliation import Foliation
@@ -250,39 +250,24 @@ def _census(field, chart, f, xt, yt, deadline):
     qparts = _xy_parts(QT, tau)
 
     # lowest (x, y)-order of the translated field on this cluster
-    nu = None
-    for d in sorted(set(pparts) | set(qparts)):
-        coeffs = []
-        if d in pparts:
-            coeffs += _tau_coeff_polys(pparts[d], tau)
-        if d in qparts:
-            coeffs += _tau_coeff_polys(qparts[d], tau)
-        statuses = [zero_split(cf, f, tau) for cf in coeffs]
-        if any(st == "none" for st, _ in statuses):
-            nu = d
-            break
-        for st in statuses:
-            _split_of(st)  # SplitNeeded at the first mixed coefficient
-        # every coefficient vanishes on the whole cluster: not the order yet
-    if nu is None:
+    zero3 = MPoly.zero(vars3)
+    orders = sorted(set(pparts) | set(qparts))
+    i = _first_nonzero((_tau_coeff_polys(pparts.get(d, zero3), tau)
+                        + _tau_coeff_polys(qparts.get(d, zero3), tau) for d in orders), f)
+    if i is None:
         raise ArithmeticError("field vanished identically along a cluster")
+    nu = orders[i]
     if nu == 0:
         raise ArithmeticError("census reached a regular point")
 
-    zero3 = MPoly.zero(vars3)
     Pnu = pparts.get(nu, zero3)
     Qnu = qparts.get(nu, zero3)
     T = _tau_mod(
         MPoly.variable(x, vars3) * Qnu - MPoly.variable(y, vars3) * Pnu, f, tau
     )
-    coeffs = _tau_coeff_polys(T, tau)
-    statuses = [zero_split(cf, f, tau) for cf in coeffs]
-    if all(st == "all" for st, _ in statuses):
+    if _first_nonzero([_tau_coeff_polys(T, tau)], f) is None:
         # tangent cone vanishes on the whole cluster: dicritical first blow-up
         return f.deg_in(tau)
-    if not any(st == "none" for st, _ in statuses):
-        for st in statuses:
-            _split_of(st)  # SplitNeeded at the first mixed coefficient
     # the cone is nonzero at every point of the cluster; walk each reduction
     sub = SingularPoint(chart, field, f, xt, yt)
     try:

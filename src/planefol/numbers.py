@@ -173,23 +173,9 @@ class QuadExt:
 
     # -- predicates -----------------------------------------------------------
 
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         # a^2 - b^2 d; zero only for the zero element since d is not a square
         return self.a * self.a - self.b * self.b * self.d
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -207,38 +193,6 @@ class QuadExt:
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
-
-    def sign(self) -> int:
-        """Sign of the real number a + b*sqrt(d); requires d > 0."""
-        if self.d < 0:
-            raise ValueError("sign undefined for imaginary quadratic elements")
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, tuple):
-            return (o[1] - o[0]).sign() < 0
-        return (self - o).sign() < 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if isinstance(o, tuple):
-            return (o[1] - o[0]).sign() > 0
-        return (self - o).sign() > 0
 
     def __repr__(self):
         if self.b == 0:
@@ -278,6 +232,26 @@ def quadext_sqrt(q):
             if cand * cand == q:
                 return cand
     return None
+
+
+def quadratic_roots(c, adjoin=False):
+    """Both roots of c[2]*x^2 + c[1]*x + c[0], the `+` branch first, or None.
+
+    The square root of the discriminant is taken in the coefficients' own
+    field (`rational_sqrt`, or `quadext_sqrt` for a QuadExt discriminant), and
+    None means the roots leave that field. With `adjoin`, a rational
+    discriminant that is not a square is adjoined as Q(sqrt(disc)) instead.
+    """
+    disc = c[1] * c[1] - 4 * c[2] * c[0]
+    if isinstance(disc, QuadExt):
+        s = quadext_sqrt(disc)
+    elif adjoin:
+        s = QuadExt.from_sqrt(disc)
+    else:
+        s = rational_sqrt(disc)
+    if s is None:
+        return None
+    return (-c[1] + s) / (2 * c[2]), (-c[1] - s) / (2 * c[2])
 
 
 def simplest_between(lo, hi):

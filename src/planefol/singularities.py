@@ -14,14 +14,15 @@ certified root boxes in `roots`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .algebraic import (
     SplitNeeded,
+    _first_nonzero,
     _resolve_clusters,
-    _split_of,
+    _vanishes,
     invert_mod,
     mod_reduce,
-    zero_split,
 )
 from .foliation import _fresh_name
 from .mpoly import (
@@ -34,7 +35,7 @@ from .mpoly import (
     subresultant_prs,
     yun_decomposition,
 )
-from .numbers import QuadExt, fraction_height, quadext_sqrt, rational_sqrt, simplest_between
+from .numbers import QuadExt, fraction_height, quadratic_roots, simplest_between
 from .roots import isolate_real_roots, isolate_roots, poly_image_box
 
 REDUCED_NONDEGENERATE = "reduced-nondegenerate"
@@ -97,8 +98,8 @@ class SingularPoint:
         if not self.is_rational():
             raise ExactnessError(f"cluster of {self.count} conjugate points")
         c = self.modulus.scalar_coeffs()
-        root = -c[0] / c[1]
-        return (_eval_scalar(self.xt, root), _eval_scalar(self.yt, root))
+        tau, root = self.param, -c[0] / c[1]
+        return (self.xt.eval_all({tau: root}), self.yt.eval_all({tau: root}))
 
     def exact_coords(self):
         """Coordinates as exact scalars; degree <= 2 clusters only."""
@@ -109,12 +110,9 @@ class SingularPoint:
             c = self.modulus.scalar_coeffs()
             if not all(isinstance(v, (int, Fraction)) for v in c):
                 raise ExactnessError("nested extensions are out of reach")
-            disc = c[1] * c[1] - 4 * c[2] * c[0]
-            s = QuadExt.from_sqrt(disc)
-            roots = [(-c[1] + s) / (2 * c[2]), (-c[1] - s) / (2 * c[2])]
-            return [
-                (_eval_scalar(self.xt, r), _eval_scalar(self.yt, r)) for r in roots
-            ]
+            tau = self.param
+            return [(self.xt.eval_all({tau: r}), self.yt.eval_all({tau: r}))
+                    for r in quadratic_roots(c, adjoin=True)]
         raise ExactnessError(f"no exact coordinates for a degree-{n} cluster")
 
     def boxes(self, max_width=Fraction(1, 1024)):
@@ -150,12 +148,6 @@ def _share(p, like):
     if isinstance(p, (int, Fraction, QuadExt)):
         return MPoly.const(like.vars, p)
     return p
-
-
-def _eval_scalar(p, value):
-    if p.is_constant():
-        return p.constant_value()
-    return p.eval_all({p.vars[0]: value})
 
 
 # -- split-driven cluster work ------------------------------------------------------
@@ -199,10 +191,9 @@ def _ord_ladder(p, f, tau, var):
         if any(rest):
             raise ValueError("ladder expects a polynomial in (var, tau) only")
         buckets.setdefault(e[vi], {})[(e[ti],)] = c
-    for k in sorted(buckets):
-        if _split_of(zero_split(MPoly((tau,), buckets[k]), f, tau)) == "none":
-            return k
-    return None
+    ks = sorted(buckets)
+    i = _first_nonzero(([MPoly((tau,), buckets[k])] for k in ks), f)
+    return None if i is None else ks[i]
 
 
 def _shift_out(p, var, k):
@@ -221,13 +212,8 @@ def _monomial_in(p, f, tau, var):
     if a is None:
         return False
     high = _shift_out(p, var, a)
-    for k in sorted({e[p.vars.index(var)] for e in high.terms}):
-        if k == 0:
-            continue
-        w = high.coeff_in(var, k).with_vars((tau,))
-        if _split_of(zero_split(w, f, tau)) == "none":
-            return False
-    return True
+    ks = sorted({e[p.vars.index(var)] for e in high.terms} - {0})
+    return _first_nonzero(([high.coeff_in(var, k).with_vars((tau,))] for k in ks), f) is None
 
 
 def _milnor_once(field, f, xt, yt):
@@ -253,7 +239,7 @@ def _milnor_once(field, f, xt, yt):
         ok = True
         for p in (Pt, Qt):
             terms, _ = _xy_top_eval(p, xi, yi, ti, t)
-            if _split_of(zero_split(MPoly((tau,), terms), f, tau)) == "all":
+            if _vanishes(MPoly((tau,), terms), f):
                 ok = False
                 break
         if not ok:
@@ -289,7 +275,7 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
     if A1.deg_in(y) == 0 or B1.deg_in(y) == 0:
         return True
     res = resultant(A1, B1, y).with_vars((tau,))
-    return _split_of(zero_split(res, f, tau)) == "none"
+    return not _vanishes(res, f)
 
 
 def milnor_clusters(field, f, xt, yt):
@@ -366,10 +352,10 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
         yv = MPoly.variable(y, G.vars)
         diff = _tau_mod(G - (yv - y0) ** k, fi, tau)
         if not diff.is_zero():
-            for j in range(diff.deg_in(y) + 1):
-                w = diff.coeff_in(y, j).with_vars((tau,))
-                if _split_of(zero_split(w, fi, tau)) == "none":
-                    raise _ShearReject("two singular points share a fiber")
+            slices = ([diff.coeff_in(y, j).with_vars((tau,))]
+                      for j in range(diff.deg_in(y) + 1))
+            if _first_nonzero(slices, fi) is not None:
+                raise _ShearReject("two singular points share a fiber")
             raise ArithmeticError("trimmed difference has no nonzero slice")
     return y0
 
@@ -480,11 +466,8 @@ def infinity_singular_points(F, with_milnor=True):
     return out
 
 
-def singular_points(F, include_infinity=True, with_milnor=True):
-    pts = affine_singular_points(F)
-    if include_infinity:
-        pts += infinity_singular_points(F, with_milnor=with_milnor)
-    return pts
+def singular_points(F, with_milnor=True):
+    return affine_singular_points(F) + infinity_singular_points(F, with_milnor=with_milnor)
 
 
 def bezout_total(F):
@@ -548,8 +531,8 @@ def _classify_once(field, f, xt, yt):
     px, py, qx, qy = (_eval_on_cluster(E, f, xt, yt, x, y) for E in field.jacobian())
     T = mod_reduce(px + qy, f, tau)
     D = mod_reduce(px * qy - py * qx, f, tau)
-    if _split_of(zero_split(D, f, tau)) == "all":
-        if _split_of(zero_split(T, f, tau)) == "all":
+    if _vanishes(D, f):
+        if _vanishes(T, f):
             return NON_REDUCED
         return REDUCED_SADDLE_NODE
 
@@ -558,16 +541,8 @@ def _classify_once(field, f, xt, yt):
         # pre-split on the discriminant: D is nonzero here, so a double
         # eigenvalue forces ratio exactly 1, non-reduced with no resultant
         # work; carving that part off also shrinks the PRS modulus below
-        if _split_of(zero_split(T * T - 4 * D, f, tau)) == "all":
+        if _vanishes(T * T - 4 * D, f):
             return NON_REDUCED
-    if n == 1:
-        c = f.scalar_coeffs()
-        root = -c[0] / c[1]
-        Tv = _eval_scalar(T, root)
-        Dv = _eval_scalar(D, root)
-        if _positive_rational_ratio(Tv, Dv):
-            return NON_REDUCED
-        return REDUCED_NONDEGENERATE
 
     # eigenvalue ratios r at the cluster roots satisfy
     #   W(tau, r) = D(tau) * (r^2 + 1) - (T(tau)^2 - 2 D(tau)) * r = 0
@@ -578,13 +553,14 @@ def _classify_once(field, f, xt, yt):
     S = _tau_mod(T.with_vars(vars2) ** 2 - 2 * Dl, f, tau)
     W = _tau_mod(Dl * (r * r + 1) - S * r, f, tau)
 
-    if n == 2:
-        split = _quadratic_root_in_base(f)
-        if split is not None:
-            raise SplitNeeded(split)
-        W0 = W.coeff_in(tau, 0).with_vars((rname,))
-        W1 = W.coeff_in(tau, 1).with_vars((rname,))
-        g = poly_gcd(W0, W1)
+    if n <= 2:
+        if n == 2:
+            split = _quadratic_root_in_base(f)
+            if split is not None:
+                raise SplitNeeded(split)
+        # f is now irreducible over its coefficient field, so a ratio r in
+        # that field is a root of every tau-coefficient of W
+        g = reduce(poly_gcd, [W.coeff_in(tau, k).with_vars((rname,)) for k in range(n)])
         if _positive_rational_root_exists(g):
             return NON_REDUCED
         return REDUCED_NONDEGENERATE
@@ -617,7 +593,7 @@ def _classify_once(field, f, xt, yt):
             while box.width() > target and not box.is_exact():
                 box.refine()
             c = box.exact if box.is_exact() else simplest_between(box.re.lo, box.re.hi)
-            if not box.is_exact() and not _scalar_root(rho, c):
+            if not box.is_exact() and rho.eval_all({rname: c}) != 0:
                 # the candidate is not the root; any other rational in the box
                 # is taller than the bound, so the root cannot be named
                 if c > 0:
@@ -629,22 +605,13 @@ def _classify_once(field, f, xt, yt):
             unresolved = True
             continue
         Wc = _tau_mod(W.subs({rname: c}), f, tau).with_vars((tau,))
-        st = _split_of(zero_split(Wc, f, tau))
-        if st == "all":
+        if _vanishes(Wc, f):
             return NON_REDUCED
         # a true root of rho always divides something off f; treat a miss honestly
         unresolved = True
     if unresolved:
         return UNDETERMINED
     return REDUCED_NONDEGENERATE
-
-
-def _scalar_root(p, c):
-    coeffs = p.scalar_coeffs()
-    acc = Fraction(0)
-    for v in reversed(coeffs):
-        acc = acc * c + v
-    return acc == 0
 
 
 def _rational_only(p):
@@ -655,33 +622,10 @@ def _quadratic_root_in_base(f):
     """For degree-2 f: a linear factor tau - root over f's own coefficient
     field if one exists (None otherwise)."""
     tau = f.vars[0]
-    c = f.scalar_coeffs()
-    disc = c[1] * c[1] - 4 * c[2] * c[0]
-    if isinstance(disc, QuadExt):
-        s = quadext_sqrt(disc)
-    else:
-        s = rational_sqrt(disc)
-    if s is None:
+    roots = quadratic_roots(f.scalar_coeffs())
+    if roots is None:
         return None
-    root = (-c[1] + s) / (2 * c[2])
-    return MPoly.variable(tau, (tau,)) - MPoly.const((tau,), root)
-
-
-def _positive_rational_ratio(Tv, Dv):
-    """Does a 2x2 linear part with trace Tv and det Dv != 0 have an eigenvalue
-    ratio in the positive rationals? Exact; Tv, Dv rational or QuadExt."""
-    if isinstance(Tv, QuadExt) or isinstance(Dv, QuadExt):
-        # the ratios are the roots of D r^2 - (T^2 - 2D) r + D
-        g = MPoly.from_univar("r", [Dv, -(Tv * Tv - 2 * Dv), Dv], ("r",))
-        if g.is_zero():
-            raise ArithmeticError("ratio quadratic vanished with det nonzero")
-        return _positive_rational_root_exists(g)
-    disc = Tv * Tv * (Tv * Tv - 4 * Dv)
-    s = rational_sqrt(disc)
-    if s is None:
-        return False
-    # roots of D r^2 - (T^2 - 2D) r + D: product 1, so both share the sum's sign
-    return (Tv * Tv - 2 * Dv) * Dv > 0
+    return MPoly.variable(tau, (tau,)) - MPoly.const((tau,), roots[0])
 
 
 def _positive_rational_root_exists(g):
@@ -706,9 +650,6 @@ def _positive_rational_root_exists(g):
         root = -c[0] / c[1]
         return root > 0
     if deg == 2:
-        disc = c[1] * c[1] - 4 * c[2] * c[0]
-        s = rational_sqrt(disc)
-        if s is None:
-            return False
-        return (-c[1] + s) / (2 * c[2]) > 0 or (-c[1] - s) / (2 * c[2]) > 0
+        roots = quadratic_roots(c)
+        return roots is not None and any(root > 0 for root in roots)
     raise ValueError(f"unexpected degree {deg} in ratio gcd")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 from planefol.algebraic import (
     SplitNeeded,
+    _first_nonzero,
     _resolve_clusters,
-    _split_of,
+    _vanishes,
     invert_mod,
     mod_reduce,
     xgcd_univar,
@@ -57,10 +58,21 @@ def test_zero_split_cases():
     f = parse_poly("x^2 - 1", vars=("x",))
     assert zero_split(parse_poly("x^2 - 1", vars=("x",)) * 3, f, "x") == ("all", None)
     assert zero_split(parse_poly("x^2 + 5", vars=("x",)), f, "x") == ("none", None)
-    status, parts = zero_split(parse_poly("x - 1", vars=("x",)), f, "x")
-    assert status == "split"
-    h, c = parts
-    assert {str(h), str(c)} == {"x - 1", "x + 1"}
+    assert zero_split(parse_poly("2*x - 2", vars=("x",)), f, "x") == (
+        "split", parse_poly("x - 1", vars=("x",)))
+
+
+def test_first_nonzero_group_rule():
+    f = _t("(t - 1)*(t + 1)*(t - 2)")
+    nowhere, mixed, everywhere = _t("t^2 + 5"), _t("t + 1"), _t("0")
+    # a value nonzero at every root answers for its group, even after a mixed one
+    assert _first_nonzero([[everywhere], [mixed, nowhere]], f) == 1
+    assert _first_nonzero([[everywhere, f * 3]], f) is None
+    # no such value: the group's first mixed value splits the cluster
+    with pytest.raises(SplitNeeded) as exc:
+        _first_nonzero([[everywhere, _t("t - 2"), mixed], [nowhere]], f)
+    assert exc.value.factor == _t("t - 2")
+    assert _vanishes(f * _t("t"), f) and not _vanishes(nowhere, f)
 
 
 # -- the splitting driver ------------------------------------------------------------
@@ -76,7 +88,7 @@ def test_driver_splits_depth_first_into_uniform_pieces():
 
     def job(g, xt, yt):
         # one zero test per witness; a mixed answer splits the cluster
-        return tuple(_split_of(zero_split(w, g, "t")) for w in tests)
+        return tuple(_vanishes(w, g) for w in tests)
 
     pieces = _resolve_clusters(f, _t("t^3"), _t("t"), job)
     assert [str(g) for g, _, _, _ in pieces] == ["t - 1", "t^2 - 2", "t + 3"]
@@ -86,8 +98,8 @@ def test_driver_splits_depth_first_into_uniform_pieces():
         assert xt.deg_in("t") < g.deg_in("t") and yt.deg_in("t") < g.deg_in("t")
         assert mod_reduce(_t("t^3") - xt, g, "t").is_zero()
         # the answer holds at every root of the piece
-        assert all(st in ("all", "none") for st in answer)
-        assert answer == tuple(zero_split(w, g, "t")[0] for w in tests)
+        assert [zero_split(w, g, "t")[0] for w in tests] == [
+            "all" if vanishes else "none" for vanishes in answer]
     assert product == f
 
 

@@ -2,13 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planefol import singularities
 from planefol.cli import main
 from planefol.foliation import make_foliation
 from planefol.mpoly import MPoly, parse_poly, subresultant_prs
-from planefol.numbers import QuadExt
+from planefol.numbers import QuadExt, quadext_sqrt, rational_sqrt
 from planefol.singularities import (
     NON_REDUCED,
     REDUCED_NONDEGENERATE,
@@ -259,6 +259,52 @@ def test_classify_all_covers_every_point():
     for _, kind in rows:
         assert kind in {REDUCED_NONDEGENERATE, REDUCED_SADDLE_NODE,
                         NON_REDUCED, UNDETERMINED}
+
+
+# -- rational points: the cluster ratio test against the scalar closed form ---------
+
+
+def _positive_rational_ratio_reference(T, D):
+    """Does a linear part with trace T and determinant D != 0 have an
+    eigenvalue ratio in Q>0? The scalar closed form that classified rational
+    points before they went through the cluster ratio test."""
+    # the ratios are the roots of D r^2 - S r + D, of discriminant T^2 (T^2 - 4D)
+    S = T * T - 2 * D
+    disc = T * T * (T * T - 4 * D)
+    if not isinstance(disc, QuadExt):
+        # product 1, so both roots share the sign of their sum S/D
+        return rational_sqrt(disc) is not None and S * D > 0
+    s = quadext_sqrt(disc)
+    if s is None:
+        return False
+    for r in ((S + s) / (2 * D), (S - s) / (2 * D)):
+        q = r.a if isinstance(r, QuadExt) and r.b == 0 else r
+        if not isinstance(q, QuadExt) and q > 0:
+            return True
+    return False
+
+
+_small = st.integers(-3, 3)
+_rational = st.builds(Fraction, _small)
+_in_q_sqrt2 = st.builds(lambda a, b: QuadExt(a, b, 2), _small, _small)
+_matrix_q = st.tuples(_rational, _rational, _rational, _rational)
+# a scalar multiple keeps the eigenvalue ratios, positive rational ones included
+_matrix_q_sqrt2 = st.one_of(
+    st.tuples(_in_q_sqrt2, _in_q_sqrt2, _in_q_sqrt2, _in_q_sqrt2),
+    st.builds(lambda m, s: tuple(v * s for v in m), _matrix_q, _in_q_sqrt2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_matrix_q, _matrix_q_sqrt2))
+def test_classify_linear_point_matches_closed_form(entries):
+    a, b, c, d = entries
+    D = a * d - b * c
+    assume(D != 0)
+    x, y = MPoly.variable("x", V), MPoly.variable("y", V)
+    F = make_foliation(x * a + y * b, x * c + y * d)
+    expected = (NON_REDUCED if _positive_rational_ratio_reference(a + d, D)
+                else REDUCED_NONDEGENERATE)
+    assert classify_point(F, 0, 0) == expected
 
 
 # -- S1 by determinant: the same singular points as by the PRS ------------------------
