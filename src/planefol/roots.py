@@ -1,16 +1,22 @@
 """Certified isolation of real and complex roots of rational polynomials.
 
-Real roots come from Descartes' rule applied to Moebius-transformed coefficient
-lists, with bisection until each interval carries variation count 0 or 1.
-Complex roots come from the real/imaginary-part system: resultants propose
-candidate rectangles, interval evaluation rejects empty ones, and a Krawczyk
-operator certifies existence and uniqueness. Every certificate is rational
-arithmetic; no floating point enters any decision.
+Real roots come from the Descartes bisection of Collins and Akritas, in the
+Taylor-shift form of Rouillier and Zimmermann: the denominators of f are
+cleared once, and every node of the bisection tree carries an integer
+polynomial, a positive multiple of f(a + (b - a) s) on its interval [a, b],
+whose children come from halving coefficients and one shift by 1, with integer
+additions only. Refinement bisects on the sign of f at a rational N/D, read
+from an integer homogeneous Horner sum. Complex roots come from the
+real/imaginary-part system: resultants propose candidate rectangles, interval
+evaluation rejects empty ones, and a Krawczyk operator certifies existence and
+uniqueness. Every certificate is exact arithmetic; no floating point enters
+any decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 from .mpoly import MPoly, resultant, squarefree_part
 
@@ -26,8 +32,10 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
@@ -124,8 +132,6 @@ def _round_outward(iv, extra_bits=10):
     bounds outward to a grid a little finer than the current width keeps the
     arithmetic bounded without losing the enclosure.
     """
-    from math import ceil, floor
-
     w = iv.width()
     if w == 0:
         return iv
@@ -168,14 +174,19 @@ def _eval_dense(c, x):
     return acc
 
 
-def _shift_dense(c, a):
-    """Coefficients of f(x + a)."""
-    c = list(c)
+def _integer_coeffs(dense):
+    """A positive integer multiple of the rational coefficient list `dense`."""
+    scale = lcm(*(c.denominator for c in dense))
+    return [c.numerator * (scale // c.denominator) for c in dense]
+
+
+def _shift_one(c):
+    """Replace the integer coefficients of f(x) by those of f(x + 1), in place,
+    with n(n + 1)/2 additions."""
     n = len(c) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
-    return c
+            c[j] += c[j + 1]
 
 
 def _variations(c):
@@ -191,24 +202,20 @@ def _variations(c):
     return count
 
 
-def _descartes_count(c, a, b):
-    """Descartes bound for the number of roots in the open interval (a, b)."""
-    # g(t) = f(a + (b - a) t), then the 0-1 Moebius test on (0, 1)
-    g = _shift_dense(c, a)
-    scale = b - a
-    power = Fraction(1)
-    g = list(g)
-    for i in range(len(g)):
-        g[i] *= power
-        power *= scale
-    h = _shift_dense(list(reversed(g)), Fraction(1))
-    return _variations(h)
+def _sign_at(c, q):
+    """Sign of f(q) for integer coefficients c and a rational q = N/D: the sign
+    of the homogeneous Horner sum of c_i N^i D^(n-i), as D > 0."""
+    num, den = q.numerator, q.denominator
+    acc = c[-1]
+    power = 1
+    for coef in reversed(c[:-1]):
+        power *= den
+        acc = acc * num + coef * power
+    return (acc > 0) - (acc < 0)
 
 
 def _cauchy_bound(c):
-    lead = c[-1]
-    m = max((abs(ai / lead) for ai in c[:-1]), default=Fraction(0))
-    return m + 1
+    return Fraction(max(abs(a) for a in c[:-1]), abs(c[-1])) + 1
 
 
 # -- root boxes ----------------------------------------------------------------------
@@ -251,16 +258,17 @@ class RootBox:
             self._refine_complex()
 
     def _refine_real(self):
-        _, dense = self._state
+        # the sign of f at the lower end never changes: the end only moves to
+        # a midpoint where f has that sign
+        _, coeffs, lo_sign = self._state
         a, b = self.re.lo, self.re.hi
         m = (a + b) / 2
-        fm = _eval_dense(dense, m)
-        if fm == 0:
+        sign = _sign_at(coeffs, m)
+        if sign == 0:
             self.re = Interval.point(m)
             self.exact = m
             return
-        fa = _eval_dense(dense, a)
-        if (fa > 0) != (fm > 0):
+        if sign != lo_sign:
             self.re = Interval(a, m)
         else:
             self.re = Interval(m, b)
@@ -298,68 +306,98 @@ def isolate_real_roots(f, var=None):
     return _isolate_real_squarefree(sf, dense, var)
 
 
-def _synth_div(dense, r):
-    """Exact division by (x - r); the remainder must vanish."""
-    n = len(dense) - 1
-    q = [Fraction(0)] * n
-    acc = dense[n]
+def _deflate(c, q):
+    """Integer coefficients of c(x) / (D x - N) for a root q = N/D of c; by
+    Gauss's lemma the quotient has integer coefficients."""
+    num, den = q.numerator, q.denominator
+    n = len(c) - 1
+    out = [0] * n
+    acc = c[n]
     for k in range(n - 1, -1, -1):
-        q[k] = acc
-        acc = dense[k] + acc * r
+        out[k], rem = divmod(acc, den)
+        if rem:
+            raise ArithmeticError("deflation by a non-root")
+        acc = c[k] + num * out[k]
     if acc != 0:
         raise ArithmeticError("deflation by a non-root")
-    return q
+    return out
 
 
-def _bisection_pass(dense):
-    """Isolating intervals for all roots of `dense`, or an exact rational root
-    discovered at a bisection midpoint (signalled for deflation)."""
+def _bisection_pass(c):
+    """Isolating intervals for all roots of the integer polynomial `c`, or an
+    exact rational root discovered at a bisection midpoint (signalled for
+    deflation).
+
+    The tree bisects [-M, M], M the Cauchy bound. The node k at depth d is the
+    interval [-M + 2Mk/2^d, -M + 2M(k+1)/2^d] and carries a positive multiple
+    p of f on it, rescaled to [0, 1]: the Descartes bound for its roots is the
+    variation count of the reversed p shifted by 1. The left child is
+    2^n p(s/2), the right child the left one shifted by 1, and the right
+    child's constant term is a positive multiple of f at the midpoint.
+    """
+    n = len(c) - 1
+    M = _cauchy_bound(c)
+    num, den = M.numerator, M.denominator
+
+    def point(k, d):
+        return Fraction(num * (2 * k - (1 << d)), den << d)
+
+    # den^n f(-M(1 + y)) at y = -2s is den^n f(-M + 2Ms)
+    root = [coef * (-num) ** i * den ** (n - i) for i, coef in enumerate(c)]
+    _shift_one(root)
+    root = [coef * (-2) ** i for i, coef in enumerate(root)]
     out = []
-    M = _cauchy_bound(dense)
-    stack = [(-M, M)]
+    stack = [(0, 0, root)]
     budget = 20000
     while stack:
         budget -= 1
         if budget < 0:
             raise IsolationError("real root isolation exceeded its subdivision budget")
-        a, b = stack.pop()
-        v = _descartes_count(dense, a, b)
+        k, d, p = stack.pop()
+        test = p[::-1]
+        _shift_one(test)
+        v = _variations(test)
         if v == 0:
             continue
         if v == 1:
-            out.append((a, b))
+            out.append((point(k, d), point(k + 1, d)))
             continue
-        m = (a + b) / 2
-        if _eval_dense(dense, m) == 0:
-            return None, m
-        stack.append((a, m))
-        stack.append((m, b))
+        left = [coef << (n - i) for i, coef in enumerate(p)]
+        right = left[:]
+        _shift_one(right)
+        if right[0] == 0:
+            return None, point(2 * k + 1, d + 1)
+        stack.append((2 * k, d + 1, left))
+        stack.append((2 * k + 1, d + 1, right))
     return out, None
 
 
-def _isolate_real_squarefree(sf, dense, var):
-    # Rational roots found at bisection midpoints are deflated out and the
-    # pass restarts; this keeps every surviving interval's endpoints off the
-    # root set, which the sign-based refiner relies on.
-    work = list(dense)
+def _real_isolation(dense):
+    """Isolating intervals of the squarefree rational polynomial `dense`, the
+    rational roots found at bisection midpoints in the order they were
+    deflated out, and the integer coefficients left after deflation."""
+    # Each deflation restarts the pass; this keeps every surviving interval's
+    # endpoints off the root set, which the sign-based refiner relies on.
+    work = _integer_coeffs(dense)
     exact_roots = []
-    intervals = []
     while len(work) > 1:
         intervals, hit = _bisection_pass(work)
         if hit is None:
-            break
+            return intervals, exact_roots, work
         exact_roots.append(hit)
-        work = _synth_div(work, hit)
-    else:
-        intervals = []
+        work = _deflate(work, hit)
+    return [], exact_roots, work
+
+
+def _isolate_real_squarefree(sf, dense, var):
+    intervals, exact_roots, work = _real_isolation(dense)
     boxes = []
     for a, b in intervals:
-        iv = Interval(a, b)
-        fa = _eval_dense(work, a)
-        fb = _eval_dense(work, b)
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+        sa = _sign_at(work, a)
+        sb = _sign_at(work, b)
+        if sa == 0 or sb == 0 or sa == sb:
             raise IsolationError("isolating interval lost its sign change")
-        box = RootBox(sf, var, iv, Interval.point(0), state=("real", work))
+        box = RootBox(sf, var, Interval(a, b), Interval.point(0), state=("real", work, sa))
         # shrink until no deflated rational root sits inside the interval
         for q in exact_roots:
             guard = 200
@@ -370,9 +408,7 @@ def _isolate_real_squarefree(sf, dense, var):
                     raise IsolationError("could not separate interval from a rational root")
         boxes.append(box)
     for q in exact_roots:
-        boxes.append(
-            RootBox(sf, var, Interval.point(q), Interval.point(0), exact=q, state=("real", work))
-        )
+        boxes.append(RootBox(sf, var, Interval.point(q), Interval.point(0), exact=q))
     boxes.sort(key=lambda r: (r.re.lo, r.re.hi))
     for left, right in zip(boxes, boxes[1:]):
         if left.re.hi > right.re.lo and not (left.re.is_point() or right.re.is_point()):
