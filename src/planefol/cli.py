@@ -11,6 +11,7 @@ canonical: sorted keys, rationals as strings, no floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -431,7 +432,9 @@ def _cmd_examples(args):
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was
     top = argparse.ArgumentParser(
         prog="planefol",
         description="Exact invariants of polynomial plane foliations.",

@@ -272,20 +272,19 @@ def _affine_singularities(C):
     pts = affine_singular_points(Foliation(f, aux))
     disc = f.diff(y).diff(x) ** 2 - f.diff(x).diff(x) * f.diff(y).diff(y)
 
-    def node_tag(g, xt, yt):
-        def vanishes(p):
-            # uniform on the cluster, or SplitNeeded
-            w = _eval_on_cluster(p, g, xt, yt, x, y)
-            return _vanishes(w, g)
+    def vanishing(p):
+        # uniform on the cluster, or SplitNeeded
+        return lambda g, xt, yt: _vanishes(_eval_on_cluster(p, g, xt, yt, x, y), g)
 
-        if not (vanishes(fx) and vanishes(fy)):
-            return None  # a common zero of (f, aux) that is a smooth point
-        return not vanishes(disc)
-
-    return [CurveSingularity("affine", g, xt, yt, node)
-            for sp in pts
-            for g, xt, yt, node in _resolve_clusters(sp.modulus, sp.xt, sp.yt, node_tag)
-            if node is not None]
+    # one splitting pass per test, so a piece split off by one test is never
+    # tested again by an earlier one; the pieces where fx or fy does not
+    # vanish are common zeros of (f, aux) at smooth points
+    pieces = [(sp.modulus, sp.xt, sp.yt) for sp in pts]
+    for p in (fx, fy):
+        pieces = [(g, xt, yt) for piece in pieces
+                  for g, xt, yt, zero in _resolve_clusters(*piece, vanishing(p)) if zero]
+    return [CurveSingularity("affine", g, xt, yt, not degenerate) for piece in pieces
+            for g, xt, yt, degenerate in _resolve_clusters(*piece, vanishing(disc))]
 
 
 def _univar_gcd(polys, var):

@@ -24,6 +24,7 @@ from .singularities import (
     UNDETERMINED,
     ExactnessError,
     SingularPoint,
+    _subs_mod,
     _tau_mod,
     classify_singularity,
     singular_points,
@@ -244,8 +245,8 @@ def _census(field, chart, f, xt, yt, deadline):
     vars3 = (tau, x, y)
     X = MPoly.variable(x, vars3) + xt.with_vars(vars3)
     Y = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    PT = _tau_mod(field.P.with_vars(vars3).subs({x: X, y: Y}), f, tau)
-    QT = _tau_mod(field.Q.with_vars(vars3).subs({x: X, y: Y}), f, tau)
+    PT = _subs_mod(field.P.with_vars(vars3), {x: X, y: Y}, f, tau)
+    QT = _subs_mod(field.Q.with_vars(vars3), {x: X, y: Y}, f, tau)
     pparts = _xy_parts(PT, tau)
     qparts = _xy_parts(QT, tau)
 

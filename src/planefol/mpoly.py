@@ -37,6 +37,20 @@ def _gradlex_key(exp):
     return (sum(exp), exp)
 
 
+def _mul_terms(a, b):
+    """Product of two term dicts over the same variables, zeros dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(key)
+            s = c1 * c2 if s is None else s + c1 * c2
+            out[key] = s
+    return {e: c for e, c in out.items() if c}
+
+
 class MPoly:
     __slots__ = ("vars", "terms")
 
@@ -278,16 +292,7 @@ class MPoly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if len(a.terms) > len(b.terms):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key)
-                s = c1 * c2 if s is None else s + c1 * c2
-                out[key] = s
-        return MPoly(a.vars, {e: c for e, c in out.items() if c})
+        return MPoly(a.vars, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
@@ -326,7 +331,12 @@ class MPoly:
         return MPoly(self.vars, out)
 
     def subs(self, mapping):
-        """Simultaneous substitution; images are MPoly or exact scalars."""
+        """Simultaneous substitution; images are MPoly or exact scalars.
+
+        Terms are grouped by their exponents in the substituted variables:
+        each image's powers are built once, each group is multiplied by its
+        product of powers once, and every product lands in one dict.
+        """
         images = {}
         union = list(self.vars)
         for v, img in mapping.items():
@@ -341,30 +351,28 @@ class MPoly:
         if not images:
             return self
         union = tuple(union)
-        aligned = {v: img.with_vars(union) for v, img in images.items()}
-        powers = {v: [MPoly.const(union, 1), img] for v, img in aligned.items()}
-
-        def img_pow(v, k):
-            cache = powers[v]
-            while len(cache) <= k:
-                cache.append(cache[-1] * cache[1])
-            return cache[k]
-
-        result = MPoly.zero(union)
+        subbed = [i for i, v in enumerate(self.vars) if v in images]
+        kept = [(i, union.index(v)) for i, v in enumerate(self.vars) if v not in images]
+        groups = {}
         for e, c in self.terms.items():
-            piece = MPoly.const(union, c)
-            passthrough = [0] * len(union)
-            for v, power in zip(self.vars, e):
-                if power == 0:
+            rest = [0] * len(union)
+            for i, j in kept:
+                rest[j] = e[i]
+            groups.setdefault(tuple(e[i] for i in subbed), {})[tuple(rest)] = c
+        one = {(0,) * len(union): Fraction(1)}
+        powers = [[one, images[self.vars[i]].with_vars(union).terms] for i in subbed]
+        out = {}
+        for key, group in groups.items():
+            for cache, k in zip(powers, key):
+                if not k:
                     continue
-                if v in aligned:
-                    piece = piece * img_pow(v, power)
-                else:
-                    passthrough[union.index(v)] = power
-            if any(passthrough):
-                piece = piece * MPoly.monomial(union, passthrough)
-            result = result + piece
-        return result
+                while len(cache) <= k:
+                    cache.append(_mul_terms(cache[-1], cache[1]))
+                group = _mul_terms(group, cache[k])
+            for e, c in group.items():
+                s = out.get(e)
+                out[e] = c if s is None else s + c
+        return MPoly(union, out)
 
     def eval_all(self, mapping):
         """Evaluate with a scalar for every occurring variable; returns a scalar."""

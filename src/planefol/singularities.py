@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 from .algebraic import (
     SplitNeeded,
@@ -158,6 +159,42 @@ def _tau_mod(p, f, tau):
     return mod_reduce(p, f2, tau)
 
 
+def _subs_mod(p, mapping, f, tau):
+    """`_tau_mod(p.subs(mapping), f, tau)`, by Horner in each substituted
+    variable with a reduction mod f after every product, so no power of an
+    image is expanded past tau-degree deg f.
+
+    Substituting one variable at a time gives the simultaneous substitution
+    because no image holds another substituted variable: an image may hold
+    its own (x -> x + xt(tau)), and one that holds another raises ValueError.
+    """
+    images = {}
+    union = list(p.vars)
+    for v, img in mapping.items():
+        if v not in p.vars:
+            continue
+        if isinstance(img, MPoly):
+            if any(w != v and w in mapping and w in p.vars and img.deg_in(w) > 0
+                   for w in img.vars):
+                raise ValueError(f"the image of {v!r} holds another substituted variable")
+            union.extend(w for w in img.vars if w not in union)
+        images[v] = img
+    union.extend(w for w in f.vars if w not in union)
+    f = f.with_vars(union)
+    q = p.with_vars(union)
+    for v, img in images.items():
+        if not isinstance(img, MPoly):
+            img = MPoly.const(union, img)
+        img = img.with_vars(union)
+        coeffs = q.as_univar(v)
+        if not coeffs:
+            break
+        q = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            q = mod_reduce(q * img, f, tau) + c
+    return mod_reduce(q, f, tau)
+
+
 # -- local Milnor number ------------------------------------------------------------
 
 
@@ -223,8 +260,8 @@ def _milnor_once(field, f, xt, yt):
     vars3 = (x, y, tau)
     xs = MPoly.variable(x, vars3) + xt.with_vars(vars3)
     ys = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    Ploc = _tau_mod(field.P.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
-    Qloc = _tau_mod(field.Q.with_vars(vars3).subs({x: xs, y: ys}), f, tau)
+    Ploc = _subs_mod(field.P.with_vars(vars3), {x: xs, y: ys}, f, tau)
+    Qloc = _subs_mod(field.Q.with_vars(vars3), {x: xs, y: ys}, f, tau)
     if Ploc.is_zero() or Qloc.is_zero():
         raise ArithmeticError("translated component vanished; field was degenerate")
     xi, yi, ti = 0, 1, 2
@@ -234,8 +271,8 @@ def _milnor_once(field, f, xt, yt):
             Pt, Qt = Ploc, Qloc
         else:
             sx = MPoly.variable(x, vars3) + MPoly.variable(y, vars3) * Fraction(t)
-            Pt = _tau_mod(Ploc.subs({x: sx}), f, tau)
-            Qt = _tau_mod(Qloc.subs({x: sx}), f, tau)
+            Pt = _subs_mod(Ploc, {x: sx}, f, tau)
+            Qt = _subs_mod(Qloc, {x: sx}, f, tau)
         ok = True
         for p in (Pt, Qt):
             terms, _ = _xy_top_eval(p, xi, yi, ti, t)
@@ -360,12 +397,15 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
     return y0
 
 
-def affine_singular_points(F):
-    """All affine singular clusters of F, with Milnor numbers."""
+def _shear_candidates(F):
+    """(t, P_t, Q_t, yun parts of R_t, squarefree degree of R_t) for each
+    shear of `_SHEARS` whose top parts do not vanish at (t, 1), in order.
+
+    R_t = Res_y(P_t, Q_t) for P_t = P(x + t*y, y); its squarefree degree
+    counts the distinct values of x + t*y on the affine singular points.
+    """
     x, y = F.vars
     P, Q = F.P, F.Q
-    if P.total_degree() <= 0 or Q.total_degree() <= 0:
-        return []
     Ptop, Qtop = P.top_part(), Q.top_part()
     for t in _SHEARS:
         tq = Fraction(t)
@@ -381,16 +421,51 @@ def affine_singular_points(F):
         R = resultant(Pt, Qt, y).with_vars((x,))
         if R.is_zero():
             raise ArithmeticError("resultant vanished for a coprime field")
-        if R.total_degree() == 0:
+        parts = yun_decomposition(R)[1] if R.total_degree() > 0 else []
+        yield t, Pt, Qt, parts, sum(g.total_degree() for g, _ in parts)
+
+
+# resultants computed ahead after a rejected shear: shear 1 to shear 3 is
+# four steps of `_SHEARS` (-1, 2, -2, 3)
+_LOOKAHEAD = 4
+
+
+def affine_singular_points(F):
+    """All affine singular clusters of F, with Milnor numbers.
+
+    Shears are tried in `_SHEARS` order. A shear separates the points exactly
+    when its squarefree degree reaches their number, the separating-element
+    test of the rational univariate representation (Rouillier 1999). So a
+    shear is skipped, without any cluster work, when its squarefree degree is
+    below that of a shear already computed, or at most that of a shear
+    already rejected: `_affine_clusters` would reject it too. After a
+    rejection, the resultants of up to `_LOOKAHEAD` more shears are computed
+    so that this can see ahead; before the first try none is.
+    """
+    P, Q = F.P, F.Q
+    if P.total_degree() <= 0 or Q.total_degree() <= 0:
+        return []
+    candidates = _shear_candidates(F)
+    pending = []
+    floor = best = -1
+    while True:
+        pending.extend(islice(candidates, 0 if pending else 1))
+        if not pending:
+            raise DecompositionError("no shear passed the fiber certificates")
+        t, Pt, Qt, parts, degree = pending.pop(0)
+        if not parts:
             return []
-        try:
-            return _affine_clusters(F, t, R, Pt, Qt)
-        except _ShearReject:
+        best = max(best, degree, *(c[-1] for c in pending))
+        if degree <= floor or degree < best:
             continue
-    raise DecompositionError("no shear passed the fiber certificates")
+        try:
+            return _affine_clusters(F, t, parts, Pt, Qt)
+        except _ShearReject:
+            floor = degree
+            pending.extend(islice(candidates, _LOOKAHEAD - len(pending)))
 
 
-def _affine_clusters(F, shear, R, Pt, Qt):
+def _affine_clusters(F, shear, parts, Pt, Qt):
     x, y = F.vars
     tau = _fresh_name("t", F.vars)
     S1 = linear_subresultant(Pt, Qt, y)
@@ -401,7 +476,6 @@ def _affine_clusters(F, shear, R, Pt, Qt):
     Pf = Pt.rename({x: tau})
     Qf = Qt.rename({x: tau})
     out = []
-    _, parts = yun_decomposition(R)
     for g, mult in parts:
         if g.total_degree() == 0:
             continue
@@ -521,8 +595,7 @@ def classify_all(F):
 
 def _eval_on_cluster(E, f, xt, yt, x, y):
     tau = f.vars[0]
-    img = E.subs({x: xt, y: yt})
-    return _tau_mod(img, f, tau).with_vars((tau,))
+    return _subs_mod(E, {x: xt, y: yt}, f, tau).with_vars((tau,))
 
 
 def _classify_once(field, f, xt, yt):
@@ -604,7 +677,7 @@ def _classify_once(field, f, xt, yt):
         if fraction_height(c) > RATIO_HEIGHT_BOUND:
             unresolved = True
             continue
-        Wc = _tau_mod(W.subs({rname: c}), f, tau).with_vars((tau,))
+        Wc = _subs_mod(W, {rname: c}, f, tau).with_vars((tau,))
         if _vanishes(Wc, f):
             return NON_REDUCED
         # a true root of rho always divides something off f; treat a miss honestly

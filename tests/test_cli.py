@@ -360,6 +360,28 @@ class TestDeterminism:
             assert code == 0 and isinstance(data, dict)
 
 
+class TestParser:
+    def test_parser_is_built_once_and_reused(self, capsys, saddle):
+        assert cli._build_parser() is cli._build_parser()
+        code, data, _ = jrun(capsys, "degree", "--foliation", saddle)
+        assert code == 0 and data["degree"] == 1
+        # a different subcommand on the same parser still parses its own options
+        code, data, _ = jrun(capsys, "classify", "--foliation", saddle)
+        assert code == 0 and isinstance(data, dict)
+        code, data, _ = jrun(capsys, "bound", "first-integral",
+                             "--d", "5", "--g", "3", "--height", "2")
+        assert code == 0 and data["bound"] == 104
+        # a bad argv still exits 2 with a usage message
+        with pytest.raises(SystemExit) as exc:
+            main(["classify"])
+        assert exc.value.code == 2 and "--foliation" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        code, data, _ = jrun(capsys, "degree", "--foliation", saddle)
+        assert code == 0 and data["degree"] == 1
+
+
 @st.composite
 def quadratic_fields(draw):
     def poly(degree):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planefol import curves
 from planefol.curves import (
     CofactorCertificate,
     PlaneCurve,
@@ -208,6 +209,26 @@ def test_cuspidal_cubic_is_not_nodal():
     with pytest.raises(ValueError):
         genus(pp("y^2 - x^3"))
     assert genus(pp("y^2 - x^3"), deltas=[1]) == 0
+
+
+def test_split_cluster_is_tested_once_per_condition(monkeypatch):
+    # f = 12 y^2 - 12 g(x) with g' = x (x - 1)^2: aux = fx meets f in one
+    # cluster of three points of multiplicity 2, the node at the origin and
+    # the smooth points (1, +-1/sqrt(12)), where fy does not vanish
+    f = "12*y^2 - 3*x^4 + 8*x^3 - 6*x^2"
+    calls = []
+    real = curves._eval_on_cluster
+
+    def counting(p, g, *rest):
+        calls.append(g.deg_in(g.vars[0]))
+        return real(p, g, *rest)
+
+    monkeypatch.setattr(curves, "_eval_on_cluster", counting)
+    affine = [s for s in curve_singularities(pp(f)) if s.chart == "affine"]
+    assert len(affine) == 1 and affine[0].node and affine[0].count == 1
+    # fx on the cluster; fy on the cluster, which splits, and on both pieces;
+    # the discriminant on the node. Retesting fx after the split made 7.
+    assert calls == [3, 3, 1, 2, 1]
 
 
 def test_singularities_at_infinity():

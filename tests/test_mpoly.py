@@ -689,3 +689,91 @@ def test_linear_subresultant_matches_prs_reference(pair):
         assert mine is ref
     # proportional over Q(x): cross-multiply the leading coefficients in y
     assert (mine * ref.coeff_in("y", 1) - ref * mine.coeff_in("y", 1)).is_zero()
+
+
+# -- substitution ------------------------------------------------------------------
+
+
+def _subs_reference(p, mapping):
+    # the substitution `MPoly.subs` ran before it grouped terms: one MPoly
+    # product per term, from a cache of MPoly image powers, summed one piece
+    # at a time
+    images = {}
+    union = list(p.vars)
+    for v, img in mapping.items():
+        if v not in p.vars:
+            continue
+        if isinstance(img, (int, Fraction, QuadExt)):
+            img = MPoly.const(p.vars, img)
+        images[v] = img
+        for w in img.vars:
+            if w not in union:
+                union.append(w)
+    if not images:
+        return p
+    union = tuple(union)
+    aligned = {v: img.with_vars(union) for v, img in images.items()}
+    powers = {v: [MPoly.const(union, 1), img] for v, img in aligned.items()}
+
+    def img_pow(v, k):
+        cache = powers[v]
+        while len(cache) <= k:
+            cache.append(cache[-1] * cache[1])
+        return cache[k]
+
+    result = MPoly.zero(union)
+    for e, c in p.terms.items():
+        piece = MPoly.const(union, c)
+        passthrough = [0] * len(union)
+        for v, power in zip(p.vars, e):
+            if power == 0:
+                continue
+            if v in aligned:
+                piece = piece * img_pow(v, power)
+            else:
+                passthrough[union.index(v)] = power
+        if any(passthrough):
+            piece = piece * MPoly.monomial(union, passthrough)
+        result = result + piece
+    return result
+
+
+def _quad_polys(vars, d):
+    """Small polynomials over `vars` with coefficients in Q(sqrt d), or in Q
+    when d is None."""
+    scalar = coef if d is None else st.builds(lambda a, b: QuadExt(a, b, d), coef, coef)
+    exps = st.tuples(*[st.integers(0, 3) for _ in vars])
+    return st.dictionaries(exps, scalar, max_size=5).map(lambda t: MPoly(vars, t))
+
+
+@st.composite
+def _substitutions(draw):
+    """(p over (x, y, z), mapping) with images of the kinds the package uses:
+    polynomials over (x, y, t), monomials, scalars, and the swap of x and y."""
+    d = draw(st.sampled_from([None, 2, -3]))
+    p = draw(_quad_polys(("x", "y", "z"), d))
+    kind = draw(st.sampled_from(["poly", "monomial", "scalar", "swap"]))
+    if kind == "swap":
+        V3 = ("x", "y", "z")
+        return p, {"x": MPoly.variable("y", V3), "y": MPoly.variable("x", V3)}
+    mapping = {}
+    for v in draw(st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1,
+                           max_size=3, unique=True)):
+        if kind == "poly":
+            img = draw(_quad_polys(("x", "y", "t"), d))
+        elif kind == "monomial":
+            exp = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            img = MPoly.monomial(("x", "y"), exp, draw(coef))
+        else:
+            img = draw(coef) if d is None else QuadExt(draw(coef), draw(coef), d)
+        mapping[v] = img
+    return p, mapping
+
+
+@given(_substitutions())
+@settings(max_examples=120, deadline=None)
+def test_subs_matches_termwise_reference(case):
+    p, mapping = case
+    mine, ref = p.subs(mapping), _subs_reference(p, mapping)
+    assert mine.vars == ref.vars and mine.terms == ref.terms
+

@@ -6,8 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from planefol import singularities
 from planefol.cli import main
+from planefol.families import lins_neto, power_pullback
 from planefol.foliation import make_foliation
-from planefol.mpoly import MPoly, parse_poly, subresultant_prs
+from planefol.mpoly import (
+    MPoly,
+    parse_poly,
+    resultant,
+    squarefree_part,
+    subresultant_prs,
+    yun_decomposition,
+)
 from planefol.numbers import QuadExt, quadext_sqrt, rational_sqrt
 from planefol.singularities import (
     NON_REDUCED,
@@ -358,3 +366,143 @@ def grid_field(draw):
 @given(grid_field())
 def test_bezout_identity_random_grids(F):
     assert total_milnor(singular_points(F)) == bezout_total(F)
+
+
+# -- cluster substitution by Horner mod f ---------------------------------------------
+
+
+@st.composite
+def _cluster_substitution(draw):
+    """(p, mapping, f): a squarefree modulus f in t, and either a translation
+    (x, y) -> (x + xt(t), y + yt(t)) of p over (x, y, t) or an evaluation
+    (x, y) -> (xt(t), yt(t)) of p over (x, y)."""
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n = draw(st.integers(1, 4))
+    f = MPoly(("t",), {**{(k,): draw(coef) for k in range(n)}, (n,): draw(coef.filter(bool))})
+    f = squarefree_part(f)
+    assume(f.total_degree() > 0)
+
+    def univar(deg):
+        return MPoly(("t",), {(k,): draw(coef) for k in range(deg + 1)})
+
+    xt, yt = univar(draw(st.integers(0, 4))), univar(draw(st.integers(0, 4)))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    if draw(st.booleans()):
+        vars3 = ("x", "y", "t")
+        exps3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
+        p = MPoly(vars3, {e: draw(coef) for e in draw(st.lists(exps3, max_size=8))})
+        mapping = {"x": MPoly.variable("x", vars3) + xt.with_vars(vars3),
+                   "y": MPoly.variable("y", vars3) + yt.with_vars(vars3)}
+    else:
+        p = MPoly(V, {e: draw(coef) for e in draw(st.lists(exps, max_size=8))})
+        mapping = {"x": xt, "y": yt}
+    return p, mapping, f
+
+
+@given(_cluster_substitution())
+@settings(max_examples=80, deadline=None)
+def test_subs_mod_equals_reduced_substitution(case):
+    p, mapping, f = case
+    mine = singularities._subs_mod(p, mapping, f, "t")
+    ref = singularities._tau_mod(p.subs(mapping), f, "t")
+    assert mine.vars == ref.vars and mine.terms == ref.terms
+
+
+def test_subs_mod_rejects_an_image_holding_another_substituted_variable():
+    p = parse_poly("x^2 + y", V)
+    f = parse_poly("t^2 - 2", ("t",))
+    with pytest.raises(ValueError):
+        singularities._subs_mod(p, {"x": parse_poly("y + 1", V), "y": parse_poly("x", V)},
+                                f, "t")
+    # an image may hold its own variable: a translation
+    moved = singularities._subs_mod(p, {"x": parse_poly("x + 1", V)}, f, "t")
+    assert moved == parse_poly("x^2 + 2*x + 1 + y", V)
+
+
+# -- shear choice: skipped shears are ones the exhaustive loop rejects ---------------
+
+
+def _affine_singular_points_reference(F):
+    # the loop `affine_singular_points` ran before it compared squarefree
+    # degrees: every admissible shear in turn goes through the cluster work
+    # until one passes the fiber certificates
+    x, y = F.vars
+    P, Q = F.P, F.Q
+    if P.total_degree() <= 0 or Q.total_degree() <= 0:
+        return []
+    Ptop, Qtop = P.top_part(), Q.top_part()
+    for t in singularities._SHEARS:
+        tq = Fraction(t)
+        if Ptop.eval_all({x: tq, y: Fraction(1)}) == 0:
+            continue
+        if Qtop.eval_all({x: tq, y: Fraction(1)}) == 0:
+            continue
+        sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * tq
+        Pt, Qt = (P, Q) if t == 0 else (P.subs({x: sx}), Q.subs({x: sx}))
+        R = resultant(Pt, Qt, y).with_vars((x,))
+        if R.total_degree() == 0:
+            return []
+        try:
+            return singularities._affine_clusters(F, t, yun_decomposition(R)[1], Pt, Qt)
+        except singularities._ShearReject:
+            continue
+    raise singularities.DecompositionError("no shear passed the fiber certificates")
+
+
+def _cluster_rows(points):
+    return [(str(sp.modulus), str(sp.xt), str(sp.yt), sp.milnor) for sp in points]
+
+
+def _dense_poly(draw, degrees, must):
+    c = st.integers(-3, 3)
+    terms = {(i, d - i): draw(c) for d in degrees for i in range(d + 1)}
+    if not terms.get(must):
+        terms[must] = draw(st.sampled_from([-1, 1]))
+    return MPoly(V, terms)
+
+
+@st.composite
+def _dense_field(draw):
+    """Dense field of degree 2 or 3 with x^d in P and y^d in Q."""
+    d = draw(st.integers(2, 3))
+    return make_foliation(_dense_poly(draw, range(d + 1), (d, 0)),
+                          _dense_poly(draw, range(d + 1), (0, d)))
+
+
+@st.composite
+def _degenerate_cubic(draw):
+    """Field of degree <= 3 with zero linear part at the origin and y = 0
+    invariant; such fields often put two singular points on one fiber."""
+    P = _dense_poly(draw, (2, 3), (3, 0))
+    q = _dense_poly(draw, (1, 2), (0, 1))
+    return make_foliation(P, MPoly.variable("y", V) * q)
+
+
+@given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
+@settings(max_examples=40, deadline=None)
+def test_shear_choice_matches_exhaustive_loop(F):
+    # grid fields put many points on one line x + t*y = c, so shears are
+    # rejected and skipped there
+    assert (_cluster_rows(affine_singular_points(F))
+            == _cluster_rows(_affine_singular_points_reference(F)))
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
+    F = power_pullback(lins_neto(alpha), 2)
+    seen = []
+    real = singularities._affine_clusters
+
+    def counting(F, shear, *rest):
+        seen.append(shear)
+        return real(F, shear, *rest)
+
+    monkeypatch.setattr(singularities, "_affine_clusters", counting)
+    with wall_clock_ceiling(120):
+        expected = _cluster_rows(_affine_singular_points_reference(F))
+        assert seen == [1, -1, 2, -2, 3]
+        seen.clear()
+        assert _cluster_rows(affine_singular_points(F)) == expected
+    # shear 1 is rejected; the resultants of -1, 2, -2 and 3 computed after it
+    # show shear 3 with the largest squarefree degree, so the others are skipped
+    assert seen == [1, 3]
