@@ -32,7 +32,7 @@ def mod_reduce(g, f, var):
     return poly_divmod(g, f)[1]
 
 
-def xgcd_univar(a, b, var):
+def xgcd_univar(a, b):
     """(g, s, t) with s*a + t*b = g; univariate over an exact field."""
     vars = a._pair(b)[0].vars
     zero = MPoly.zero(vars)
@@ -57,7 +57,7 @@ def invert_mod(a, f, var):
     a = mod_reduce(a, f, var)
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in Q[x]/(f)")
-    g, s, _ = xgcd_univar(a, f, var)
+    g, s, _ = xgcd_univar(a, f)
     if g.total_degree() == 0:
         inv = s / g.constant_value()
         return mod_reduce(inv, f, var)

@@ -31,7 +31,7 @@ from .singularities import (
     affine_singular_points,
     classify_point,
     classify_singularity,
-    infinity_singular_points,
+    singular_points,
 )
 from .algebraic import _resolve_clusters, _vanishes
 
@@ -62,6 +62,13 @@ def _shift(p, a, b):
 def _eval_origin(p):
     x, y = p.vars
     return p.eval_all({x: Fraction(0), y: Fraction(0)})
+
+
+def _chart_maps(p):
+    """p(x, x*y) and p(x*y, y): p read in the two charts of a blow-up."""
+    x, y = p.vars
+    xy = MPoly.variable(x, p.vars) * MPoly.variable(y, p.vars)
+    return p.subs({y: xy}), p.subs({x: xy})
 
 
 def _ord(p, var):
@@ -97,16 +104,13 @@ def blow_up(field, point):
         raise ValueError("blow-up of a regular point")
     xv = MPoly.variable(x, P.vars)
     yv = MPoly.variable(y, P.vars)
+    (P1, P2), (Q1, Q2) = _chart_maps(Pp), _chart_maps(Qp)
 
-    P1 = Pp.subs({y: xv * yv})
-    Q1 = Qp.subs({y: xv * yv})
     A1 = xv * P1
     B1 = Q1 - yv * P1
     l1 = min(k for k in (_ord(A1, x), _ord(B1, x)) if k is not None)
     chart1 = (_shift_out(A1, x, l1), _shift_out(B1, x, l1))
 
-    P2 = Pp.subs({x: xv * yv})
-    Q2 = Qp.subs({x: xv * yv})
     A2 = P2 - xv * Q2
     B2 = yv * Q2
     l2 = min(k for k in (_ord(A2, y), _ord(B2, y)) if k is not None)
@@ -469,11 +473,9 @@ def _transform_node(C, node):
     a, b = node.blown_point
     Cp = _shift(C, a, b)
     x, y = Cp.vars
-    xv = MPoly.variable(x, Cp.vars)
-    yv = MPoly.variable(y, Cp.vars)
     m = Cp.min_total_degree()
-    c1 = _shift_out(Cp.subs({y: xv * yv}), x, m)
-    c2 = _shift_out(Cp.subs({x: xv * yv}), y, m)
+    c1, c2 = _chart_maps(Cp)
+    c1, c2 = _shift_out(c1, x, m), _shift_out(c2, y, m)
     children = [
         _transform_node(c1 if child.chart == 1 else c2, child)
         for child in node.children
@@ -604,19 +606,14 @@ def total_z(tree, C):
     F = tree.foliation if isinstance(tree, ResolutionTree) else tree
     C = C.with_vars(F.vars)
     n = C.total_degree()
+    curves = {"affine": C}  # C in the coordinates of each chart
     records = []
-    for sp in affine_singular_points(F):
-        for sub in _on_curve_parts(sp, C):
-            for pt in _cluster_points(sub):
-                k = z_index((F.P, F.Q), C, pt)
-                records.append(IndexRecord("affine", pt, C, k))
-    charts = {}
-    for sp in infinity_singular_points(F):
-        which = 1 if sp.chart == "inf1" else 2
-        if which not in charts:
-            ch = sp.field
-            charts[which] = (ch, _weighted_reindex(C, n, ch.vars, slope_var=which - 1))
-        ch, curve = charts[which]
+    for sp in singular_points(F):
+        ch = sp.field
+        if sp.chart not in curves:
+            slope_var = 0 if sp.chart == "inf1" else 1
+            curves[sp.chart] = _weighted_reindex(C, n, ch.vars, slope_var=slope_var)
+        curve = curves[sp.chart]
         for sub in _on_curve_parts(sp, curve):
             for pt in _cluster_points(sub):
                 k = z_index((ch.P, ch.Q), curve, pt)

@@ -198,6 +198,8 @@ _DEGENERATE = "degree at most 1: the bound degenerates to 0 and says nothing"
 
 # With only a height the scan indices jump by `height`; this cap is far past
 # the provable firing index 2*height*(2g-2)+3 and only guards a coding slip.
+# The height bound's scan fires by 2*h*(2g-2)+3, below the cap unless
+# h*(g-1) exceeds about 2.5 * 10**6.
 _SCAN_CAP = 10 ** 7
 
 
@@ -208,7 +210,9 @@ def _finish(d, g, Z, oracle_desc, n0, trace, n_star=None):
                        warning=warning, n_star=n_star)
 
 
-def _gate_scan(d, g, Z, oracle, rhs_of):
+def _gate_scan(d, oracle, rhs_of):
+    """(n0, trace): the least known index n0 with P_n0 > rhs_of(n0), and the
+    inequality tested at every known index up to it."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     trace = []
@@ -227,7 +231,7 @@ def _gate_scan(d, g, Z, oracle, rhs_of):
         fired = lhs > rhs
         trace.append({"n": n, "lhs": lhs, "rhs": rhs, "fired": fired})
         if fired:
-            return _finish(d, g, Z, oracle.describe(), n, trace)
+            return n, trace
     raise OracleExhausted("gate scan cap reached; increase oracle range")
 
 
@@ -241,7 +245,8 @@ def first_integral_degree_bound(d, g, oracle):
     """
     if g < 2:
         raise ValueError("the gate needs genus at least 2")
-    return _gate_scan(d, g, None, oracle, lambda n: rr_sections(g, n))
+    n0, trace = _gate_scan(d, oracle, lambda n: rr_sections(g, n))
+    return _finish(d, g, None, oracle.describe(), n0, trace)
 
 
 def invariant_curve_degree_bound(d, g_C, oracle, Z):
@@ -255,31 +260,25 @@ def invariant_curve_degree_bound(d, g_C, oracle, Z):
         raise ValueError("genus must be nonnegative")
     if Z < 0:
         raise ValueError("Z must be nonnegative")
-    return _gate_scan(d, g_C, Z, oracle,
-                      lambda n: rr_sections(g_C, n) + n * Z)
+    n0, trace = _gate_scan(d, oracle, lambda n: rr_sections(g_C, n) + n * Z)
+    return _finish(d, g_C, Z, oracle.describe(), n0, trace)
 
 
 def first_integral_bound_from_height(d, g, h):
     """Degree bound from a height h alone: the least n with
     binom(n+2,2) > rr_sections(g, h*n) always exists because the left
     side grows quadratically and the right side linearly; the bound is
-    h*n*(d-1)."""
+    h*n*(d-1).
+
+    The scan runs over the height-1 oracle, whose values are exactly
+    binom(n+2, 2).
+    """
     if g < 2:
         raise ValueError("the gate needs genus at least 2")
     if h < 1:
         raise ValueError("height must be at least 1")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    trace = []
-    n = 0
-    while True:
-        n += 1
-        lhs = comb(n + 2, 2)
-        rhs = rr_sections(g, h * n)
-        fired = lhs > rhs
-        trace.append({"n": n, "lhs": lhs, "rhs": rhs, "fired": fired})
-        if fired:
-            return _finish(d, g, None, {"height": h}, h * n, trace, n_star=n)
+    n, trace = _gate_scan(d, PlurigeneraOracle(height=1), lambda n: rr_sections(g, h * n))
+    return _finish(d, g, None, {"height": h}, h * n, trace, n_star=n)
 
 
 Z_BOUND_HYPOTHESIS = "quasi-reduced"

@@ -418,12 +418,7 @@ def _cmd_examples(args):
             raise InputError(f"family {args.family}: {e}") from e
     else:
         raise InputError("census needs --foliation or --family")
-    try:
-        n = dicritical_count(F, budget_seconds=args.budget_seconds)
-    except (CensusUndetermined, BudgetExceeded, BlowupUnavailableError,
-            ResolutionError) as e:
-        _emit({"error": str(e)}, args, lambda r: [f"undetermined: {r['error']}"])
-        return EXIT_UNDETERMINED
+    n = dicritical_count(F, budget_seconds=args.budget_seconds)
     report = {"dicritical_count": n}
     _emit(report, args, lambda r: [f"{n} dicritical singular point(s)"])
     return EXIT_OK
@@ -529,7 +524,8 @@ _DISPATCH = {
 
 
 # failures of an exact computation, refused with exit 3 instead of raised
-_REFUSALS = (DecompositionError, ExactnessError, ArithmeticError, IsolationError)
+_REFUSALS = (DecompositionError, ExactnessError, ArithmeticError, IsolationError,
+             CensusUndetermined, BudgetExceeded, BlowupUnavailableError, ResolutionError)
 
 
 def main(argv=None):

@@ -9,10 +9,11 @@ only to certify that a determinant is NOT zero, never that it is.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .algebraic import _resolve_clusters, _vanishes
-from .foliation import Foliation, _fresh_name
-from .mpoly import MPoly, bareiss_det, exact_div, normalized, poly_gcd, squarefree_part
+from .algebraic import _resolve_clusters, _vanishes, mod_reduce
+from .foliation import Foliation, _fresh_name, _weighted_reindex
+from .mpoly import MPoly, bareiss_det, exact_div, poly_gcd, squarefree_part
 from .singularities import _eval_on_cluster, affine_singular_points
 
 
@@ -251,10 +252,18 @@ class CurveSingularity:
         return f"CurveSingularity({self.describe()}, {tag})"
 
 
+def _singular_conditions(F):
+    """(F, F_u, F_v), whose common zeros are the singular points of the curve
+    F(u, v) = 0, and the Hessian discriminant F_uv^2 - F_uu*F_vv: a singular
+    point is an ordinary node exactly where the discriminant is nonzero."""
+    u, v = F.vars
+    Fu, Fv = F.diff(u), F.diff(v)
+    return (F, Fu, Fv), Fu.diff(v) ** 2 - Fu.diff(u) * Fv.diff(v)
+
+
 def _affine_singularities(C):
-    f = C.f
+    (f, fx, fy), disc = _singular_conditions(C.f)
     x, y = f.vars
-    fx, fy = f.diff(x), f.diff(y)
     combos = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, -1), (1, 5)]
     aux = None
     for a, b in combos:
@@ -270,7 +279,6 @@ def _affine_singularities(C):
     # common zeros of (f, aux) contain every affine singular point; the
     # cluster machinery of the singularity module solves that system exactly
     pts = affine_singular_points(Foliation(f, aux))
-    disc = f.diff(y).diff(x) ** 2 - f.diff(x).diff(x) * f.diff(y).diff(y)
 
     def vanishing(p):
         # uniform on the cluster, or SplitNeeded
@@ -287,69 +295,36 @@ def _affine_singularities(C):
             for g, xt, yt, degenerate in _resolve_clusters(*piece, vanishing(disc))]
 
 
-def _univar_gcd(polys, var):
-    g = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = p if g is None else poly_gcd(g, p)
-    if g is None:
-        return None  # every condition vanishes identically
-    return normalized(g)
-
-
 def _infinity_singularities(C):
     """Projective singular points on the line at infinity.
 
-    With f = sum of homogeneous parts f_k and n = deg f, the chart at
-    [1 : b : 0] sees the curve sum_k f_k(1, b) w^(n-k); singularity and the
-    Hessian data only involve f_n, f_(n-1), f_(n-2).
+    The curve is read through the chart maps of `Foliation.infinity_chart`,
+    with the slope named tau: the points [1 : b : 0] are the line w = 0 of
+    chart 1, and [0 : 1 : 0] is the origin of chart 2.
     """
     f = C.f
-    n = C.degree
-    x, y = f.vars
-    fn = f.homogeneous_part(n)
-    fn1 = f.homogeneous_part(n - 1)
-    fn2 = f.homogeneous_part(n - 2) if n >= 2 else MPoly.zero(f.vars)
-
-    out = []
     tau = _fresh_name("t", f.vars)
+    w = _fresh_name("w", f.vars + (tau,))
     tvars = (tau,)
+    out = []
 
-    def at_chart1(p):
-        # substitute x = 1, leaving a univariate polynomial in the slope
-        q = p.subs({x: MPoly.const(f.vars, 1)})
-        return MPoly.from_univar(tau, q.scalar_coeffs(), tvars)
-
-    g = _univar_gcd([at_chart1(fn), at_chart1(fn.diff(y)), at_chart1(fn1)], tau)
-    if g is None:
-        raise ArithmeticError("curve polynomial degenerates on the infinity chart")
+    conds, disc = _singular_conditions(_weighted_reindex(f, C.degree, (tau, w), slope_var=0))
+    # the first condition is f_n(1, tau) != 0, so the gcd is never zero
+    g = reduce(poly_gcd, [p.coeff_in(w, 0).with_vars(tvars) for p in conds])
     if g.deg_in(tau) > 0:
         g = squarefree_part(g)
-        tv = MPoly.variable(tau, tvars)
-        zero = MPoly.zero(tvars)
-        # chart Hessian at (b, 0): entries f_n''(1,b), f_(n-1)'(1,b), 2 f_(n-2)(1,b)
-        disc_parts = (
-            at_chart1(fn1.diff(y)) ** 2
-            - at_chart1(fn.diff(y).diff(y)) * (at_chart1(fn2) * 2)
-        )
-
-        def node_tag(gi, bi, wi):
-            return not _vanishes(disc_parts, gi)
-
+        disc = disc.coeff_in(w, 0).with_vars(tvars)
+        b = mod_reduce(MPoly.variable(tau, tvars), g, tau).with_vars(tvars)
         out += [CurveSingularity("inf1", *piece)
-                for piece in _resolve_clusters(g, tv, zero, node_tag)]
+                for piece in _resolve_clusters(g, b, MPoly.zero(tvars),
+                                               lambda gi, bi, wi: not _vanishes(disc, gi))]
 
-    # the point [0 : 1 : 0], in the chart x = a, w at y = 1
-    def at_top(p):
-        pt = {x: Fraction(0), y: Fraction(1)}
-        return p.eval_all(pt)
-
-    if at_top(fn) == 0 and at_top(fn.diff(x)) == 0 and at_top(fn1) == 0:
-        disc = at_top(fn1.diff(x)) ** 2 - at_top(fn.diff(x).diff(x)) * (2 * at_top(fn2))
-        tv = MPoly.variable(tau, tvars)
+    conds, disc = _singular_conditions(_weighted_reindex(f, C.degree, (tau, w), slope_var=1))
+    origin = {tau: Fraction(0), w: Fraction(0)}
+    if all(p.eval_all(origin) == 0 for p in conds):
         zero = MPoly.zero(tvars)
-        out.append(CurveSingularity("inf2", tv, zero, zero, disc != 0))
+        out.append(CurveSingularity("inf2", MPoly.variable(tau, tvars), zero, zero,
+                                    disc.eval_all(origin) != 0))
     return out
 
 

@@ -24,8 +24,9 @@ from .singularities import (
     UNDETERMINED,
     ExactnessError,
     SingularPoint,
-    _subs_mod,
     _tau_mod,
+    _translated,
+    _xy_parts,
     classify_singularity,
     singular_points,
 )
@@ -221,16 +222,6 @@ def _tau_coeff_polys(p, tau):
     return [MPoly((tau,), terms) for terms in bucket.values()]
 
 
-def _xy_parts(p, tau):
-    """p split into its (x, y)-homogeneous layers, tau left alone."""
-    ti = p.vars.index(tau)
-    layers = {}
-    for e, cval in p.terms.items():
-        d = sum(v for i, v in enumerate(e) if i != ti)
-        layers.setdefault(d, {})[e] = cval
-    return {d: MPoly(p.vars, terms) for d, terms in layers.items()}
-
-
 def _census(field, chart, f, xt, yt, deadline):
     """Dicritical points within one non-reduced cluster, or SplitNeeded.
 
@@ -242,11 +233,8 @@ def _census(field, chart, f, xt, yt, deadline):
     _heartbeat(deadline)
     tau = f.vars[0]
     x, y = field.vars
-    vars3 = (tau, x, y)
-    X = MPoly.variable(x, vars3) + xt.with_vars(vars3)
-    Y = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    PT = _subs_mod(field.P.with_vars(vars3), {x: X, y: Y}, f, tau)
-    QT = _subs_mod(field.Q.with_vars(vars3), {x: X, y: Y}, f, tau)
+    PT, QT = _translated(field, f, xt, yt)
+    vars3 = PT.vars
     pparts = _xy_parts(PT, tau)
     qparts = _xy_parts(QT, tau)
 

@@ -534,7 +534,7 @@ def isolate_roots(f, var=None):
     if n_pairs == 0:
         return real_boxes
     system = _ComplexSystem(dense)
-    upper = _isolate_upper_half(sf, dense, var, system, n_pairs)
+    upper = _isolate_upper_half(system, n_pairs)
     complex_boxes = []
     for ia, ib in upper:
         exact = (ia.lo, ib.lo) if ia.is_point() and ib.is_point() else None
@@ -549,7 +549,7 @@ def isolate_roots(f, var=None):
     return real_boxes + complex_boxes
 
 
-def _isolate_upper_half(sf, dense, var, system, n_pairs):
+def _isolate_upper_half(system, n_pairs):
     R, I = system.R, system.I
     res_im = resultant(R, I, "im")  # rational polynomial in re
     res_re = resultant(R, I, "re")  # rational polynomial in im
@@ -580,17 +580,7 @@ def _isolate_upper_half(sf, dense, var, system, n_pairs):
         elif rb.re.lo > 0:
             b_boxes.append(rb)
     certified = []
-    candidates = []
-    for ra in a_boxes:
-        for rb in b_boxes:
-            if ra.exact is not None and rb.exact is not None:
-                point = {"re": ra.exact, "im": rb.exact}
-                if system.R.eval_all(point) == 0 and system.I.eval_all(point) == 0:
-                    certified.append(
-                        (Interval.point(ra.exact), Interval.point(rb.exact))
-                    )
-                continue
-            candidates.append((ra, rb))
+    candidates = [(ra, rb) for ra in a_boxes for rb in b_boxes]
 
     def cand_box(ra, rb):
         # an exactly known coordinate is inflated to match its partner's
@@ -619,7 +609,7 @@ def _isolate_upper_half(sf, dense, var, system, n_pairs):
         keep = []
         for ra, rb in candidates:
             if ra.exact is not None and rb.exact is not None:
-                # refinement pinned both coordinates exactly mid-flight
+                # both coordinates known exactly, from isolation or refinement
                 point = {"re": ra.exact, "im": rb.exact}
                 if system.R.eval_all(point) == 0 and system.I.eval_all(point) == 0:
                     certified.append(

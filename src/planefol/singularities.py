@@ -80,8 +80,8 @@ class SingularPoint:
         self.field = field
         self.modulus = normalized(modulus)
         tau = self.param
-        self.xt = mod_reduce(_share(xt, self.modulus), self.modulus, tau).with_vars((tau,))
-        self.yt = mod_reduce(_share(yt, self.modulus), self.modulus, tau).with_vars((tau,))
+        self.xt = mod_reduce(xt, self.modulus, tau).with_vars((tau,))
+        self.yt = mod_reduce(yt, self.modulus, tau).with_vars((tau,))
         self.milnor = milnor
 
     @property
@@ -145,12 +145,6 @@ class SingularPoint:
         )
 
 
-def _share(p, like):
-    if isinstance(p, (int, Fraction, QuadExt)):
-        return MPoly.const(like.vars, p)
-    return p
-
-
 # -- split-driven cluster work ------------------------------------------------------
 
 
@@ -195,42 +189,40 @@ def _subs_mod(p, mapping, f, tau):
     return mod_reduce(q, f, tau)
 
 
+def _translated(field, f, xt, yt):
+    """(P, Q) of field at (x + xt(tau), y + yt(tau)), reduced mod f, in the
+    variables (x, y, tau): the field seen from each point of the cluster."""
+    tau = f.vars[0]
+    x, y = field.vars
+    vars3 = (x, y, tau)
+    shift = {x: MPoly.variable(x, vars3) + xt.with_vars(vars3),
+             y: MPoly.variable(y, vars3) + yt.with_vars(vars3)}
+    return tuple(_subs_mod(p.with_vars(vars3), shift, f, tau) for p in (field.P, field.Q))
+
+
+def _xy_parts(p, tau):
+    """p split into its (x, y)-homogeneous layers, tau left alone."""
+    ti = p.vars.index(tau)
+    layers = {}
+    for e, cval in p.terms.items():
+        d = sum(v for i, v in enumerate(e) if i != ti)
+        layers.setdefault(d, {})[e] = cval
+    return {d: MPoly(p.vars, terms) for d, terms in layers.items()}
+
+
 # -- local Milnor number ------------------------------------------------------------
-
-
-def _xy_top_eval(p, xi, yi, ti, t):
-    """Top (x, y)-part of p evaluated at (x, y) = (t, 1), as a poly in tau."""
-    m = max(e[xi] + e[yi] for e in p.terms)
-    out = {}
-    tq = Fraction(t)
-    for e, c in p.terms.items():
-        if e[xi] + e[yi] != m:
-            continue
-        val = c * tq ** e[xi]
-        key = (e[ti],)
-        prev = out.get(key)
-        out[key] = val if prev is None else prev + val
-    return out, m
 
 
 def _ord_ladder(p, f, tau, var):
     """Smallest k with the coefficient of var**k nonzero at every root of f.
 
-    Raises SplitNeeded on a mixed answer; returns None when p vanishes mod f.
+    p is a polynomial in (var, tau) only. Raises SplitNeeded on a mixed
+    answer; returns None when p vanishes mod f.
     """
-    vi = p.vars.index(var)
-    ti = p.vars.index(tau)
-    buckets = {}
-    for e, c in p.terms.items():
-        rest = list(e)
-        rest[vi] = 0
-        rest[ti] = 0
-        if any(rest):
-            raise ValueError("ladder expects a polynomial in (var, tau) only")
-        buckets.setdefault(e[vi], {})[(e[ti],)] = c
-    ks = sorted(buckets)
-    i = _first_nonzero(([MPoly((tau,), buckets[k])] for k in ks), f)
-    return None if i is None else ks[i]
+    ladder = [(k, c.with_vars((tau,))) for k, c in enumerate(p.as_univar(var))
+              if not c.is_zero()]
+    i = _first_nonzero(([c] for _, c in ladder), f)
+    return None if i is None else ladder[i][0]
 
 
 def _shift_out(p, var, k):
@@ -257,29 +249,21 @@ def _milnor_once(field, f, xt, yt):
     """Milnor number of field at the cluster point, uniform or SplitNeeded."""
     tau = f.vars[0]
     x, y = field.vars
-    vars3 = (x, y, tau)
-    xs = MPoly.variable(x, vars3) + xt.with_vars(vars3)
-    ys = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    Ploc = _subs_mod(field.P.with_vars(vars3), {x: xs, y: ys}, f, tau)
-    Qloc = _subs_mod(field.Q.with_vars(vars3), {x: xs, y: ys}, f, tau)
+    Ploc, Qloc = _translated(field, f, xt, yt)
     if Ploc.is_zero() or Qloc.is_zero():
         raise ArithmeticError("translated component vanished; field was degenerate")
-    xi, yi, ti = 0, 1, 2
 
     for t in _SHEARS:
         if t == 0:
             Pt, Qt = Ploc, Qloc
         else:
-            sx = MPoly.variable(x, vars3) + MPoly.variable(y, vars3) * Fraction(t)
+            sx = MPoly.variable(x, Ploc.vars) + MPoly.variable(y, Ploc.vars) * Fraction(t)
             Pt = _subs_mod(Ploc, {x: sx}, f, tau)
             Qt = _subs_mod(Qloc, {x: sx}, f, tau)
-        ok = True
-        for p in (Pt, Qt):
-            terms, _ = _xy_top_eval(p, xi, yi, ti, t)
-            if _vanishes(MPoly((tau,), terms), f):
-                ok = False
-                break
-        if not ok:
+        # the top (x, y)-layer of each component must not vanish at (t, 1)
+        at = {x: Fraction(t), y: Fraction(1)}
+        if any(_vanishes(max(_xy_parts(p, tau).items())[1].subs(at).with_vars((tau,)), f)
+               for p in (Pt, Qt)):
             continue
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
@@ -507,7 +491,7 @@ def infinity_singular_points(F, with_milnor=True):
     skips the local resultants (the expensive part on large clusters) and
     leaves milnor as None; the clusters then come unsplit.
     """
-    out = []
+    clusters = []  # (chart, chart field, modulus, xt, yt)
     ch1 = F.infinity_chart(1)
     b, w = ch1.vars
     A0 = ch1.P.coeff_in(w, 0).with_vars((b,))
@@ -516,26 +500,22 @@ def infinity_singular_points(F, with_milnor=True):
     if g.total_degree() > 0:
         tau = _fresh_name("t", ch1.vars)
         f = normalized(squarefree_part(g)).rename({g.vars[0]: tau})
-        xt = MPoly.variable(tau, (tau,))
-        yt = MPoly.zero((tau,))
-        if with_milnor:
-            for fi, xi, yi, mu in milnor_clusters(ch1, f, xt, yt):
-                out.append(SingularPoint("inf1", ch1, fi, xi, yi, milnor=mu))
-        else:
-            out.append(SingularPoint("inf1", ch1, f, xt, yt))
+        clusters.append(("inf1", ch1, f, MPoly.variable(tau, (tau,)), MPoly.zero((tau,))))
     ch2 = F.infinity_chart(2)
     pa, pw = ch2.vars
     p0 = ch2.P.eval_all({pa: Fraction(0), pw: Fraction(0)})
     q0 = ch2.Q.eval_all({pa: Fraction(0), pw: Fraction(0)})
     if p0 == 0 and q0 == 0:
         tau = _fresh_name("t", ch2.vars)
-        f = MPoly.variable(tau, (tau,))
         zero = MPoly.zero((tau,))
+        clusters.append(("inf2", ch2, MPoly.variable(tau, (tau,)), zero, zero))
+    out = []
+    for chart, field, f, xt, yt in clusters:
         if with_milnor:
-            mu = milnor_clusters(ch2, f, zero, zero)[0][3]
-            out.append(SingularPoint("inf2", ch2, f, zero, zero, milnor=mu))
+            out += [SingularPoint(chart, field, fi, xi, yi, milnor=mu)
+                    for fi, xi, yi, mu in milnor_clusters(field, f, xt, yt)]
         else:
-            out.append(SingularPoint("inf2", ch2, f, zero, zero))
+            out.append(SingularPoint(chart, field, f, xt, yt))
     out.sort(key=SingularPoint.sort_key)
     return out
 

@@ -26,7 +26,7 @@ def test_mod_reduce():
 def test_xgcd_bezout_identity():
     a = parse_poly("x^2 + 1", vars=("x",))
     b = parse_poly("x^3 - x", vars=("x",))
-    g, s, t = xgcd_univar(a, b, "x")
+    g, s, t = xgcd_univar(a, b)
     assert s * a + t * b == g
     assert g.total_degree() == 0  # coprime
 

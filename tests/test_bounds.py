@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planefol.bounds import (
     BoundReport,
+    _finish,
     OracleExhausted,
     PlurigeneraOracle,
     first_integral_bound_from_height,
@@ -168,6 +171,43 @@ class TestHeightBound:
             first_integral_bound_from_height(4, 1, 2)
         with pytest.raises(ValueError):
             first_integral_bound_from_height(4, 2, 0)
+
+
+def _height_bound_reference(d, g, h):
+    """The height bound as its own loop, the way it was written before it
+    became a gate scan over the height-1 oracle."""
+    if g < 2:
+        raise ValueError("the gate needs genus at least 2")
+    if h < 1:
+        raise ValueError("height must be at least 1")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    trace = []
+    n = 0
+    while True:
+        n += 1
+        lhs = comb(n + 2, 2)
+        rhs = rr_sections(g, h * n)
+        fired = lhs > rhs
+        trace.append({"n": n, "lhs": lhs, "rhs": rhs, "fired": fired})
+        if fired:
+            return _finish(d, g, None, {"height": h}, h * n, trace, n_star=n)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args).to_json()
+    except Exception as e:  # the error type and message must match too
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("d", range(-2, 7))
+def test_height_bound_matches_its_loop(d):
+    # invalid genus, height and degree included, and every combination of them
+    for g in range(-1, 10):
+        for h in range(-1, 6):
+            assert (_outcome(first_integral_bound_from_height, d, g, h)
+                    == _outcome(_height_bound_reference, d, g, h)), (d, g, h)
 
 
 class TestZBound:

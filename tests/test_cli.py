@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planefol import cli
+from planefol.blowup import BlowupUnavailableError, ResolutionError
 from planefol.cli import main
+from planefol.families import BudgetExceeded, CensusUndetermined
 from planefol.mpoly import MPoly
 from planefol.roots import IsolationError
 from planefol.singularities import DecompositionError, ExactnessError
@@ -189,6 +191,21 @@ class TestRefusals:
         code, data, err = jrun(capsys, *argv)
         assert code == 3
         assert data == {"error": "forced failure"}
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [CensusUndetermined, BudgetExceeded,
+                                     BlowupUnavailableError, ResolutionError])
+    def test_census_refusals(self, capsys, monkeypatch, saddle, exc):
+        def fail(*args, **kwargs):
+            raise exc("forced failure")
+
+        monkeypatch.setattr(cli, "dicritical_count", fail)
+        argv = ["examples", "census", "--foliation", saddle]
+        code, data, err = jrun(capsys, *argv)
+        assert (code, data) == (3, {"error": "forced failure"})
+        assert "Traceback" not in err
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "undetermined: forced failure\n")
         assert "Traceback" not in err
 
 

@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planefol import curves
+from planefol.algebraic import _resolve_clusters, _vanishes, mod_reduce
 from planefol.curves import (
     CofactorCertificate,
+    CurveSingularity,
     PlaneCurve,
     curve_singularities,
     extactic,
@@ -17,8 +19,16 @@ from planefol.curves import (
     is_invariant,
     _extactic_matrix,
 )
-from planefol.foliation import make_foliation
-from planefol.mpoly import bareiss_det, exact_div, parse_poly
+from planefol.foliation import _fresh_name, make_foliation
+from planefol.mpoly import (
+    MPoly,
+    bareiss_det,
+    exact_div,
+    normalized,
+    parse_poly,
+    poly_gcd,
+    squarefree_part,
+)
 
 V = ("x", "y")
 
@@ -245,3 +255,106 @@ def test_singularities_at_infinity():
 
 def test_genus_with_explicit_deltas():
     assert genus(PlaneCurve(pp("x^4 + y^4 - 1")), deltas=[1, 2]) == 0
+
+
+# -- points at infinity against the homogeneous-part formulas -----------------------
+
+
+def _infinity_reference(C):
+    """Singular points at infinity from the homogeneous parts f_n, f_(n-1),
+    f_(n-2), the way they were computed before the curve was read in the
+    charts at infinity."""
+    f = C.f
+    n = C.degree
+    x, y = f.vars
+    fn = f.homogeneous_part(n)
+    fn1 = f.homogeneous_part(n - 1)
+    fn2 = f.homogeneous_part(n - 2) if n >= 2 else MPoly.zero(f.vars)
+    out = []
+    tau = _fresh_name("t", f.vars)
+    tvars = (tau,)
+
+    def at_chart1(p):
+        q = p.subs({x: MPoly.const(f.vars, 1)})
+        return MPoly.from_univar(tau, q.scalar_coeffs(), tvars)
+
+    g = None
+    for p in (at_chart1(fn), at_chart1(fn.diff(y)), at_chart1(fn1)):
+        if not p.is_zero():
+            g = p if g is None else poly_gcd(g, p)
+    g = normalized(g)
+    if g.deg_in(tau) > 0:
+        g = squarefree_part(g)
+        disc = (at_chart1(fn1.diff(y)) ** 2
+                - at_chart1(fn.diff(y).diff(y)) * (at_chart1(fn2) * 2))
+        b, zero = MPoly.variable(tau, tvars), MPoly.zero(tvars)
+        out += [CurveSingularity("inf1", *piece)
+                for piece in _resolve_clusters(g, b, zero,
+                                               lambda gi, bi, wi: not _vanishes(disc, gi))]
+
+    def at_top(p):
+        return p.eval_all({x: Fraction(0), y: Fraction(1)})
+
+    if at_top(fn) == 0 and at_top(fn.diff(x)) == 0 and at_top(fn1) == 0:
+        disc = at_top(fn1.diff(x)) ** 2 - at_top(fn.diff(x).diff(x)) * (2 * at_top(fn2))
+        zero = MPoly.zero(tvars)
+        out.append(CurveSingularity("inf2", MPoly.variable(tau, tvars), zero, zero, disc != 0))
+    return out
+
+
+def _at_infinity_key(sings):
+    # the slope of an unsplit inf1 cluster is compared modulo its modulus
+    return [(s.chart, s.modulus, mod_reduce(s.xt, s.modulus, s.modulus.vars[0]), s.yt, s.node)
+            for s in sings]
+
+
+_LINEAR_FORMS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, -1)]
+
+
+@st.composite
+def _curves_with_points_at_infinity(draw):
+    # the top part is a product of a few linear forms, so that repeated
+    # factors (singular points at infinity) are common
+    n = draw(st.integers(min_value=2, max_value=5))
+    forms = draw(st.lists(st.sampled_from(_LINEAR_FORMS), min_size=1, max_size=3))
+    top = MPoly.const(V, 1)
+    for a, b in draw(st.lists(st.sampled_from(forms), min_size=n, max_size=n)):
+        top = top * pp(f"{a}*x + {b}*y")
+    lower = [(i, d - i) for d in range(n) for i in range(d + 1)]
+    # mostly zero, so that f_(n-1) often shares the repeated factors too
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 0, 0, -2, -1, 1, 2]),
+                           min_size=len(lower), max_size=len(lower)))
+    f = top + MPoly(V, {e: Fraction(c) for e, c in zip(lower, coeffs) if c})
+    try:
+        return PlaneCurve(f)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_curves_with_points_at_infinity())
+def test_infinity_singularities_match_the_formulas(C):
+    assert (_at_infinity_key(curves._infinity_singularities(C))
+            == _at_infinity_key(_infinity_reference(C)))
+
+
+@pytest.mark.parametrize("f", [
+    "x^2 - 1", "(y - x)*(y - x - 1)", "y^2 - x^4", "x^2 - y^5 + 1",
+    "(x-2*y)^2*x^3 - y + 1", "x^2*y^2 + x + y", "(x^2 + y^2)^2 + x*y",
+    "(x^2 - y^2)^2 + x^2 + x*y",
+])
+def test_infinity_singularities_match_the_formulas_on_examples(f):
+    C = PlaneCurve(pp(f))
+    assert (_at_infinity_key(curves._infinity_singularities(C))
+            == _at_infinity_key(_infinity_reference(C)))
+
+
+@pytest.mark.parametrize("f, text", [
+    ("x^2 - y^5 + 1", "[1 : b : 0] with b = 0 mod t"),
+    ("(x-2*y)^2*x^3 - y + 1", "[1 : b : 0] with b = 1/2 mod 2*t - 1"),
+])
+def test_unsplit_slope_at_infinity_is_reduced(f, text):
+    # an unsplit cluster prints its slope modulo its modulus, as split
+    # pieces do
+    inf1 = [s.describe() for s in curve_singularities(pp(f)) if s.chart == "inf1"]
+    assert inf1 == [text]

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package is either used inside
-the package or exported through `planefol.__all__`, and every name a module
-imports is used in that module.
+the package or exported through `planefol.__all__`, every name a module
+imports is used in that module, and every parameter of a module-level function
+or method is read in its body.
 
 Uses are read from the source: a name counts as used when it appears as a
 name or an attribute anywhere in `src/planefol` outside its own definition.
@@ -61,4 +62,30 @@ def test_every_import_is_used():
                     imported.add((alias.asname or alias.name).split(".")[0])
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported) if name not in used]
+    assert unused == []
+
+
+def _functions_and_methods():
+    """(qualified name, node) for each module-level function and each method
+    of a module-level class; functions nested in a body are not included."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.stem}.{stmt.name}", stmt
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{path.stem}.{stmt.name}.{item.name}", item
+
+
+def test_every_parameter_is_read():
+    unused = []
+    for name, fn in _functions_and_methods():
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{name} ({p})" for p in params if p not in read]
     assert unused == []
