@@ -768,18 +768,105 @@ def _coprime_mod_p(f, g):
                 break
         else:
             return False
-        while b:
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b):
-                q, shift = a[-1] * inv % p, len(a) - len(b)
-                for j, bj in enumerate(b):
-                    a[shift + j] = (a[shift + j] - q * bj) % p
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
-        if len(a) > 1:
+        *_, gcd = _remainders_mod_p(a, b, p)
+        if len(gcd) > 1:
             return False
     return True
+
+
+def _remainders_mod_p(a, b, p):
+    """Euclid in F_p[v] on dense coefficient lists (lowest degree first, no
+    trailing zeros): yields b and then each nonzero remainder, so the last
+    list yielded is gcd(a, b) up to a unit. No yielded list is changed later."""
+    while b:
+        yield b
+        a = a[:]
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - q * bj) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+
+
+def _resultant_mod_p(a, b, p):
+    """Res(a, b) in F_p of two dense lists with nonzero leading entries.
+
+    Along the remainder sequence r_0 = a, r_1 = b, ..., r_k of degrees n_i
+    and leading entries l_i, Res(r_(i-1), r_i) = (-1)^(n_(i-1) n_i)
+    l_i^(n_(i-1) - n_(i+1)) Res(r_i, r_(i+1)), ending in l_k^(n_(k-1)) when
+    r_k is a constant and in 0 otherwise."""
+    degs, leads = [len(a) - 1], []
+    for r in _remainders_mod_p(a, b, p):
+        degs.append(len(r) - 1)
+        leads.append(r[-1])
+    if degs[-1] > 0:
+        return 0
+    degs.append(0)
+    res = 1
+    for i, lead in enumerate(leads, 1):
+        res = res * pow(lead, degs[i - 1] - degs[i + 1], p) % p
+        if degs[i - 1] * degs[i] % 2:
+            res = -res % p
+    return res
+
+
+def _interpolate_mod_p(values, p):
+    """Dense coefficients, trimmed, of the polynomial of degree below
+    len(values) over F_p that takes values[a] at a = 0, 1, ...: Newton's
+    divided differences, then Horner back to the monomial basis."""
+    c = list(values)
+    n = len(c)
+    for k in range(1, n):
+        inv = pow(k, -1, p)
+        for j in range(n - 1, k - 1, -1):
+            c[j] = (c[j] - c[j - 1]) * inv % p
+    out = []
+    for j in range(n - 1, -1, -1):
+        # out = out * (v - j) + c[j]
+        out = [0, *out]
+        for k in range(len(out) - 1):
+            out[k] = (out[k] - j * out[k + 1]) % p
+        out[0] = (out[0] + c[j]) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _squarefree_degree_mod_p(f, g, var):
+    """Degree of the squarefree part of R = Res_var(f, g) read from its image
+    mod p, or None when no prime of `_CERT_PRIMES` gives one.
+
+    f and g are rational polynomials in two variables whose leading
+    coefficients in var are nonzero constants. A prime dividing no
+    denominator and neither leading coefficient keeps both degrees in var,
+    so R mod p is the resultant of the images, and deg R <= deg f * deg g
+    in the other variable: R mod p is interpolated from that many plus one
+    scalar resultants in F_p[var]. Its squarefree degree is a lower bound on
+    that of R, equal to it unless p divides the leading coefficient or the
+    discriminant of the squarefree part of R (Brown 1971)."""
+    coeffs = [*f.terms.values(), *g.terms.values()]
+    if not all(isinstance(c, Fraction) for c in coeffs):
+        return None
+    i = f.vars.index(var)
+    leads = [h.coeff_in(var, h.deg_in(var)).constant_value() for h in (f, g)]
+    n = f.total_degree() * g.total_degree()
+    for p in _CERT_PRIMES:
+        if any(c.denominator % p == 0 for c in coeffs) or any(c.numerator % p == 0 for c in leads):
+            continue
+        # the other variable takes a = 0, ..., n; _image_mod_p skips slot i
+        r = _interpolate_mod_p(
+            [_resultant_mod_p(_image_mod_p(f, i, (a, a), p), _image_mod_p(g, i, (a, a), p), p)
+             for a in range(n + 1)], p)
+        if not r:
+            continue
+        # deg r < p, so the derivative keeps a nonzero leading entry
+        dr = [k * c % p for k, c in enumerate(r)][1:]
+        *_, gcd = _remainders_mod_p(dr, r, p)
+        return len(r) - len(gcd)
+    return None
 
 
 def _image_mod_p(f, i, point, p):

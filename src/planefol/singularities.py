@@ -28,6 +28,7 @@ from .algebraic import (
 from .foliation import _fresh_name
 from .mpoly import (
     MPoly,
+    _squarefree_degree_mod_p,
     linear_subresultant,
     normalized,
     poly_gcd,
@@ -382,11 +383,13 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
 
 
 def _shear_candidates(F):
-    """(t, P_t, Q_t, yun parts of R_t, squarefree degree of R_t) for each
-    shear of `_SHEARS` whose top parts do not vanish at (t, 1), in order.
+    """(t, P_t, Q_t) for each shear of `_SHEARS` whose top parts do not
+    vanish at (t, 1), in order, computed only as they are drawn.
 
-    R_t = Res_y(P_t, Q_t) for P_t = P(x + t*y, y); its squarefree degree
-    counts the distinct values of x + t*y on the affine singular points.
+    P_t = P(x + t*y, y). The y-leading coefficients of P_t and Q_t are then
+    nonzero constants, so R_t = Res_y(P_t, Q_t) has degree at most
+    deg P * deg Q, and its squarefree degree counts the distinct values of
+    x + t*y on the affine singular points.
     """
     x, y = F.vars
     P, Q = F.P, F.Q
@@ -398,18 +401,35 @@ def _shear_candidates(F):
         if Qtop.eval_all({x: tq, y: Fraction(1)}) == 0:
             continue
         if t == 0:
-            Pt, Qt = P, Q
+            yield t, P, Q
         else:
             sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * tq
-            Pt, Qt = P.subs({x: sx}), Q.subs({x: sx})
-        R = resultant(Pt, Qt, y).with_vars((x,))
-        if R.is_zero():
-            raise ArithmeticError("resultant vanished for a coprime field")
-        parts = yun_decomposition(R)[1] if R.total_degree() > 0 else []
-        yield t, Pt, Qt, parts, sum(g.total_degree() for g, _ in parts)
+            yield t, P.subs({x: sx}), Q.subs({x: sx})
 
 
-# resultants computed ahead after a rejected shear: shear 1 to shear 3 is
+def _exact_shear(F, Pt, Qt):
+    """(yun parts of R_t, squarefree degree of R_t), from the exact resultant."""
+    x, y = F.vars
+    R = resultant(Pt, Qt, y).with_vars((x,))
+    if R.is_zero():
+        raise ArithmeticError("resultant vanished for a coprime field")
+    parts = yun_decomposition(R)[1] if R.total_degree() > 0 else []
+    return parts, sum(g.total_degree() for g, _ in parts)
+
+
+def _ranked(F, shears, exact):
+    """(t, P_t, Q_t, parts, degree) for each of `shears`: exact parts and
+    degree when `exact`, else the squarefree degree of R_t mod p with parts
+    None, or the exact ones when no prime gives an image."""
+    for t, Pt, Qt in shears:
+        degree = None if exact else _squarefree_degree_mod_p(Pt, Qt, F.vars[1])
+        if degree is None:
+            yield (t, Pt, Qt, *_exact_shear(F, Pt, Qt))
+        else:
+            yield t, Pt, Qt, None, degree
+
+
+# shears ranked ahead, mod p, after a rejected shear: shear 1 to shear 3 is
 # four steps of `_SHEARS` (-1, 2, -2, 3)
 _LOOKAHEAD = 4
 
@@ -421,10 +441,19 @@ def affine_singular_points(F):
     when its squarefree degree reaches their number, the separating-element
     test of the rational univariate representation (Rouillier 1999). So a
     shear is skipped, without any cluster work, when its squarefree degree is
-    below that of a shear already computed, or at most that of a shear
-    already rejected: `_affine_clusters` would reject it too. After a
-    rejection, the resultants of up to `_LOOKAHEAD` more shears are computed
-    so that this can see ahead; before the first try none is.
+    below that of a shear already ranked, or at most that of a shear already
+    rejected: `_affine_clusters` would reject it too.
+
+    Only the first shear and the shears about to be tried get an exact
+    resultant; their degrees, the rejected one included, are exact. After a
+    rejection up to `_LOOKAHEAD` more shears are drawn and ranked by the
+    squarefree degree of an image of R_t mod a 61-bit prime, a lower bound
+    on the exact one (`mpoly._squarefree_degree_mod_p`). With exact degrees
+    the accepted shear is the first of `_SHEARS` that passes the fiber
+    certificate. A prime that merges two roots of R_t lowers a degree: the
+    loop may then skip a separating shear and take a later one, which
+    `_fiber_rule` still certifies, or refuse with DecompositionError. The
+    degrees only choose which shear to try; they never accept one.
     """
     P, Q = F.P, F.Q
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
@@ -433,20 +462,26 @@ def affine_singular_points(F):
     pending = []
     floor = best = -1
     while True:
-        pending.extend(islice(candidates, 0 if pending else 1))
+        if not pending:
+            # the first shear is tried at once, so its exact resultant is needed
+            pending.extend(_ranked(F, islice(candidates, 1), exact=floor < 0))
         if not pending:
             raise DecompositionError("no shear passed the fiber certificates")
         t, Pt, Qt, parts, degree = pending.pop(0)
-        if not parts:
-            return []
         best = max(best, degree, *(c[-1] for c in pending))
         if degree <= floor or degree < best:
             continue
+        if parts is None:
+            parts, degree = _exact_shear(F, Pt, Qt)
+            best = max(best, degree)
+        if not parts:
+            return []
         try:
             return _affine_clusters(F, t, parts, Pt, Qt)
         except _ShearReject:
             floor = degree
-            pending.extend(islice(candidates, _LOOKAHEAD - len(pending)))
+            pending.extend(_ranked(F, islice(candidates, _LOOKAHEAD - len(pending)),
+                                   exact=False))
 
 
 def _affine_clusters(F, shear, parts, Pt, Qt):

@@ -9,7 +9,9 @@ from planefol.cli import main
 from planefol.families import lins_neto, power_pullback
 from planefol.foliation import make_foliation
 from planefol.mpoly import (
+    _CERT_PRIMES,
     MPoly,
+    _squarefree_degree_mod_p,
     parse_poly,
     resultant,
     squarefree_part,
@@ -503,6 +505,70 @@ def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
         assert seen == [1, -1, 2, -2, 3]
         seen.clear()
         assert _cluster_rows(affine_singular_points(F)) == expected
-    # shear 1 is rejected; the resultants of -1, 2, -2 and 3 computed after it
-    # show shear 3 with the largest squarefree degree, so the others are skipped
+    # shear 1 is rejected; the squarefree degrees of -1, 2, -2 and 3, read mod p
+    # after it, show shear 3 with the largest, so the others are skipped
     assert seen == [1, 3]
+
+
+def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceiling):
+    # shears -1, 2 and -2 are ranked mod p and skipped: no exact resultant
+    F = power_pullback(lins_neto(1), 2)
+    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
+    calls = []
+    real = singularities.resultant
+
+    def counting(f, g, var):
+        calls.append(next(t for t, pq in shears.items() if pq == (f, g)))
+        return real(f, g, var)
+
+    monkeypatch.setattr(singularities, "resultant", counting)
+    with wall_clock_ceiling(120):
+        affine_singular_points(F)
+    assert calls == [1, 3]
+
+
+# -- squarefree degrees of the shear resultants mod p ---------------------------------
+
+
+def _exact_squarefree_degree(Pt, Qt):
+    R = resultant(Pt, Qt, "y").with_vars(("x",))
+    return sum(g.total_degree() for g, _ in yun_decomposition(R)[1]) if R.total_degree() > 0 else 0
+
+
+@given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
+@settings(max_examples=40, deadline=None)
+def test_squarefree_degree_mod_p_matches_exact(F):
+    for _, Pt, Qt in singularities._shear_candidates(F):
+        assert _squarefree_degree_mod_p(Pt, Qt, "y") == _exact_squarefree_degree(Pt, Qt)
+
+
+@pytest.mark.parametrize("alpha, degrees", [(0, [19, 19, 37, 37, 49]),
+                                            (1, [19, 19, 31, 31, 37])])
+def test_pullback_squarefree_degrees_mod_p(alpha, degrees):
+    F = power_pullback(lins_neto(alpha), 2)
+    shears = list(singularities._shear_candidates(F))[:5]
+    assert [t for t, _, _ in shears] == [1, -1, 2, -2, 3]
+    assert [_squarefree_degree_mod_p(Pt, Qt, "y") for _, Pt, Qt in shears] == degrees
+
+
+def test_squarefree_degree_mod_p_skips_a_bad_prime():
+    # at shear 0 the first prime divides the y-leading coefficient of P_t,
+    # so its image comes from the second
+    p1 = _CERT_PRIMES[0]
+    F = make_foliation(parse_poly(f"x^2 + {p1}*y^2 - y - 1", V), parse_poly("x*y + y^2 + x - 2", V))
+    for _, Pt, Qt in singularities._shear_candidates(F):
+        assert _squarefree_degree_mod_p(Pt, Qt, "y") == _exact_squarefree_degree(Pt, Qt)
+
+
+def test_shear_ranking_without_a_prime_takes_the_exact_path():
+    # both primes divide the denominator of the constant terms, so no image
+    # mod p exists and each shear drawn ahead gets its exact resultant
+    d = _CERT_PRIMES[0] * _CERT_PRIMES[1]
+    F = make_foliation(parse_poly(f"x^2 - y^2 + 1/{d}", V), parse_poly(f"x*y - 1/{d}", V))
+    ranked = list(singularities._ranked(F, singularities._shear_candidates(F), exact=False))
+    assert ranked
+    for _, Pt, Qt, parts, degree in ranked:
+        assert _squarefree_degree_mod_p(Pt, Qt, "y") is None
+        assert parts is not None and degree == _exact_squarefree_degree(Pt, Qt)
+    assert (_cluster_rows(affine_singular_points(F))
+            == _cluster_rows(_affine_singular_points_reference(F)))
