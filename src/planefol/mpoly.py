@@ -758,12 +758,13 @@ def _coprime_mod_p(f, g):
     p = next((p for p in _CERT_PRIMES if all(c.denominator % p for c in coeffs)), None)
     if p is None:
         return False
+    residues = (_residues_mod_p(f, p), _residues_mod_p(g, p))
     for i in range(len(f.vars)):
         if not any(e[i] for e in f.terms) and not any(e[i] for e in g.terms):
             continue
         for k in range(len(_CERT_POINTS)):
             point = [_CERT_POINTS[(j + k) % len(_CERT_POINTS)] for j in range(len(f.vars))]
-            a, b = _image_mod_p(f, i, point, p), _image_mod_p(g, i, point, p)
+            a, b = _image_mod_p(residues, i, point, p)
             if a[-1] and b[-1]:
                 break
         else:
@@ -857,9 +858,9 @@ def _squarefree_degree_mod_p(f, g, var):
         if any(c.denominator % p == 0 for c in coeffs) or any(c.numerator % p == 0 for c in leads):
             continue
         # the other variable takes a = 0, ..., n; _image_mod_p skips slot i
+        residues = (_residues_mod_p(f, p), _residues_mod_p(g, p))
         r = _interpolate_mod_p(
-            [_resultant_mod_p(_image_mod_p(f, i, (a, a), p), _image_mod_p(g, i, (a, a), p), p)
-             for a in range(n + 1)], p)
+            [_resultant_mod_p(*_image_mod_p(residues, i, (a, a), p), p) for a in range(n + 1)], p)
         if not r:
             continue
         # deg r < p, so the derivative keeps a nonzero leading entry
@@ -869,17 +870,34 @@ def _squarefree_degree_mod_p(f, g, var):
     return None
 
 
-def _image_mod_p(f, i, point, p):
-    """Dense coefficients mod p, in variable i, of f with the other variables
-    set to `point`; the last entry is the image of the leading coefficient."""
-    out = [0] * (max(e[i] for e in f.terms) + 1)
-    for exp, c in f.terms.items():
-        t = c.numerator * pow(c.denominator, -1, p)
-        for j, e in enumerate(exp):
-            if e and j != i:
-                t = t * pow(point[j], e, p) % p
-        out[exp[i]] = (out[exp[i]] + t) % p
-    return out
+def _residues_mod_p(f, p):
+    """The terms of f as (exponent, coefficient mod p) pairs, for a prime p
+    dividing no denominator of f."""
+    return [(e, c.numerator * pow(c.denominator, -1, p) % p) for e, c in f.terms.items()]
+
+
+def _image_mod_p(residues, i, point, p):
+    """For each polynomial given by its `_residues_mod_p`, its dense
+    coefficients mod p in variable i with the other variables set to `point`;
+    the last entry is the image of the leading coefficient. The powers of each
+    coordinate are computed once, for all the polynomials."""
+    powers = []
+    for j, x in enumerate(point):
+        row = [1]
+        if j != i:
+            for _ in range(max(e[j] for terms in residues for e, _ in terms)):
+                row.append(row[-1] * x % p)
+        powers.append(row)
+    images = []
+    for terms in residues:
+        out = [0] * (max(e[i] for e, _ in terms) + 1)
+        for exp, t in terms:
+            for j, e in enumerate(exp):
+                if e and j != i:
+                    t = t * powers[j][e] % p
+            out[exp[i]] = (out[exp[i]] + t) % p
+        images.append(out)
+    return images
 
 
 def _euclid_univar_scaled(f, g):

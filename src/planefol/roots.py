@@ -9,8 +9,13 @@ additions only. Refinement bisects on the sign of f at a rational N/D, read
 from an integer homogeneous Horner sum. Complex roots come from the
 real/imaginary-part system: resultants propose candidate rectangles, interval
 evaluation rejects empty ones, and a Krawczyk operator certifies existence and
-uniqueness. Every certificate is exact arithmetic; no floating point enters
-any decision.
+uniqueness. Interval evaluation runs on integer endpoints over one common
+denominator: each box variable's endpoints share a denominator, the
+coefficients are scaled by the lcm of theirs, and one Fraction pair is built
+at the end, equal to the one the Fraction computation gives. A Krawczyk step
+evaluates the system and its Jacobian on one power table per box and their
+exact midpoint values on one per midpoint. Every certificate is exact
+arithmetic; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -61,7 +66,11 @@ class Interval:
         return _as_interval(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_interval(other)
+        if not isinstance(other, Interval):
+            # a scalar: two products, ordered by its sign
+            q = Fraction(other)
+            a, b = self.lo * q, self.hi * q
+            return Interval(a, b) if q >= 0 else Interval(b, a)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -144,24 +153,86 @@ def _round_outward(iv, extra_bits=10):
 
 
 def interval_eval(f, box):
-    """Evaluate an MPoly over a dict var -> Interval (scalars allowed)."""
-    box = {v: _as_interval(iv) for v, iv in box.items()}
-    total = Interval(0, 0)
-    powers = {v: [Interval(1, 1), iv] for v, iv in box.items()}
+    """Evaluate an MPoly over a dict var -> Interval (scalars allowed).
 
-    def pw(v, k):
-        cache = powers[v]
-        while len(cache) <= k:
-            cache.append(cache[-1] * cache[1])
-        return cache[k]
+    The result is the Fraction interval computation term by term: the k-th
+    power of a variable is the (k-1)-th times the first, each term is its
+    coefficient times its powers in `f.vars` order, every product is the
+    min and max of four endpoint products, and the terms are summed. It is
+    carried out on integers: each variable's endpoints are put over one
+    denominator d, its k-th power is kept times d^top (top its largest
+    exponent in f), and the coefficients are scaled by the lcm L of their
+    denominators. Every step is then the Fraction step times a positive
+    constant, which moves no min or max, so the endpoints equal those of the
+    Fraction computation; one division by L * prod(d^top) at the end gives
+    them.
+    """
+    form = _integer_form(f)
+    tables = [
+        _power_table(_as_interval(box[v]), top) if top else None
+        for v, top in zip(f.vars, form[2])
+    ]
+    return _form_image(form, tables)
 
-    for e, c in f.terms.items():
-        term = Interval.point(c)
-        for v, k in zip(f.vars, e):
-            if k:
-                term = term * pw(v, k)
-        total = total + term
-    return total
+
+# Interval evaluation on integers. An integer form of a polynomial is
+# (L, terms, tops): L the lcm of its coefficient denominators, terms the pairs
+# (L * c, exponent), and tops the largest exponent of each variable. A power
+# table of an interval for a top is (D, pairs): pairs[k] is D times its k-th
+# iterated interval power, as integers, with D = d^top.
+
+
+def _integer_form(f):
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(c.numerator * (scale // c.denominator), e) for e, c in f.terms.items()]
+    tops = [max((e[i] for e in f.terms), default=0) for i in range(len(f.vars))]
+    return scale, terms, tops
+
+
+def _power_table(iv, top):
+    lo, hi = iv.lo, iv.hi
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    pairs = [(1, 1), (a, b)]
+    for _ in range(top - 1):
+        p, q = pairs[-1]
+        products = (p * a, p * b, q * a, q * b)
+        pairs.append((min(products), max(products)))
+    scaled = [(p * d ** (top - k), q * d ** (top - k)) for k, (p, q) in enumerate(pairs[: top + 1])]
+    return d**top, scaled
+
+
+def _integer_image(form, tables):
+    """The numerators (lo, hi) of f over a box, over the denominator
+    L * prod(D) of the form and its tables (a table per variable of positive
+    top, None for the others)."""
+    _, terms, _ = form
+    lo_sum = hi_sum = 0
+    for c, e in terms:
+        lo = hi = c
+        for k, table in zip(e, tables):
+            if table is None:
+                continue
+            a, b = table[1][k]
+            if lo == hi:
+                lo, hi = (lo * a, lo * b) if lo >= 0 else (lo * b, lo * a)
+            else:
+                products = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(products), max(products)
+        lo_sum += lo
+        hi_sum += hi
+    return lo_sum, hi_sum
+
+
+def _form_image(form, tables):
+    """f over a box as an Interval, from its integer form and power tables."""
+    den = form[0]
+    for table in tables:
+        if table is not None:
+            den *= table[0]
+    lo, hi = _integer_image(form, tables)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 # -- dense univariate helpers -------------------------------------------------------
@@ -434,37 +505,40 @@ class _ComplexSystem:
         R, I = _re_im(dense)
         self.R = R
         self.I = I
-        self.Ra = R.diff("re")
-        self.Rb = R.diff("im")
-        self.Ia = I.diff("re")
-        self.Ib = I.diff("im")
+        # integer forms of R, I and the Jacobian entries R_re, R_im, I_re,
+        # I_im, evaluated on one pair of power tables per box; the last box's
+        # tables are kept, since might_contain and krawczyk are asked about
+        # the same box in turn
+        jacobian = [p.diff(v) for p in (R, I) for v in ("re", "im")]
+        self._forms = [_integer_form(p) for p in (R, I, *jacobian)]
+        self._top = len(dense) - 1
+        self._last = None
+
+    def _tables(self, ia, ib):
+        if self._last is None or self._last[0] != (ia, ib):
+            self._last = (ia, ib), [_power_table(ia, self._top), _power_table(ib, self._top)]
+        return self._last[1]
 
     def might_contain(self, ia, ib):
-        box = {"re": ia, "im": ib}
-        return interval_eval(self.R, box).contains_zero() and interval_eval(
-            self.I, box
-        ).contains_zero()
+        tables = self._tables(ia, ib)
+        for form in self._forms[:2]:
+            lo, hi = _integer_image(form, tables)
+            if lo > 0 or hi < 0:
+                return False
+        return True
 
     def krawczyk(self, ia, ib):
         """Returns ('unique', box), ('empty', None) or ('unknown', shrunk box)."""
         ma, mb = ia.mid(), ib.mid()
-        point = {"re": ma, "im": mb}
-        fa = self.R.eval_all(point)
-        fb = self.I.eval_all(point)
-        j11 = self.Ra.eval_all(point)
-        j12 = self.Rb.eval_all(point)
-        j21 = self.Ia.eval_all(point)
-        j22 = self.Ib.eval_all(point)
+        at_mid = [_power_table(Interval.point(m), self._top) for m in (ma, mb)]
+        fa, fb, j11, j12, j21, j22 = (_form_image(form, at_mid).lo for form in self._forms)
         det = j11 * j22 - j12 * j21
         if det == 0:
             return "unknown", (ia, ib)
         y11, y12 = j22 / det, -j12 / det
         y21, y22 = -j21 / det, j11 / det
-        box = {"re": ia, "im": ib}
-        J11 = interval_eval(self.Ra, box)
-        J12 = interval_eval(self.Rb, box)
-        J21 = interval_eval(self.Ia, box)
-        J22 = interval_eval(self.Ib, box)
+        tables = self._tables(ia, ib)
+        J11, J12, J21, J22 = (_form_image(form, tables) for form in self._forms[2:])
         # E - Y * J(X)
         e11 = 1 - (y11 * J11 + y12 * J21)
         e12 = -(y11 * J12 + y12 * J22)

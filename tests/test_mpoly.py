@@ -13,8 +13,10 @@ from planefol.mpoly import (
     MPoly,
     _coprime_mod_p,
     _exact_quo,
+    _image_mod_p,
     _interpolate_mod_p,
     _packing,
+    _residues_mod_p,
     _resultant_mod_p,
     _zquo,
     bareiss_det,
@@ -226,6 +228,35 @@ def test_resultant_and_interpolation_mod_p(a, b):
         assert _resultant_mod_p([c % p for c in a], [c % p for c in b], p) == res % p
     values = [int(A.eval_all({"x": Fraction(k)})) % p for k in range(len(a) + 2)]
     assert _interpolate_mod_p(values, p) == [c % p for c in a]
+
+
+def _image_mod_p_reference(f, i, point, p):
+    out = [0] * (max(e[i] for e in f.terms) + 1)
+    for exp, c in f.terms.items():
+        t = c.numerator * pow(c.denominator, -1, p)
+        for j, e in enumerate(exp):
+            if e and j != i:
+                t = t * pow(point[j], e, p) % p
+        out[exp[i]] = (out[exp[i]] + t) % p
+    return out
+
+
+_EXPONENT = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+_COEFF = st.builds(Fraction, st.one_of(st.integers(-50, 50), st.integers(-2**70, 2**70)).filter(bool),
+                   st.integers(1, 2**64))
+
+
+@given(st.lists(st.dictionaries(_EXPONENT, _COEFF, min_size=1, max_size=8), min_size=1, max_size=3),
+       st.integers(0, 2), st.lists(st.integers(-3, 20), min_size=3, max_size=3),
+       st.sampled_from(_CERT_PRIMES))
+@settings(max_examples=80, deadline=None)
+def test_image_mod_p_matches_per_term_reference(terms, i, point, p):
+    # residues reduced once and powers shared by all the polynomials give the
+    # images that reducing every term anew gives
+    polys = [MPoly(("x", "y", "z"), t) for t in terms]
+    assume(all(c.denominator % p for f in polys for c in f.terms.values()))
+    images = _image_mod_p([_residues_mod_p(f, p) for f in polys], i, point, p)
+    assert images == [_image_mod_p_reference(f, i, point, p) for f in polys]
 
 
 def test_gcd_quadext_pair_runs_the_prs(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -358,4 +359,233 @@ def test_json_same_with_fraction_real_isolation(cmd, p, q, tmp_path, capsys, mon
 
     by_integers = canonical()
     monkeypatch.setattr(roots, "_isolate_real_squarefree", _isolate_real_squarefree_reference)
+    assert canonical() == by_integers
+
+
+# -- interval evaluation on integers: the same endpoints as the Fraction one --------
+#
+# The references are the Fraction kernels the integer ones replaced, kept
+# verbatim: interval_eval on Interval products, and the Krawczyk step and the
+# emptiness test of the complex system on it and on MPoly.eval_all.
+
+
+def _interval_eval_reference(f, box):
+    """Evaluate an MPoly over a dict var -> Interval (scalars allowed)."""
+    box = {v: roots._as_interval(iv) for v, iv in box.items()}
+    total = Interval(0, 0)
+    powers = {v: [Interval(1, 1), iv] for v, iv in box.items()}
+
+    def pw(v, k):
+        cache = powers[v]
+        while len(cache) <= k:
+            cache.append(cache[-1] * cache[1])
+        return cache[k]
+
+    for e, c in f.terms.items():
+        term = Interval.point(c)
+        for v, k in zip(f.vars, e):
+            if k:
+                term = term * pw(v, k)
+        total = total + term
+    return total
+
+
+class _ReferenceSystem(roots._ComplexSystem):
+    def __init__(self, dense):
+        super().__init__(dense)
+        self.Ra, self.Rb = self.R.diff("re"), self.R.diff("im")
+        self.Ia, self.Ib = self.I.diff("re"), self.I.diff("im")
+
+    def might_contain(self, ia, ib):
+        box = {"re": ia, "im": ib}
+        return _interval_eval_reference(self.R, box).contains_zero() and _interval_eval_reference(
+            self.I, box
+        ).contains_zero()
+
+    def krawczyk(self, ia, ib):
+        """Returns ('unique', box), ('empty', None) or ('unknown', shrunk box)."""
+        ma, mb = ia.mid(), ib.mid()
+        point = {"re": ma, "im": mb}
+        fa = self.R.eval_all(point)
+        fb = self.I.eval_all(point)
+        j11 = self.Ra.eval_all(point)
+        j12 = self.Rb.eval_all(point)
+        j21 = self.Ia.eval_all(point)
+        j22 = self.Ib.eval_all(point)
+        det = j11 * j22 - j12 * j21
+        if det == 0:
+            return "unknown", (ia, ib)
+        y11, y12 = j22 / det, -j12 / det
+        y21, y22 = -j21 / det, j11 / det
+        box = {"re": ia, "im": ib}
+        J11 = _interval_eval_reference(self.Ra, box)
+        J12 = _interval_eval_reference(self.Rb, box)
+        J21 = _interval_eval_reference(self.Ia, box)
+        J22 = _interval_eval_reference(self.Ib, box)
+        # E - Y * J(X)
+        e11 = 1 - (y11 * J11 + y12 * J21)
+        e12 = -(y11 * J12 + y12 * J22)
+        e21 = -(y21 * J11 + y22 * J21)
+        e22 = 1 - (y21 * J12 + y22 * J22)
+        da = ia - ma
+        db = ib - mb
+        ka = (ma - (y11 * fa + y12 * fb)) + (e11 * da + e12 * db)
+        kb = (mb - (y21 * fa + y22 * fb)) + (e21 * da + e22 * db)
+        if not ka.intersects(ia) or not kb.intersects(ib):
+            return "empty", None
+        if ka.strictly_inside(ia) and kb.strictly_inside(ib):
+            return "unique", (ka.intersect(ia), kb.intersect(ib))
+        return "unknown", (ka.intersect(ia), kb.intersect(ib))
+
+
+_rational = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 16]))
+_positive = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 16]))
+
+
+@st.composite
+def _box_entry(draw):
+    kind = draw(st.sampled_from(["straddle", "negative", "point", "any", "scalar"]))
+    if kind == "straddle":
+        return Interval(-draw(_positive), draw(_positive))
+    if kind == "negative":
+        a, b = sorted([-draw(_positive), -draw(_positive)])
+        return Interval(a, b)
+    if kind == "point":
+        return Interval.point(draw(_rational))
+    if kind == "any":
+        return Interval(*sorted([draw(_rational), draw(_rational)]))
+    return draw(st.one_of(_rational, st.integers(-5, 5)))
+
+
+@st.composite
+def _poly_over_box(draw):
+    vars = draw(st.sampled_from([("x",), ("x", "y"), ("y", "x")]))
+    degree = draw(st.integers(0, 8))
+    exponents = [e for e in ((i, j) for i in range(degree + 1) for j in range(degree + 1 - i))
+                 if len(vars) == 2 or e[1] == 0]
+    chosen = draw(st.lists(st.sampled_from(exponents), max_size=12, unique=True))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+    f = MPoly(vars, {e[: len(vars)]: draw(coeffs) for e in chosen})
+    box = {v: draw(_box_entry()) for v in vars}
+    if draw(st.booleans()):
+        box["z"] = draw(_box_entry())  # an unused entry is ignored
+    return f, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_over_box())
+@example((parse_poly("3/7*x^5 - 2*x^2*y^3 + 5/4*y - 1/3", vars=("x", "y")),
+          {"x": Interval(Fraction(-2, 3), Fraction(5, 7)), "y": Interval(Fraction(-9, 4), Fraction(-1, 5))}))
+@example((parse_poly("x^8 - 4*x^7 + x", vars=("x",)), {"x": Fraction(-7, 3)}))
+@example((parse_poly("-x^4*y^4 + x*y", vars=("x", "y")), {"x": Interval(-1, 1), "y": 2}))
+def test_interval_eval_equals_fraction_reference(case):
+    f, box = case
+    got = interval_eval(f, box)
+    assert isinstance(got, Interval)
+    assert got == _interval_eval_reference(f, box)
+
+
+def test_interval_eval_missing_variable_raises():
+    f = parse_poly("x^2 + y", vars=("x", "y"))
+    with pytest.raises(KeyError):
+        interval_eval(f, {"x": Interval(0, 1)})
+    # a variable that occurs in no term need not be in the box; x^2 is
+    # [-1, 2] * [-1, 2], with no even-power tightening
+    assert interval_eval(parse_poly("x^2 + 1", vars=("x", "y")), {"x": Interval(-1, 2)}) == Interval(-1, 5)
+
+
+def test_interval_eval_of_zero_is_zero():
+    assert interval_eval(MPoly.zero(("x", "y")), {}) == Interval(0, 0)
+    assert interval_eval(MPoly.zero(("x",)), {"x": Interval(-3, 4)}) == Interval(0, 0)
+
+
+def _krawczyk_cases(dense, box):
+    """The emptiness test and the Krawczyk step of both systems on one box."""
+    new, ref = roots._ComplexSystem(dense), _ReferenceSystem(dense)
+    return ((new.might_contain(*box), new.krawczyk(*box)),
+            (ref.might_contain(*box), ref.krawczyk(*box)))
+
+
+def _boxes_near_roots(text):
+    """Boxes around and beside the upper complex roots of a polynomial: the
+    isolating box, its refinements, its halves, a widened box and a box
+    moved off the root."""
+    f = parse_poly(text, vars=("x",))
+    out = []
+    for r in isolate_roots(f):
+        if r.im.lo <= 0:
+            continue
+        for _ in range(3):
+            ia, ib = r.re, r.im
+            m = ia.mid()
+            out += [(ia, ib), (Interval(ia.lo, m), ib), (Interval(m, ia.hi), ib),
+                    (Interval(ia.lo - 1, ia.hi + 1), Interval(ib.lo / 2, ib.hi * 2)),
+                    (ia + 1, ib)]
+            r.refine()
+    return f.scalar_coeffs(), out
+
+
+@pytest.mark.parametrize("text", ["x^3 - 2*x + 2", "2*x^3 + x^2 + 3/2", "x^4 + x^3 + x^2 + x + 1",
+                                  "x^4 - 2*x^3 + 7/3*x^2 + 5", "3*x^4 - x + 1/4"])
+def test_krawczyk_equals_fraction_reference_near_roots(text):
+    dense, boxes = _boxes_near_roots(text)
+    assert boxes
+    for box in boxes:
+        new, ref = _krawczyk_cases(dense, box)
+        assert new == ref
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), min_size=3, max_size=6)
+       .filter(lambda c: c[-1] != 0),
+       st.tuples(_rational, _rational).map(sorted), st.tuples(_rational, _rational).map(sorted))
+def test_krawczyk_equals_fraction_reference_on_drawn_boxes(dense, re, im):
+    box = (Interval(*re), Interval(*im))
+    new, ref = _krawczyk_cases(dense, box)
+    assert new == ref
+
+
+def _box_rows(boxes):
+    return [(str(b.re.lo), str(b.re.hi), str(b.im.lo), str(b.im.hi)) for b in boxes]
+
+
+# real and upper boxes from Fraction interval evaluation, and a digest of all
+# boxes after three refinements each
+@pytest.mark.parametrize("text, upper, refined", [
+    ("x^9 - 3*x^4 + x - 7", [
+        ("0", "8", "0", "0"),
+        ("-1224205/1048576", "-2446325/2097152", "1205589/2097152", "603837/1048576"),
+        ("-702637/1048576", "-87547/131072", "1017567/1048576", "1019829/1048576"),
+        ("352283/1048576", "707085/2097152", "2757215/2097152", "2759733/2097152"),
+        ("6872641/8388608", "6876547/8388608", "3005679/4194304", "187977/262144"),
+    ], "e9bb66390d2f6787f840ca06"),
+    ("4*x^8 - 3*x^5 + 7*x^3 - x + 2", [
+        ("-54899/65536", "-218503/262144", "42615/262144", "21855/131072"),
+        ("-470865/1048576", "-234943/524288", "4899745/4194304", "4903661/4194304"),
+        ("5483281/16777216", "5486129/16777216", "8646703/16777216", "4324751/8388608"),
+        ("1003723/1048576", "8031035/8388608", "4311357/8388608", "8625215/16777216"),
+    ], "9c7bad1c853ba228066b2213"),
+], ids=["deg9", "deg8"])
+def test_isolate_roots_boxes_as_recorded(text, upper, refined):
+    boxes = isolate_roots(parse_poly(text, vars=("x",)))
+    assert [row for row, b in zip(_box_rows(boxes), boxes) if b.im.lo >= 0] == upper
+    for b in boxes:
+        for _ in range(3):
+            b.refine()
+    assert hashlib.sha256(repr(_box_rows(boxes)).encode()).hexdigest()[:24] == refined
+
+
+def test_json_same_with_fraction_interval_evaluation(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"P": "x^2 - 2*x*y + 3*y^2 + x - y + 2",
+                                "Q": "2*x^2 + x*y - y^2 - 3*x + y - 1"}))
+    argv = ["--format", "json", "singularities", "--boxes", "--foliation", str(path)]
+
+    def canonical():
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    by_integers = canonical()
+    monkeypatch.setattr(roots, "interval_eval", _interval_eval_reference)
+    monkeypatch.setattr(roots, "_ComplexSystem", _ReferenceSystem)
     assert canonical() == by_integers
