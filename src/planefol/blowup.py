@@ -16,9 +16,8 @@ trees certify reducedness and nothing numeric can.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .mpoly import MPoly, exact_div, poly_gcd, squarefree_part
+from .mpoly import MPoly, _integer_coeffs, exact_div
 from .numbers import QuadExt, quadratic_roots
 from .foliation import Foliation, _weighted_reindex
 from .singularities import (
@@ -28,6 +27,8 @@ from .singularities import (
     SingularPoint,
     _eval_on_cluster,
     _shift_out,
+    _squarefree_on_line,
+    _zero_at_origin,
     affine_singular_points,
     classify_point,
     classify_singularity,
@@ -146,11 +147,7 @@ def _rational_roots(g, var):
     test on the cleared-denominator form.  Skipped (returns []) when the
     trailing or leading integer exceeds 10**12; the quadratic and error paths
     downstream stay honest either way."""
-    vals = g.scalar_coeffs()
-    den = 1
-    for v in vals:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in vals]
+    _, ints = _integer_coeffs(g.scalar_coeffs())
     lo = 0
     while ints[lo] == 0:
         lo += 1
@@ -169,13 +166,11 @@ def _rational_roots(g, var):
 
 
 def _exact_roots(g, var):
-    """All roots of a univariate polynomial, each rational or quadratic over
-    the coefficient field; BlowupUnavailableError beyond that."""
-    g = squarefree_part(g)
+    """All roots of a squarefree univariate polynomial, each rational or
+    quadratic over the coefficient field; BlowupUnavailableError beyond that."""
     vv = MPoly.variable(var, g.vars)
     roots = []
-    rational = all(isinstance(c, (int, Fraction)) for c in g.terms.values())
-    if rational:
+    if g.is_rational():
         for r in _rational_roots(g, var):
             roots.append(Fraction(r))
             g = exact_div(g, vv - MPoly.const(g.vars, r))
@@ -205,14 +200,12 @@ def _exceptional_singularities(chart1, chart2):
     chart-2 origin.
     """
     out = []
-    A, B = chart1
-    x, y = A.vars
-    g = poly_gcd(A.coeff_in(x, 0), B.coeff_in(x, 0))
-    if g.deg_in(y) > 0:
+    x, y = chart1[0].vars
+    g = _squarefree_on_line(chart1, x, y)
+    if g is not None:
         for v0 in _exact_roots(g, y):
             out.append((1, (Fraction(0), v0)))
-    P2, Q2 = chart2
-    if _eval_origin(P2) == 0 and _eval_origin(Q2) == 0:
+    if _zero_at_origin(chart2):
         out.append((2, (Fraction(0), Fraction(0))))
     return out
 

@@ -9,12 +9,16 @@ only to certify that a determinant is NOT zero, never that it is.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .algebraic import _resolve_clusters, _vanishes, mod_reduce
 from .foliation import Foliation, _fresh_name, _weighted_reindex
 from .mpoly import MPoly, bareiss_det, exact_div, poly_gcd, squarefree_part
-from .singularities import _eval_on_cluster, affine_singular_points
+from .singularities import (
+    _eval_on_cluster,
+    _squarefree_on_line,
+    _zero_at_origin,
+    affine_singular_points,
+)
 
 
 def _aligned(f, target_vars):
@@ -310,9 +314,8 @@ def _infinity_singularities(C):
 
     conds, disc = _singular_conditions(_weighted_reindex(f, C.degree, (tau, w), slope_var=0))
     # the first condition is f_n(1, tau) != 0, so the gcd is never zero
-    g = reduce(poly_gcd, [p.coeff_in(w, 0).with_vars(tvars) for p in conds])
-    if g.deg_in(tau) > 0:
-        g = squarefree_part(g)
+    g = _squarefree_on_line(conds, w, tau)
+    if g is not None:
         disc = disc.coeff_in(w, 0).with_vars(tvars)
         b = mod_reduce(MPoly.variable(tau, tvars), g, tau).with_vars(tvars)
         out += [CurveSingularity("inf1", *piece)
@@ -320,11 +323,10 @@ def _infinity_singularities(C):
                                                lambda gi, bi, wi: not _vanishes(disc, gi))]
 
     conds, disc = _singular_conditions(_weighted_reindex(f, C.degree, (tau, w), slope_var=1))
-    origin = {tau: Fraction(0), w: Fraction(0)}
-    if all(p.eval_all(origin) == 0 for p in conds):
+    if _zero_at_origin(conds):
         zero = MPoly.zero(tvars)
         out.append(CurveSingularity("inf2", MPoly.variable(tau, tvars), zero, zero,
-                                    disc.eval_all(origin) != 0))
+                                    not _zero_at_origin((disc,))))
     return out
 
 

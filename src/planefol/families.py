@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import _first_nonzero, _resolve_clusters
+from .algebraic import _first_nonzero, _resolve_clusters, mod_reduce
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
 from .foliation import Foliation
@@ -24,7 +24,6 @@ from .singularities import (
     UNDETERMINED,
     ExactnessError,
     SingularPoint,
-    _tau_mod,
     _translated,
     _xy_parts,
     classify_singularity,
@@ -251,7 +250,7 @@ def _census(field, chart, f, xt, yt, deadline):
 
     Pnu = pparts.get(nu, zero3)
     Qnu = qparts.get(nu, zero3)
-    T = _tau_mod(
+    T = mod_reduce(
         MPoly.variable(x, vars3) * Qnu - MPoly.variable(y, vars3) * Pnu, f, tau
     )
     if _first_nonzero([_tau_coeff_polys(T, tau)], f) is None:

@@ -110,6 +110,10 @@ class MPoly:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
+    def is_rational(self):
+        """Every coefficient is rational (none is a QuadExt)."""
+        return all(isinstance(c, Fraction) for c in self.terms.values())
+
     def constant_value(self):
         if not self.terms:
             return Fraction(0)
@@ -641,17 +645,19 @@ def exact_div(f, g):
     return q if r.is_zero() else None
 
 
+def _integer_coeffs(coeffs):
+    """(L, ints) for a sequence of rationals: L the lcm of their denominators
+    and ints their multiples by L, in order."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
 def rational_content(f):
     """Positive rational c with f/c having coprime integer coefficients."""
     if f.is_zero():
         return Fraction(1)
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    return Fraction(num, den)
+    den, ints = _integer_coeffs(f.terms.values())
+    return Fraction(gcd(*ints), den)
 
 
 def normalized(f):
@@ -659,7 +665,7 @@ def normalized(f):
     coefficient for rational coefficients; monic otherwise."""
     if f.is_zero():
         return f
-    if all(isinstance(c, Fraction) for c in f.terms.values()):
+    if f.is_rational():
         c = rational_content(f)
         g = f / c
         if g.lt()[1] < 0:
@@ -752,9 +758,9 @@ def _coprime_mod_p(f, g):
     in F_p[v]; a constant gcd for every v gives deg G = 0. False means no
     certificate, not a shared factor; QuadExt coefficients never get one.
     """
-    coeffs = [*f.terms.values(), *g.terms.values()]
-    if not all(isinstance(c, Fraction) for c in coeffs):
+    if not (f.is_rational() and g.is_rational()):
         return False
+    coeffs = [*f.terms.values(), *g.terms.values()]
     p = next((p for p in _CERT_PRIMES if all(c.denominator % p for c in coeffs)), None)
     if p is None:
         return False
@@ -848,9 +854,9 @@ def _squarefree_degree_mod_p(f, g, var):
     scalar resultants in F_p[var]. Its squarefree degree is a lower bound on
     that of R, equal to it unless p divides the leading coefficient or the
     discriminant of the squarefree part of R (Brown 1971)."""
-    coeffs = [*f.terms.values(), *g.terms.values()]
-    if not all(isinstance(c, Fraction) for c in coeffs):
+    if not (f.is_rational() and g.is_rational()):
         return None
+    coeffs = [*f.terms.values(), *g.terms.values()]
     i = f.vars.index(var)
     leads = [h.coeff_in(var, h.deg_in(var)).constant_value() for h in (f, g)]
     n = f.total_degree() * g.total_degree()
@@ -939,17 +945,16 @@ def squarefree_part(f):
     return normalized(f)
 
 
-def yun_decomposition(f, var=None):
+def yun_decomposition(f):
     """Yun's squarefree decomposition of a univariate rational polynomial.
 
     Returns (unit, [(g1, 1), (g2, 2), ...]) with f = unit * prod gi^i and the
     gi squarefree, pairwise coprime, normalized.
     """
-    if var is None:
-        occ = _occurring(f)
-        if len(occ) != 1:
-            raise ValueError("yun_decomposition expects a univariate polynomial")
-        var = next(iter(occ))
+    occ = _occurring(f)
+    if len(occ) != 1:
+        raise ValueError("yun_decomposition expects a univariate polynomial")
+    var = next(iter(occ))
     if f.is_zero():
         raise ValueError("zero polynomial")
     fn = normalized(f)
@@ -1003,8 +1008,8 @@ def bareiss_det(rows):
     # a minor's degree is at most the sum of its rows' degrees
     top = 2 * sum(max(max(x.total_degree() for x in row), 0) for row in rows)
     pack, unpack, guard = _packing(union, top)
+    integral = all(x.is_rational() for row in rows for x in row)
     m = [[pack(x) for x in row] for row in rows]
-    integral = all(isinstance(c, Fraction) for row in m for x in row for c in x.values())
     scale = 1
     if integral:
         for row in m:

