@@ -61,10 +61,8 @@ def invert_mod(a, f, var):
     if g.total_degree() == 0:
         inv = s / g.constant_value()
         return mod_reduce(inv, f, var)
-    gn = normalized(g)
-    if gn.deg_in(var) == f.deg_in(var):
-        raise ZeroDivisionError("inverse of zero in Q[x]/(f)")
-    raise SplitNeeded(gn)
+    # deg g <= deg a < deg f, so g is a proper factor
+    raise SplitNeeded(normalized(g))
 
 
 def zero_split(w, f, var):
@@ -80,7 +78,7 @@ def zero_split(w, f, var):
     h = poly_gcd(f, w)
     if h.total_degree() == 0:
         return "none", None
-    return "split", normalized(h)
+    return "split", h
 
 
 # -- the splitting driver ------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .mpoly import MPoly, _integer_coeffs, exact_div
 from .numbers import QuadExt, quadratic_roots
-from .foliation import Foliation, _weighted_reindex
+from .foliation import Foliation, _aligned, _weighted_reindex
 from .singularities import (
     NON_REDUCED,
     UNDETERMINED,
@@ -458,7 +458,7 @@ def strict_transform(C, tree):
     both charts, plus the multiplicity of the incoming curve at the blown
     point (0 when the curve misses it, making that step the identity).
     """
-    C = C.with_vars(tree.foliation.vars)
+    C = _aligned(C, tree.foliation.vars)
     return [_transform_node(C, node) for node in tree.nodes]
 
 
@@ -597,7 +597,7 @@ def total_z(tree, C):
     Returns (z, records).
     """
     F = tree.foliation if isinstance(tree, ResolutionTree) else tree
-    C = C.with_vars(F.vars)
+    C = _aligned(C, F.vars)
     n = C.total_degree()
     curves = {"affine": C}  # C in the coordinates of each chart
     records = []

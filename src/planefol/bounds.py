@@ -122,10 +122,13 @@ class PlurigeneraOracle:
         extra = set(data) - {"P", "height"}
         if extra:
             raise ValueError(f"unknown oracle keys: {sorted(extra)}")
-        P = data.get("P")
-        if P is not None:
-            P = [int(v) for v in P]
-        return cls(P=P, height=data.get("height"))
+        P, height = data.get("P"), data.get("height")
+        if P is not None and not (isinstance(P, list)
+                                  and all(type(v) in (str, int) for v in P)):
+            raise ValueError("oracle P must be a list of integers or integer strings")
+        if height is not None and type(height) not in (str, int):
+            raise ValueError("oracle height must be an integer or an integer string")
+        return cls(P=P, height=height)
 
 
 class BoundReport:

@@ -48,8 +48,8 @@ from .families import (
     build_family,
     dicritical_count,
 )
-from .foliation import Foliation, foliation_degree
-from .mpoly import MPoly, parse_poly
+from .foliation import Foliation, _aligned, foliation_degree
+from .mpoly import MPoly, _var_names, parse_poly
 from .roots import IsolationError
 from .singularities import (
     DecompositionError,
@@ -89,16 +89,23 @@ def _poly_from(entry, vars, path, field):
             return parse_poly(entry, vars)
         if isinstance(entry, dict):
             return MPoly.from_json(entry)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, ZeroDivisionError) as e:
         raise InputError(f"{path}: {field}: {e}") from e
     raise InputError(f"{path}: {field}: expected a polynomial string or object")
+
+
+def _vars_of(data, path):
+    try:
+        return _var_names(data.get("vars", ["x", "y"]))
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
 def _load_foliation(path):
     data = _read_json(path)
     if not isinstance(data, dict) or "P" not in data or "Q" not in data:
         raise InputError(f"{path}: a foliation file needs P and Q entries")
-    vars = tuple(data.get("vars", ("x", "y")))
+    vars = _vars_of(data, path)
     P = _poly_from(data["P"], vars, path, "P")
     Q = _poly_from(data["Q"], vars, path, "Q")
     try:
@@ -111,7 +118,7 @@ def _load_curve(path):
     data = _read_json(path)
     if not isinstance(data, dict) or "f" not in data:
         raise InputError(f"{path}: a curve file needs an f entry")
-    vars = tuple(data.get("vars", ("x", "y")))
+    vars = _vars_of(data, path)
     f = _poly_from(data["f"], vars, path, "f")
     try:
         return PlaneCurve(
@@ -268,14 +275,14 @@ def _cmd_index(args):
     if args.point is not None:
         pt = _parse_point(args.point)
         try:
-            k = z_index((F.P, F.Q), C.f.with_vars(F.vars), pt)
+            k = z_index((F.P, F.Q), _aligned(C.f, F.vars), pt)
         except ValueError as e:
             raise InputError(str(e)) from e
         report = {"z_index": k, "point": [str(pt[0]), str(pt[1])]}
         _emit(report, args, lambda r: [f"z-index {r['z_index']}"])
         return EXIT_OK
     try:
-        z, records = total_z(F, C.f.with_vars(F.vars))
+        z, records = total_z(F, C.f)
     except (BlowupUnavailableError, ExactnessError) as e:
         _emit({"error": str(e)}, args, lambda r: [f"unavailable: {r['error']}"])
         return EXIT_UNDETERMINED

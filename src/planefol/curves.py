@@ -11,23 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebraic import _resolve_clusters, _vanishes, mod_reduce
-from .foliation import Foliation, _fresh_name, _weighted_reindex
-from .mpoly import MPoly, bareiss_det, exact_div, poly_gcd, squarefree_part
+from .foliation import Foliation, _aligned, _fresh_name, _weighted_reindex
+from .mpoly import MPoly, bareiss_det, exact_div, squarefree_part
 from .singularities import (
     _eval_on_cluster,
     _squarefree_on_line,
     _zero_at_origin,
     affine_singular_points,
 )
-
-
-def _aligned(f, target_vars):
-    """The same polynomial with its variables renamed positionally."""
-    if f.vars == tuple(target_vars):
-        return f
-    if len(f.vars) != len(target_vars):
-        raise ValueError(f"cannot align {f.vars} with {target_vars}")
-    return f.rename(dict(zip(f.vars, target_vars)))
 
 
 class PlaneCurve:
@@ -183,9 +174,7 @@ _PROBE_POINTS = (
 def _extactic_vanishes(F, m):
     diag = _diagonal_coefficients(F)
     if diag is not None:
-        a, b = diag
-        weights = [i * a + j * b for i, j in _monomial_exponents(m)]
-        return len(set(weights)) < len(weights)
+        return _eigen_extactic(F, m, *diag).is_zero()
     M = _extactic_matrix(F, m)
     x, y = F.vars
     for px, py in _PROBE_POINTS:
@@ -269,20 +258,20 @@ def _affine_singularities(C):
     (f, fx, fy), disc = _singular_conditions(C.f)
     x, y = f.vars
     combos = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, -1), (1, 5)]
-    aux = None
     for a, b in combos:
         w = fx * Fraction(a) + fy * Fraction(b)
         if w.is_zero():
             continue
-        if poly_gcd(f, w).total_degree() == 0:
-            aux = w
+        # the constructor divides out gcd(f, w), so f stays whole when coprime to w
+        field = Foliation(f, w)
+        if field.P.total_degree() == f.total_degree():
             break
-    if aux is None:
+    else:
         raise ArithmeticError("no linear combination of the partials is coprime to the curve")
 
-    # common zeros of (f, aux) contain every affine singular point; the
+    # common zeros of (f, w) contain every affine singular point; the
     # cluster machinery of the singularity module solves that system exactly
-    pts = affine_singular_points(Foliation(f, aux))
+    pts = affine_singular_points(field)
 
     def vanishing(p):
         # uniform on the cluster, or SplitNeeded

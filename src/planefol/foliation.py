@@ -28,7 +28,7 @@ class Foliation:
         P, Q = P._pair(Q)
         if P.is_zero() and Q.is_zero():
             raise ValueError("zero vector field")
-        if len(P.vars) > 2:
+        if not 1 <= len(P.vars) <= 2:
             raise ValueError(f"a plane field needs two variables, got {P.vars}")
         if len(P.vars) == 1:
             # lift to two variables so chart math is uniform
@@ -113,6 +113,15 @@ class Foliation:
         return self.vars == other.vars and self.P == other.P and self.Q == other.Q
 
 
+def _aligned(f, vars):
+    """f over `vars`: by name when its variables are among them, else by position."""
+    if set(f.vars) <= set(vars):
+        return f.with_vars(vars)
+    if len(f.vars) != len(vars):
+        raise ValueError(f"cannot align {f.vars} with {vars}")
+    return f.rename(dict(zip(f.vars, vars)))
+
+
 def _fresh_name(base, taken):
     name = base
     while name in taken:
@@ -129,9 +138,7 @@ def _weighted_reindex(f, m, vars2, slope_var):
         k = m - i - j
         if k < 0:
             raise ArithmeticError("term above the declared top degree")
-        exp = (j, k) if slope_var == 0 else (i, k)
-        prev = out.get(exp)
-        out[exp] = c if prev is None else prev + c
+        out[(j, k) if slope_var == 0 else (i, k)] = c
     return MPoly(vars2, out)
 
 

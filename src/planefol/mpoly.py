@@ -66,14 +66,7 @@ class MPoly:
                 exp = tuple(exp)
                 if len(exp) != n:
                     raise ValueError(f"exponent {exp} does not match variables {self.vars}")
-                if exp in clean:
-                    s = clean[exp] + c
-                    if s:
-                        clean[exp] = s
-                    else:
-                        del clean[exp]
-                else:
-                    clean[exp] = c
+                clean[exp] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -184,9 +177,7 @@ class MPoly:
             for e, c in ck.terms.items():
                 if e[i] != 0:
                     raise ValueError("coefficient involves the main variable")
-                key = e[:i] + (k,) + e[i + 1:]
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
+                out[e[:i] + (k,) + e[i + 1:]] = c
         return cls(vars, out)
 
     def scalar_coeffs(self):
@@ -328,10 +319,7 @@ class MPoly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            nc = c * e[i]
-            prev = out.get(ne)
-            out[ne] = nc if prev is None else prev + nc
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return MPoly(self.vars, out)
 
     def subs(self, mapping):
@@ -459,11 +447,30 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data):
-        vars = tuple(data["vars"])
+        """The inverse of `to_json`; a malformed shape raises ValueError."""
+        vars, entries = _var_names(data["vars"]), data["terms"]
+        if not (isinstance(entries, list) and all(isinstance(t, dict) for t in entries)):
+            raise ValueError("terms must be a list of objects")
         terms = {}
-        for entry in data["terms"]:
-            terms[tuple(entry["exp"])] = Fraction(entry["coef"])
+        for entry in entries:
+            exp, coef = entry["exp"], entry["coef"]
+            if not (isinstance(exp, list) and len(exp) == len(vars)
+                    and all(type(e) is int and e >= 0 for e in exp)):
+                raise ValueError(f"exponent {exp!r} must be {len(vars)} nonnegative integers")
+            if type(coef) not in (str, int):
+                raise ValueError(f"coefficient {coef!r} must be a string or an integer")
+            if tuple(exp) in terms:
+                raise ValueError(f"exponent {exp} occurs twice")
+            terms[tuple(exp)] = Fraction(coef)
         return cls(vars, terms)
+
+
+def _var_names(value):
+    """`value`, a list of distinct variable names, as a tuple; else ValueError."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value)):
+        raise ValueError(f"vars must be a list of distinct names, got {value!r}")
+    return tuple(value)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -948,8 +955,8 @@ def squarefree_part(f):
 def yun_decomposition(f):
     """Yun's squarefree decomposition of a univariate rational polynomial.
 
-    Returns (unit, [(g1, 1), (g2, 2), ...]) with f = unit * prod gi^i and the
-    gi squarefree, pairwise coprime, normalized.
+    Returns [(g1, 1), (g2, 2), ...] with f = c * prod gi^i for a rational
+    c, the gi squarefree, pairwise coprime and normalized.
     """
     occ = _occurring(f)
     if len(occ) != 1:
@@ -958,11 +965,10 @@ def yun_decomposition(f):
     if f.is_zero():
         raise ValueError("zero polynomial")
     fn = normalized(f)
-    unit_ratio = f.lt()[1] / fn.lt()[1]
     df = fn.diff(var)
     a = poly_gcd(fn, df)
     if a.is_constant():
-        return unit_ratio, ([(fn, 1)] if fn.total_degree() > 0 else [])
+        return [(fn, 1)] if fn.total_degree() > 0 else []
     b = exact_div(fn, a)
     c = exact_div(df, a)
     out = []
@@ -976,11 +982,7 @@ def yun_decomposition(f):
             d = exact_div(d, g)
         d = d - b.diff(var)
         i += 1
-    # account for leading normalization of the pieces
-    prod_lt = Fraction(1)
-    for g, m in out:
-        prod_lt *= g.lt()[1] ** m
-    return f.lt()[1] / prod_lt, out
+    return out
 
 
 # -- determinants and resultants ---------------------------------------------------

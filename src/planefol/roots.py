@@ -273,17 +273,18 @@ def _cauchy_bound(c):
 
 
 class RootBox:
-    """One certified root of a squarefree rational polynomial.
+    """One certified root of a squarefree rational polynomial in `var`.
 
     `re` and `im` are rational intervals; real roots have the point interval
     [0, 0] for `im`. `refine()` at least halves the box width while keeping the
-    root inside. `exact` carries the value when the root is a known rational.
+    root inside. `exact` carries the value when the root is known exactly,
+    and the intervals are then points. The box keeps only what refinement
+    reads, not the polynomial.
     """
 
-    __slots__ = ("poly", "var", "re", "im", "exact", "_state")
+    __slots__ = ("var", "re", "im", "exact", "_state")
 
-    def __init__(self, poly, var, re, im, exact=None, state=None):
-        self.poly = poly
+    def __init__(self, var, re, im, exact=None, state=None):
         self.var = var
         self.re = re
         self.im = im
@@ -341,15 +342,15 @@ class RootBox:
 
 
 def _squarefree_dense(f):
-    """(sf, dense, var): the squarefree part of the univariate f, its dense
-    coefficients and its variable; None when f is a nonzero constant."""
+    """(dense, var): the dense coefficients of the squarefree part of the
+    univariate f and its variable; None when f is a nonzero constant."""
     sf = squarefree_part(f)
     dense = sf.scalar_coeffs()
     if len(dense) <= 1:
         if dense and dense[0] != 0:
             return None
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return sf, dense, sf.drop_vars().vars[0]
+    return dense, sf.drop_vars().vars[0]
 
 
 def isolate_real_roots(f):
@@ -445,7 +446,7 @@ def _real_isolation(dense):
     return [], exact_roots, work
 
 
-def _isolate_real_squarefree(sf, dense, var):
+def _isolate_real_squarefree(dense, var):
     intervals, exact_roots, work = _real_isolation(dense)
     boxes = []
     for a, b in intervals:
@@ -453,7 +454,7 @@ def _isolate_real_squarefree(sf, dense, var):
         sb = _sign_at(work, b)
         if sa == 0 or sb == 0 or sa == sb:
             raise IsolationError("isolating interval lost its sign change")
-        box = RootBox(sf, var, Interval(a, b), Interval.point(0), state=("real", work, sa))
+        box = RootBox(var, Interval(a, b), Interval.point(0), state=("real", work, sa))
         # shrink until no deflated rational root sits inside the interval
         for q in exact_roots:
             guard = 200
@@ -464,7 +465,7 @@ def _isolate_real_squarefree(sf, dense, var):
                     raise IsolationError("could not separate interval from a rational root")
         boxes.append(box)
     for q in exact_roots:
-        boxes.append(RootBox(sf, var, Interval.point(q), Interval.point(0), exact=q))
+        boxes.append(RootBox(var, Interval.point(q), Interval.point(0), exact=q))
     boxes.sort(key=lambda r: (r.re.lo, r.re.hi))
     for left, right in zip(boxes, boxes[1:]):
         if left.re.hi > right.re.lo and not (left.re.is_point() or right.re.is_point()):
@@ -571,8 +572,8 @@ def isolate_roots(f):
     prepared = _squarefree_dense(f)
     if prepared is None:
         return []
-    sf, dense, var = prepared
-    real_boxes = _isolate_real_squarefree(sf, dense, var)
+    dense, var = prepared
+    real_boxes = _isolate_real_squarefree(dense, var)
     n = len(dense) - 1
     n_pairs, rem = divmod(n - len(real_boxes), 2)
     if rem:
@@ -586,10 +587,10 @@ def isolate_roots(f):
         exact = (ia.lo, ib.lo) if ia.is_point() and ib.is_point() else None
         mirror = (ia.lo, -ib.lo) if exact else None
         complex_boxes.append(
-            RootBox(sf, var, ia, ib, exact=exact, state=("complex", system))
+            RootBox(var, ia, ib, exact=exact, state=("complex", system))
         )
         complex_boxes.append(
-            RootBox(sf, var, ia, -ib, exact=mirror, state=("complex", system))
+            RootBox(var, ia, -ib, exact=mirror, state=("complex", system))
         )
     complex_boxes.sort(key=lambda r: (r.re.lo, r.im.lo))
     return real_boxes + complex_boxes

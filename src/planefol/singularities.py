@@ -300,18 +300,18 @@ def milnor_clusters(field, f, xt, yt):
     return _resolve_clusters(f, xt, yt, lambda a, b, c: _milnor_once(field, a, b, c))
 
 
+def _point_cluster(field, a, b):
+    """(f, xt, yt): the exact point (a, b) as the one-point cluster f = t."""
+    tau = _fresh_name("t", field.vars)
+    return MPoly.variable(tau, (tau,)), MPoly.const((tau,), a), MPoly.const((tau,), b)
+
+
 def milnor_number(field, point):
     """Milnor number of `field` at an exact point (a, b); 0 at regular points.
 
     Coordinates may be rational or quadratic irrationals (QuadExt).
     """
-    a, b = point
-    tau = _fresh_name("t", field.vars)
-    f = MPoly.variable(tau, (tau,))
-    xt = MPoly.const((tau,), a)
-    yt = MPoly.const((tau,), b)
-    res = milnor_clusters(field, f, xt, yt)
-    return res[0][3]
+    return milnor_clusters(field, *_point_cluster(field, *point))[0][3]
 
 
 # -- global decomposition -----------------------------------------------------------
@@ -408,7 +408,7 @@ def _exact_shear(F, Pt, Qt):
     R = resultant(Pt, Qt, y).with_vars((x,))
     if R.is_zero():
         raise ArithmeticError("resultant vanished for a coprime field")
-    parts = yun_decomposition(R)[1] if R.total_degree() > 0 else []
+    parts = yun_decomposition(R) if R.total_degree() > 0 else []
     return parts, sum(g.total_degree() for g, _ in parts)
 
 
@@ -595,13 +595,10 @@ def classify_singularity(sp):
 
 def classify_point(field, a, b):
     """Classification kind of the (singular) point (a, b) of `field`."""
-    tau = _fresh_name("t", field.vars)
-    f = MPoly.variable(tau, (tau,))
-    res = _resolve_clusters(
-        f, MPoly.const((tau,), a), MPoly.const((tau,), b),
+    return _resolve_clusters(
+        *_point_cluster(field, a, b),
         lambda fi, xt, yt: _classify_once(field, fi, xt, yt),
-    )
-    return res[0][3]
+    )[0][3]
 
 
 def classify_all(F):
@@ -668,6 +665,7 @@ def _classify_once(field, f, xt, yt):
     rho = squarefree_part(rho)
 
     unresolved = False
+    target = Fraction(1, 2 * RATIO_HEIGHT_BOUND ** 2)
     for box in isolate_real_roots(rho):
         guard = 0
         while not box.is_exact() and box.re.lo <= 0 <= box.re.hi:
@@ -675,24 +673,16 @@ def _classify_once(field, f, xt, yt):
             guard += 1
             if guard > 500:
                 raise ArithmeticError("ratio box would not separate from zero")
-        if box.is_exact():
-            c = box.exact
-        else:
-            if box.re.hi < 0:
-                continue
-            target = Fraction(1, 2 * RATIO_HEIGHT_BOUND ** 2)
-            while box.width() > target and not box.is_exact():
-                box.refine()
-            c = box.exact if box.is_exact() else simplest_between(box.re.lo, box.re.hi)
-            if not box.is_exact() and rho.eval_all({rname: c}) != 0:
-                # the candidate is not the root; any other rational in the box
-                # is taller than the bound, so the root cannot be named
-                if c > 0:
-                    unresolved = True
-                continue
-        if c <= 0:
+        # an exact box is the point interval of its root
+        if box.re.hi <= 0:
             continue
-        if fraction_height(c) > RATIO_HEIGHT_BOUND:
+        while box.width() > target and not box.is_exact():
+            box.refine()
+        c = box.exact if box.is_exact() else simplest_between(box.re.lo, box.re.hi)
+        if fraction_height(c) > RATIO_HEIGHT_BOUND or (
+                not box.is_exact() and rho.eval_all({rname: c}) != 0):
+            # a root taller than the bound, or a candidate that is not the
+            # root: any other rational in its box is taller than the bound
             unresolved = True
             continue
         Wc = _subs_mod(W, {rname: c}, f, tau).with_vars((tau,))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -156,6 +157,28 @@ class TestClassifyAndReduce:
             code, data, _ = jrun(capsys, "reduce", "--foliation", item3_field)
         assert code == 0 and data["blowups"] == 12
 
+    @pytest.mark.parametrize("c, code, affine, digest", [
+        ("2", 0, "non-reduced",
+         "c6b92a6390f14fecb369b696e16827752c74327053d53313cbfef84229b31ad5"),
+        ("3/7", 0, "non-reduced",
+         "c6b92a6390f14fecb369b696e16827752c74327053d53313cbfef84229b31ad5"),
+        ("1001/1000", 3, "undetermined",
+         "78292de4fa4108420bc16c1d1eb36194a9b479c27c415d25cba9a0c9e4031828"),
+        ("-2", 0, "reduced-nondegenerate",
+         "5878181200b25f6cbbececb82806de492715981cf4da5776b9afabdc474c879b"),
+    ])
+    def test_classify_ratio_roots_as_recorded(self, capsys, tmp_path, c, code, affine,
+                                              digest):
+        # the cubic cluster t^3 - 2 has eigenvalue ratios c and 1/c, decided
+        # by the real roots of its ratio resultant: a positive rational one
+        # of small height, one taller than the height bound, negative ones
+        f = write(tmp_path, "ratio.json", {"P": "x^3 - 2", "Q": f"{c}*3*x^2*y"})
+        got, out, _ = run(capsys, "--format", "json", "classify", "--foliation", f)
+        assert got == code
+        rows = json.loads(out)["classification"]
+        assert [r["kind"] for r in rows if r["modulus"] == "t^3 - 2"] == [affine]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_safe_resolve_item3_field_refuses(self, capsys, item3_field, wall_clock_ceiling):
         with wall_clock_ceiling(10):
             code, data, _ = jrun(capsys, "safe-resolve", "--foliation", item3_field)
@@ -239,6 +262,27 @@ class TestIndexAndInvariance:
                              "--curve", c2)
         assert code == 0
         assert data == {"invariant": False, "cofactor": None}
+
+    @pytest.mark.parametrize("curve", [
+        {"vars": ["y", "x"], "f": "y - x^2"},
+        {"vars": ["u", "v"], "f": "v - u^2"},
+    ], ids=["permuted", "renamed"])
+    def test_curve_variables_aligned_with_field(self, capsys, tmp_path, curve):
+        # names the field also uses are matched by name, others by position
+        fol = write(tmp_path, "lin.json", {"P": "x", "Q": "2*y"})
+        plain = write(tmp_path, "plain.json", {"f": "y - x^2"})
+        other = write(tmp_path, "other.json", curve)
+        expected = {
+            ("invariant-check",): {"invariant": True, "cofactor": "2"},
+            ("index", "--point", "0,0"): {"z_index": 1, "point": ["0", "0"]},
+            ("index",): None,
+        }
+        for argv, answer in expected.items():
+            code, data, _ = jrun(capsys, *argv, "--foliation", fol, "--curve", plain)
+            assert code == 0
+            if answer is not None:
+                assert data == answer
+            assert jrun(capsys, *argv, "--foliation", fol, "--curve", other)[:2] == (0, data)
 
 
 class TestCurveCommands:
@@ -432,3 +476,48 @@ class TestExitCodes:
                     contextlib.redirect_stderr(err):
                 code = main(["--format", "json", *argv, "--foliation", fol])
             assert code in (0, 2, 3), (argv, field, code, err.getvalue())
+
+
+def _poly_json(*terms):
+    return {"vars": ["x", "y"], "terms": list(terms)}
+
+
+class TestMalformedJson:
+    """Input files of the wrong shape are rejected with exit 2 and an
+    `error:` line, never with a traceback or a silent misreading."""
+
+    @pytest.mark.parametrize("field", [
+        {"vars": 5, "P": "x", "Q": "y"},
+        {"vars": "xy", "P": "x", "Q": "y"},
+        {"vars": ["x", "x"], "P": "x", "Q": "x"},
+        {"vars": [], "P": "1", "Q": "1"},
+        {"P": {"vars": ["x", "y"], "terms": 5}, "Q": "y"},
+        {"P": _poly_json(5), "Q": "y"},
+        {"P": _poly_json({"exp": [1.5, 0], "coef": "1"}), "Q": "y"},
+        {"P": _poly_json({"exp": [-1, 0], "coef": "1"}), "Q": "y"},
+        {"P": _poly_json({"exp": [1], "coef": "1"}), "Q": "y"},
+        {"P": _poly_json({"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "2"}),
+         "Q": "y"},
+        {"P": _poly_json({"exp": [1, 0], "coef": 0.1}), "Q": "y"},
+        {"P": _poly_json({"exp": [1, 0], "coef": "1/0"}), "Q": "y"},
+    ], ids=["vars-int", "vars-str", "vars-repeated", "vars-empty", "terms-int",
+            "term-int", "exp-float", "exp-negative", "exp-short", "exp-twice",
+            "coef-float", "coef-zero-denominator"])
+    def test_foliation_file(self, capsys, tmp_path, field):
+        f = write(tmp_path, "bad.json", field)
+        code, out, err = run(capsys, "degree", "--foliation", f)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_curve_file(self, capsys, tmp_path):
+        c = write(tmp_path, "bad.json", {"vars": 5, "f": "y"})
+        code, _, err = run(capsys, "genus", "--curve", c)
+        assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("oracle", [{"P": 5}, {"height": [1]}, {"P": [1.5]}],
+                             ids=["P-int", "height-list", "P-float"])
+    def test_oracle_file(self, capsys, tmp_path, oracle):
+        o = write(tmp_path, "bad.json", oracle)
+        code, _, err = run(capsys, "bound", "first-integral", "--d", "4", "--g", "2",
+                           "--oracle", o)
+        assert code == 2 and err.startswith("error: ")

@@ -19,6 +19,7 @@ from planefol.curves import (
     is_invariant,
     _extactic_matrix,
 )
+from planefol.families import linear_family
 from planefol.foliation import _fresh_name, make_foliation
 from planefol.mpoly import (
     MPoly,
@@ -182,6 +183,20 @@ def test_linear_family_integrals(p, q):
     assert first_integral_check(F, num, den)
     if expected > 1:
         assert not extactic(F, expected - 1).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(min_value=-6, max_value=6).filter(bool),
+       q=st.integers(min_value=-6, max_value=6).filter(bool),
+       m=st.integers(min_value=1, max_value=4))
+def test_diagonal_extactic_vanishing(p, q, m):
+    # the diagonal shortcut of _extactic_vanishes against the determinant,
+    # taken once by the eigenvalue formula and once by elimination
+    assume(gcd(abs(p), abs(q)) == 1)
+    F, degree = linear_family(p, q)
+    vanishes = curves._extactic_vanishes(F, m)
+    assert vanishes == extactic(F, m).is_zero() == (m >= degree)
+    assert vanishes == bareiss_det(_extactic_matrix(F, m)).is_zero()
 
 
 # -- genus and curve singularities --------------------------------------------------

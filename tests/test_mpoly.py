@@ -315,25 +315,23 @@ def test_prem_is_full_collins():
 
 def test_yun_decomposition():
     f = parse_poly("(x - 1)*(x - 2)^2*(x - 3)^3", vars=("x",))
-    unit, parts = yun_decomposition(f)
-    assert unit == 1
+    parts = yun_decomposition(f)
     assert parts == [
         (parse_poly("x - 1", vars=("x",)), 1),
         (parse_poly("x - 2", vars=("x",)), 2),
         (parse_poly("x - 3", vars=("x",)), 3),
     ]
-    unit6, parts6 = yun_decomposition(f * 6)
-    assert unit6 == 6 and parts6 == parts
-    rebuilt = MPoly.const(("x",), unit6)
+    parts6 = yun_decomposition(f * -6)
+    assert parts6 == parts
+    rebuilt = MPoly.const(("x",), 1)
     for g, m in parts6:
         rebuilt = rebuilt * g ** m
-    assert rebuilt == f * 6
+    assert rebuilt == normalized(f * -6)
 
 
 def test_yun_squarefree_input():
     f = parse_poly("x^2 + 1", vars=("x",))
-    unit, parts = yun_decomposition(f)
-    assert unit == 1 and parts == [(f, 1)]
+    assert yun_decomposition(f * 3) == [(f, 1)]
 
 
 def test_squarefree_part_bivariate():

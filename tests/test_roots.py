@@ -274,7 +274,7 @@ class _ReferenceBox(RootBox):
             self.re = Interval(m, b)
 
 
-def _isolate_real_squarefree_reference(sf, dense, var):
+def _isolate_real_squarefree_reference(dense, var):
     intervals, exact_roots, work = _real_isolation_reference(dense)
     boxes = []
     for a, b in intervals:
@@ -282,13 +282,13 @@ def _isolate_real_squarefree_reference(sf, dense, var):
         fb = _eval_dense_reference(work, b)
         if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
             raise IsolationError("isolating interval lost its sign change")
-        box = _ReferenceBox(sf, var, Interval(a, b), Interval.point(0), state=("real", work))
+        box = _ReferenceBox(var, Interval(a, b), Interval.point(0), state=("real", work))
         for q in exact_roots:
             while box.re.contains(q) and box.exact is None:
                 box.refine()
         boxes.append(box)
     for q in exact_roots:
-        boxes.append(_ReferenceBox(sf, var, Interval.point(q), Interval.point(0), exact=q))
+        boxes.append(_ReferenceBox(var, Interval.point(q), Interval.point(0), exact=q))
     boxes.sort(key=lambda r: (r.re.lo, r.re.hi))
     return boxes
 
@@ -330,7 +330,7 @@ def test_integer_tree_matches_fraction_reference(lead, factors, extra):
     assert all(w * ref_work[-1] == r * work[-1] for w, r in zip(work, ref_work))
 
     boxes = isolate_real_roots(f)
-    ref_boxes = _isolate_real_squarefree_reference(sf, sf.scalar_coeffs(), "x")
+    ref_boxes = _isolate_real_squarefree_reference(sf.scalar_coeffs(), "x")
     for _ in range(8):
         assert [(b.re, b.exact) for b in boxes] == [(b.re, b.exact) for b in ref_boxes]
         for b in boxes + ref_boxes:

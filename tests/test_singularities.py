@@ -446,7 +446,7 @@ def _affine_singular_points_reference(F):
         if R.total_degree() == 0:
             return []
         try:
-            return singularities._affine_clusters(F, t, yun_decomposition(R)[1], Pt, Qt)
+            return singularities._affine_clusters(F, t, yun_decomposition(R), Pt, Qt)
         except singularities._ShearReject:
             continue
     raise singularities.DecompositionError("no shear passed the fiber certificates")
@@ -533,7 +533,7 @@ def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceili
 
 def _exact_squarefree_degree(Pt, Qt):
     R = resultant(Pt, Qt, "y").with_vars(("x",))
-    return sum(g.total_degree() for g, _ in yun_decomposition(R)[1]) if R.total_degree() > 0 else 0
+    return sum(g.total_degree() for g, _ in yun_decomposition(R)) if R.total_degree() > 0 else 0
 
 
 @given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
