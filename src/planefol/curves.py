@@ -25,8 +25,9 @@ class PlaneCurve:
     """A squarefree affine curve f = 0.
 
     degree is the degree of the homogenization (the total degree of f).
-    genus and smooth are optional caller-supplied metadata; when smooth is
-    claimed the genus must be the plane formula (n-1)(n-2)/2.
+    genus and smooth are optional caller-supplied metadata: a nonnegative int
+    and a bool. When smooth is claimed the genus must be the plane formula
+    (n-1)(n-2)/2.
     """
 
     __slots__ = ("f", "degree", "genus", "smooth")
@@ -39,6 +40,10 @@ class PlaneCurve:
             f = f.with_vars((f.vars[0], extra))
         if len(f.vars) != 2:
             raise ValueError(f"a plane curve needs two variables, got {f.vars}")
+        if genus is not None and (type(genus) is not int or genus < 0):
+            raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
+        if smooth is not None and type(smooth) is not bool:
+            raise ValueError(f"smooth must be true or false, got {smooth!r}")
         if squarefree_part(f).total_degree() != f.total_degree():
             raise ValueError("curve polynomial must be squarefree")
         self.f = f

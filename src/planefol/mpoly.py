@@ -9,9 +9,11 @@ The module also houses the polynomial algebra the rest of the package needs:
 exact single-divisor division (also behind every remainder modulo a cluster
 modulus), multivariate gcd (the subresultant PRS behind a coprimality
 certificate from images mod p), Yun squarefree decomposition, a
-fraction-free determinant on packed exponents with integer coefficients,
-Sylvester/Bareiss resultants, the subresultant S1 as one such determinant,
-and the subresultant PRS.
+fraction-free determinant, Sylvester/Bareiss resultants, the subresultant S1
+as one such determinant, and the subresultant PRS. The determinant and the
+PRS both run on packed exponents (`_packing`) with integer coefficients:
+rational input is put over one denominator (`_clear_denominators`), and the
+exact divisions of both are checked (`_exact_quo`).
 """
 
 from __future__ import annotations
@@ -659,6 +661,18 @@ def _integer_coeffs(coeffs):
     return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
+def _clear_denominators(packed):
+    """Scale packed polynomials with rational coefficients to integers, in
+    place, by the lcm of all their denominators (`_integer_coeffs`); returns
+    that lcm."""
+    scale, ints = _integer_coeffs([c for x in packed for c in x.values()])
+    it = iter(ints)
+    for x in packed:
+        for k in x:
+            x[k] = next(it)
+    return scale
+
+
 def rational_content(f):
     """Positive rational c with f/c having coprime integer coefficients."""
     if f.is_zero():
@@ -680,33 +694,6 @@ def normalized(f):
         return g
     _, lc = f.lt()
     return f / lc
-
-
-def prem(f, g, var):
-    """Pseudo-remainder: lc_g^(deg f - deg g + 1) * f reduced mod g in `var`.
-
-    The exact power matters; the subresultant divisions below are only exact
-    for the full Collins pseudo-remainder.
-    """
-    df = f.deg_in(var)
-    dg = g.deg_in(var)
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    if df < dg:
-        return f
-    gl = g.coeff_in(var, dg)
-    x = MPoly.variable(var, f.vars)
-    r = f
-    steps = 0
-    while not r.is_zero() and r.deg_in(var) >= dg:
-        dr = r.deg_in(var)
-        rl = r.coeff_in(var, dr)
-        r = gl * r - rl * (x ** (dr - dg)) * g
-        steps += 1
-    need = df - dg + 1
-    if steps < need:
-        r = r * (gl ** (need - steps))
-    return r
 
 
 def _occurring(f):
@@ -1015,11 +1002,7 @@ def bareiss_det(rows):
     scale = 1
     if integral:
         for row in m:
-            s = lcm(*(c.denominator for x in row for c in x.values()))
-            scale *= s
-            for x in row:
-                for k, c in x.items():
-                    x[k] = c.numerator * (s // c.denominator)
+            scale *= _clear_denominators(row)
     quo = _zquo if integral else operator.truediv
     sign, prev = 1, None
     for k in range(n - 1):
@@ -1056,7 +1039,7 @@ def _mul_sub(a, b, c, d):
 def _zquo(a, b):
     q, r = divmod(a, b)
     if r:
-        raise ArithmeticError("Bareiss division was not exact")
+        raise ArithmeticError("integer division was not exact")
     return q
 
 
@@ -1064,7 +1047,7 @@ def _exact_quo(a, b, guard, quo):
     """Packed a/b when b divides a; raises ArithmeticError otherwise."""
     q, r = _heap_divmod(a, b, guard, quo)
     if r:
-        raise ArithmeticError("Bareiss division was not exact")
+        raise ArithmeticError("packed division was not exact")
     return q
 
 
@@ -1116,48 +1099,105 @@ def resultant(f, g, var):
     return MPoly.const(f.vars, det)
 
 
+def _product(factors):
+    """Product of packed polynomials; the constant 1 for none."""
+    out = {0: 1}
+    for x in factors:
+        out = _mul_sub(out, x, {}, {})
+    return out
+
+
+def _pseudo_remainder(a, b):
+    """Collins pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, in one
+    variable over packed coefficients.
+
+    a and b are dense lists of packed polynomials, index = power, without
+    trailing zeros, and deg a >= deg b >= 0; so is the result. Each step is
+    r <- lc(b) * r - lc(r) * var^s * b, one `_mul_sub` per coefficient. The
+    full power of lc(b) matters: the subresultant divisions are exact only
+    for it, so the steps that a drop of more than one degree skips are made
+    up at the end.
+    """
+    gl = b[-1]
+    r = a
+    steps = 0
+    while len(r) >= len(b):
+        rl, s = r[-1], len(r) - len(b)
+        r = [_mul_sub(gl, c, rl, b[i - s]) if i >= s else _mul_sub(gl, c, {}, {})
+             for i, c in enumerate(r[:-1])]
+        while r and not r[-1]:
+            r.pop()
+        steps += 1
+    missing = len(a) - len(b) + 1 - steps
+    if missing:
+        lift = _product([gl] * missing)
+        r = [_mul_sub(lift, c, {}, {}) for c in r]
+    return r
+
+
 def subresultant_prs(f, g, var):
     """Subresultant polynomial remainder sequence (Collins/Brown-Traub).
 
-    Returns the list [f, g, r1, r2, ...]; each element is proportional over the
-    base field to a subresultant, which is all the genericity certificates here
-    need. Coefficient growth stays polynomial, unlike the naive PRS. Its
-    callers are the eigenvalue-ratio polynomial of `singularities` and the
-    multivariate `poly_gcd` when the coprimality certificate fails;
-    `linear_subresultant` takes S1 from a determinant instead.
+    Returns the list [f, g, r1, r2, ...], with f and g swapped when g has the
+    higher degree in `var`; each ri is proportional over the base field to a
+    subresultant, which is all its callers need: the eigenvalue-ratio
+    polynomial of `singularities` and the multivariate `poly_gcd` when the
+    coprimality certificate fails both normalize what they take from it.
+    `linear_subresultant` takes S1 from a determinant instead. Coefficient
+    growth stays polynomial, unlike the naive PRS.
+
+    The sequence is kept dense in `var`, each coefficient packed over the
+    inputs' variables (see `_packing`). Each rational input is put over its
+    own denominator once, f times Lf and g times Lg, and the loop runs on
+    ints, so ri is, up to sign, a subresultant of Lf*f and Lg*g. One
+    denominator for both would multiply every S_j by a power of the larger
+    one, and the ratio polynomial pairs an often integral modulus f with a W
+    whose reduction mod f brought large denominators. Inputs with QuadExt
+    coefficients run the same loop over their field, unscaled. Every
+    division is exact by the subresultant theorem and is checked.
     """
     f, g = f._pair(g)
     if f.deg_in(var) < g.deg_in(var):
         f, g = g, f
+    if g.is_zero():
+        raise ZeroDivisionError("pseudo-division by zero")
     seq = [f, g]
-    a, b = f, g
-    one = MPoly.const(f.vars, 1)
-    gg, h = one, one
-    while True:
-        db = b.deg_in(var)
-        delta = a.deg_in(var) - db
-        r = prem(a, b, var)
-        if r.is_zero():
+    a, b = f.as_univar(var), g.as_univar(var)
+    # Packing bound. With m >= n the degrees in var and d the largest total
+    # degree of a coefficient in var, every ri is +-S_j for some j, and each
+    # coefficient of S_j, like the leading coefficients gg and h, is a minor
+    # of order m + n - 2j <= m + n of the Sylvester matrix, of total degree
+    # at most (m + n) d. One step of `_pseudo_remainder` adds at most the
+    # degree of lc(b), and there are delta + 1 <= m + 1 of them, so every
+    # intermediate of the pseudo-remainder of a by b, and gg * h^delta and
+    # gg^delta, have degree at most (delta + 2)(m + n) d <= (m + n + 2)(m + n) d.
+    # The heap division keeps its keys at or below the dividend's degree.
+    m, n = len(a) - 1, len(b) - 1
+    d = max(c.total_degree() for c in a + b)
+    pack, unpack, guard = _packing(f.vars, (m + n + 2) * (m + n) * max(d, 1))
+    a, b = [pack(c) for c in a], [pack(c) for c in b]
+    integral = f.is_rational() and g.is_rational()
+    if integral:
+        _clear_denominators(a)
+        _clear_denominators(b)
+    quo = _zquo if integral else operator.truediv
+    i = f.vars.index(var)
+    gg = h = {0: 1}
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _pseudo_remainder(a, b)
+        if not r:
             break
-        divisor = gg * (h ** delta)
-        bnew = exact_div(r, divisor)
-        if bnew is None:
-            raise ArithmeticError("subresultant division was not exact")
-        seq.append(bnew)
-        a, b = b, bnew
-        gg = a.coeff_in(var, a.deg_in(var))
-        if delta == 0:
-            pass
-        elif delta == 1:
+        divisor = _product([gg] + [h] * delta)
+        r = [_exact_quo(c, divisor, guard, quo) for c in r]
+        seq.append(MPoly(f.vars, {e[:i] + (k,) + e[i + 1:]: x
+                                  for k, c in enumerate(r) for e, x in unpack(c).items()}))
+        a, b = b, r
+        gg = a[-1]
+        if delta == 1:
             h = gg
-        else:
-            num = gg ** delta
-            den = h ** (delta - 1)
-            h = exact_div(num, den)
-            if h is None:
-                raise ArithmeticError("subresultant h-update was not exact")
-        if b.deg_in(var) == 0:
-            break
+        elif delta > 1:
+            h = _exact_quo(_product([gg] * delta), _product([h] * (delta - 1)), guard, quo)
     return seq
 
 

@@ -514,6 +514,26 @@ class TestMalformedJson:
         code, _, err = run(capsys, "genus", "--curve", c)
         assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("extra", [
+        {"genus": [1]}, {"genus": -1}, {"genus": 1.0}, {"genus": "1"}, {"genus": True},
+        {"smooth": 1}, {"smooth": "yes"}, {"smooth": [True]},
+    ], ids=["genus-list", "genus-negative", "genus-float", "genus-str", "genus-bool",
+            "smooth-int", "smooth-str", "smooth-list"])
+    def test_curve_metadata(self, capsys, tmp_path, extra):
+        c = write(tmp_path, "bad.json", {"f": "x^2+y^2-1", **extra})
+        code, out, err = run(capsys, "genus", "--curve", c)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, g", [
+        ({"genus": 0}, 0), ({"genus": None}, 0), ({"smooth": True}, 0),
+        ({"genus": 0, "smooth": False}, 0),
+    ], ids=["genus-0", "genus-null", "smooth-true", "smooth-false"])
+    def test_curve_metadata_accepted(self, capsys, tmp_path, extra, g):
+        c = write(tmp_path, "ok.json", {"f": "x^2+y^2-1", **extra})
+        code, data, _ = jrun(capsys, "genus", "--curve", c)
+        assert code == 0 and data["genus"] == g
+
     @pytest.mark.parametrize("oracle", [{"P": 5}, {"height": [1]}, {"P": [1.5]}],
                              ids=["P-int", "height-list", "P-float"])
     def test_oracle_file(self, capsys, tmp_path, oracle):

@@ -54,6 +54,9 @@ def test_plane_curve_validation():
         PlaneCurve(pp("3"))                     # constant
     with pytest.raises(ValueError):
         PlaneCurve(pp("y - x^2"), genus=1, smooth=True)
+    for genus, smooth in (([1], None), (True, None), (-1, None), (None, 1)):
+        with pytest.raises(ValueError):
+            PlaneCurve(pp("y - x^2"), genus=genus, smooth=smooth)
     assert PlaneCurve(pp("x^4 + y^4 - 1"), smooth=True).genus == 3
 
 

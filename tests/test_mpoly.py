@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -18,6 +19,7 @@ from planefol.mpoly import (
     _integer_coeffs,
     _interpolate_mod_p,
     _packing,
+    _pseudo_remainder,
     _residues_mod_p,
     _resultant_mod_p,
     _zquo,
@@ -28,7 +30,6 @@ from planefol.mpoly import (
     parse_poly,
     poly_divmod,
     poly_gcd,
-    prem,
     rational_content,
     resultant,
     squarefree_part,
@@ -295,8 +296,8 @@ def test_gcd_quadext_pair_runs_the_prs(monkeypatch):
     f = MPoly(V, {(1, 0): 1, (0, 1): s})
     g = MPoly(V, {(1, 0): 1, (0, 1): -s, (0, 0): 1})
     calls = []
-    real_prem = mpoly.prem
-    monkeypatch.setattr(mpoly, "prem", lambda *a: calls.append(a) or real_prem(*a))
+    real_step = mpoly._pseudo_remainder
+    monkeypatch.setattr(mpoly, "_pseudo_remainder", lambda *a: calls.append(a) or real_step(*a))
     assert not _coprime_mod_p(f, g)
     assert poly_gcd(f, g) == 1
     assert calls
@@ -304,13 +305,18 @@ def test_gcd_quadext_pair_runs_the_prs(monkeypatch):
 
 
 def test_prem_is_full_collins():
-    # prem must carry lc(g)^(df-dg+1) even when elimination shortcuts occur
-    f = parse_poly("x^3", vars=("x", "y"))
-    g = parse_poly("2*x^2 + y", vars=("x", "y"))
-    r = prem(f, g, "x")
-    # 2^2 * x^3 mod g = x*(4x^2) -> x*(-2y) -> 4x^3 - 2xy*... direct: 4*x^3 = 2x*g - 2xy => r = -2xy... times remaining power
-    q, rr = poly_divmod(f * 4, g)
-    assert r == rr
+    # the pseudo-remainder must carry lc(g)^(df-dg+1) even when one step
+    # drops more than one degree: 2^2 * x^3 = 2*x*g - 2*x*y after one step
+    V = ("x", "y")
+    f = parse_poly("x^3", vars=V)
+    g = parse_poly("2*x^2 + y", vars=V)
+    pack, _, _ = _packing(V, 4)
+
+    def dense(p):
+        return [{k: int(c) for k, c in pack(c).items()} for c in p.as_univar("x")]
+
+    r = _pseudo_remainder(dense(f), dense(g))
+    assert r == dense(poly_divmod(f * 4, g)[1])
 
 
 def test_yun_decomposition():
@@ -512,6 +518,151 @@ def test_subresultant_prs_proportional_to_sympy():
         assert sympy.expand(sp * cq - q * cp) == 0
 
 
+def from_sympy(expr, vars):
+    poly = sympy.Poly(expr, *[sympy.Symbol(v) for v in vars])
+    return MPoly(vars, {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()})
+
+
+def _proportional(p, q):
+    """p = c*q for a nonzero scalar c: cross-multiply the grad-lex leading
+    coefficients."""
+    return bool(p) and bool(q) and (p * q.lt()[1] - q * p.lt()[1]).is_zero()
+
+
+def _packed_degrees(monkeypatch):
+    """Record the packing bound `subresultant_prs` asks for, and the largest
+    total degree of a term formed by any packed product (before cancellation)
+    or quotient inside it: the top digit of a packed key is its total
+    degree."""
+    seen = {"top": [], "deg": 0}
+    shift = []
+    real_packing, real_mul_sub, real_quo = mpoly._packing, mpoly._mul_sub, mpoly._exact_quo
+
+    def packing(vars, top):
+        seen["top"].append(top)
+        shift.append((top.bit_length() + 1) * len(vars))
+        return real_packing(vars, top)
+
+    def degree(*factors):
+        if all(factors):
+            seen["deg"] = max(seen["deg"], sum(max(x) >> shift[-1] for x in factors))
+
+    def mul_sub(a, b, c, d):
+        degree(a, b)
+        degree(c, d)
+        return real_mul_sub(a, b, c, d)
+
+    def quo(*args):
+        q = real_quo(*args)
+        degree(q)
+        return q
+
+    monkeypatch.setattr(mpoly, "_packing", packing)
+    monkeypatch.setattr(mpoly, "_mul_sub", mul_sub)
+    monkeypatch.setattr(mpoly, "_exact_quo", quo)
+    return seen
+
+
+def _seeded_pair(seed):
+    """A rational pair in 1-3 variables, main variable x, of one of three
+    kinds. plain: degrees 4 and 3. sparse: degrees 5 and 3 with only the top
+    and constant coefficients in x, so the first step drops by two and the
+    remainder has a zero x^1 coefficient. jump: g = c*f + l with deg_x l = 2,
+    so the step after g drops by two and the step after that divides by the
+    h this drop updated."""
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")[:1 + seed % 3]
+    kind = ("plain", "sparse", "jump")[seed // 3 % 3]
+
+    def poly(dx, sparse=False):
+        terms = {}
+        for k in range(dx + 1):
+            if sparse and 0 < k < dx:
+                continue
+            for _ in range(2):
+                e = (k,) + tuple(rng.randint(0, 1) for _ in vars[1:])
+                terms[e] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        return MPoly(vars, terms)
+
+    if kind == "plain":
+        return kind, poly(4), poly(3)
+    if kind == "sparse":
+        return kind, poly(5, sparse=True), poly(3, sparse=True)
+    f = poly(4)
+    return kind, f, poly(0) * f + poly(2)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_subresultant_prs_seeded_pairs_proportional_to_sympy(seed, monkeypatch):
+    kind, f, g = _seeded_pair(seed)
+    seen = _packed_degrees(monkeypatch)
+    mine = subresultant_prs(f, g, "x")
+    degrees = [p.deg_in("x") for p in mine]
+    # the defective step of each kind happens, and a step follows it
+    if kind == "sparse":
+        assert degrees[0] - degrees[1] == 2 and len(mine) >= 4
+    elif kind == "jump":
+        assert degrees[1] - degrees[2] == 2 and len(mine) >= 4
+    assert seen["deg"] <= seen["top"][0]
+    theirs = sympy.subresultants(to_sympy(f), to_sympy(g), sympy.Symbol("x"))
+    assert len(mine) == len(theirs)
+    for p, q in zip(mine, theirs):
+        assert _proportional(p, from_sympy(q, f.vars))
+
+
+def test_subresultant_prs_clears_each_input_on_its_own():
+    # f is integral and g is scaled by Lg = 35 only, so the last element is
+    # +-S_0(f, 35 g) = +-35^2 Res(f, g); one denominator for both would give
+    # +-35^3 Res(f, g)
+    V = ("x", "y")
+    f = parse_poly("3*x^2*y + x + 1", vars=V)
+    g = parse_poly("x/7 + y/5", vars=V)
+    last = subresultant_prs(f, g, "x")[-1]
+    R = resultant(f, g, "x")
+    assert last.deg_in("x") == 0
+    assert last in (R * 35 ** 2, R * -35 ** 2)
+
+
+def test_subresultant_prs_quadext_pair():
+    # subresultants are determinants, so substituting y = 1 + sqrt(2)
+    # commutes with them: while no leading coefficient in x vanishes there,
+    # the PRS of the images is proportional, element by element, to the
+    # images of the rational PRS
+    V = ("x", "y")
+    f = parse_poly("x^4 + x^3*y - 3*x + y^2", vars=V)
+    g = parse_poly("x^3 - x*y + 1", vars=V)
+    s = QuadExt(1, 1, 2)
+    images = [p.subs({"y": s}) for p in subresultant_prs(f, g, "x")]
+    mine = subresultant_prs(f.subs({"y": s}), g.subs({"y": s}), "x")
+    assert not any(p.is_rational() for p in mine[2:])
+    assert [p.deg_in("x") for p in mine] == [p.deg_in("x") for p in images] == [4, 3, 2, 1, 0]
+    assert all(_proportional(p, q) for p, q in zip(mine, images))
+
+
+def test_subresultant_prs_intermediates_within_the_packing_bound(monkeypatch):
+    # m = 3, n = 2 and dense coefficients of degree d = 3 in y: the
+    # subresultants reach their Sylvester degrees (m + n - 2j) d, 9 and 15,
+    # and the pseudo-remainder of g by S1 reaches d + 2 * 3d = 21 before its
+    # division by lc(g)^2. Packing digits sized for the elements alone,
+    # (m + n) d = 15, hold degrees up to 15 only; the bound
+    # (m + n + 2)(m + n) d = 105 holds all of them.
+    V = ("x", "y")
+    f = parse_poly("(y^3 + 2*y^2 - y + 1)*x^3 + (2*y^3 - y^2 + 3*y - 2)*x^2"
+                   " + (y^3 + y^2 + y - 3)*x + (3*y^3 - 2*y^2 + y + 1)", vars=V)
+    g = parse_poly("(2*y^3 + y^2 - 3*y + 1)*x^2 + (y^3 - 2*y^2 + 2*y + 3)*x"
+                   " + (-y^3 + 3*y^2 + y - 2)", vars=V)
+    seen = _packed_degrees(monkeypatch)
+    mine = subresultant_prs(f, g, "x")
+    theirs = sympy.subresultants(to_sympy(f), to_sympy(g), X)
+    assert len(mine) == len(theirs)
+    assert all(_proportional(p, from_sympy(q, V)) for p, q in zip(mine, theirs))
+    assert [(p.deg_in("x"), p.total_degree() - p.deg_in("x")) for p in mine] == \
+        [(3, 3), (2, 3), (1, 9), (0, 15)]
+    assert seen["top"] == [105]
+    # (15).bit_length() + 1 = 5 bits per digit, one of them the guard bit
+    assert seen["deg"] == 21 > 2 ** 4 - 1
+
+
 @pytest.mark.parametrize("f, g, rule", [
     # common solutions of this pair satisfy y = x; S1 must encode that rule
     ("y^2 - x", "y^2 - 2*y + x", "x"),
@@ -539,7 +690,7 @@ def test_linear_subresultant_runs_no_prs(monkeypatch):
         raise AssertionError("linear_subresultant ran a PRS step")
 
     monkeypatch.setattr(mpoly, "subresultant_prs", refuse)
-    monkeypatch.setattr(mpoly, "prem", refuse)
+    monkeypatch.setattr(mpoly, "_pseudo_remainder", refuse)
     # the pullback(0) field x^7 - x, y^7 - y sheared by x -> x + 3y, the first
     # shear `affine_singular_points` accepts on it
     shear = {"x": parse_poly("x + 3*y", vars=("x", "y"))}

@@ -349,6 +349,30 @@ def test_singular_points_json_same_with_prs_s1(p, q, tmp_path, capsys, monkeypat
     assert canonical() == by_det
 
 
+def test_ratio_polynomial_from_prs_proportional_to_resultant(tmp_path, capsys, monkeypatch):
+    # rho in `_classify_once` is the last element of the PRS of (f, W) in tau;
+    # on the clusters of the dense cubic "cubic-a" above, of 9 and 4 points,
+    # it is proportional to Res_tau(f, W), a Bareiss determinant
+    calls = []
+
+    def recording(f, g, var):
+        calls.append((f, g, var, subresultant_prs(f, g, var)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(singularities, "subresultant_prs", recording)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({
+        "P": "x^3 - 2*x^2*y + 3*x*y^2 - y^3 + x^2 - x*y + 2*y^2 - x + 3*y - 1",
+        "Q": "2*x^3 + x^2*y - x*y^2 + 3*y^3 - 2*x^2 + x*y + y^2 + 2*x - y + 2"}))
+    main(["--format", "json", "classify", "--foliation", str(path)])
+    capsys.readouterr()
+    assert [f.deg_in(tau) for f, _, tau, _ in calls] == [9, 4]
+    for f, W, tau, seq in calls:
+        rho, R = seq[-1], resultant(f, W, tau)
+        assert rho.deg_in(tau) == 0 and R.total_degree() == 2 * f.deg_in(tau)
+        assert (rho * R.lt()[1] - R * rho.lt()[1]).is_zero()
+
+
 # -- the identity under random grids --------------------------------------------------
 
 
