@@ -17,8 +17,9 @@ trees certify reducedness and nothing numeric can.
 
 from fractions import Fraction
 
-from .mpoly import MPoly, _integer_coeffs, exact_div
+from .mpoly import MPoly, exact_div
 from .numbers import QuadExt, quadratic_roots
+from .roots import rational_roots
 from .foliation import Foliation, _aligned, _weighted_reindex
 from .singularities import (
     NON_REDUCED,
@@ -129,51 +130,13 @@ def blow_up(field, point):
 # -- exact roots of chart restrictions ------------------------------------------------
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _rational_roots(g, var):
-    """Rational roots of g (rational coefficients), by the integer divisor
-    test on the cleared-denominator form.  Skipped (returns []) when the
-    trailing or leading integer exceeds 10**12; the quadratic and error paths
-    downstream stay honest either way."""
-    _, ints = _integer_coeffs(g.scalar_coeffs())
-    lo = 0
-    while ints[lo] == 0:
-        lo += 1
-    a0, an = ints[lo], ints[-1]
-    roots = [Fraction(0)] if lo > 0 else []
-    if abs(a0) > 10**12 or abs(an) > 10**12:
-        return roots
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if g.eval_all({var: cand}) == 0:
-                    roots.append(cand)
-    return roots
-
-
 def _exact_roots(g, var):
     """All roots of a squarefree univariate polynomial, each rational or
     quadratic over the coefficient field; BlowupUnavailableError beyond that."""
     vv = MPoly.variable(var, g.vars)
-    roots = []
-    if g.is_rational():
-        for r in _rational_roots(g, var):
-            roots.append(Fraction(r))
-            g = exact_div(g, vv - MPoly.const(g.vars, r))
+    roots = rational_roots(g) if g.is_rational() else []
+    for r in roots:
+        g = exact_div(g, vv - MPoly.const(g.vars, r))
     d = g.deg_in(var)
     if d == 0:
         return roots

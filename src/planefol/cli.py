@@ -141,7 +141,7 @@ def _parse_point(text):
         raise InputError(f"point {text!r}: expected 'a,b'")
     try:
         return tuple(Fraction(p.strip()) for p in parts)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"point {text!r}: {e}") from e
 
 
@@ -341,14 +341,25 @@ def _cmd_first_integral(args):
     return EXIT_OK
 
 
+def _parse_deltas(text, n):
+    """A JSON list of positive ints (a singular point has delta >= 1) whose
+    total leaves the genus of a degree-n curve nonnegative."""
+    try:
+        deltas = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"--deltas: byte {e.pos}: {e.msg}") from e
+    if not isinstance(deltas, list) or not all(type(v) is int and v > 0 for v in deltas):
+        raise InputError("--deltas must be a JSON list of positive ints")
+    smooth_genus = (n - 1) * (n - 2) // 2
+    if sum(deltas) > smooth_genus:
+        raise InputError(f"--deltas: total {sum(deltas)} exceeds the genus "
+                         f"{smooth_genus} of a smooth curve of degree {n}")
+    return deltas
+
+
 def _cmd_genus(args):
     C = _load_curve(args.curve)
-    deltas = None
-    if args.deltas is not None:
-        try:
-            deltas = [int(v) for v in json.loads(args.deltas)]
-        except (json.JSONDecodeError, TypeError, ValueError) as e:
-            raise InputError(f"--deltas: {e}") from e
+    deltas = None if args.deltas is None else _parse_deltas(args.deltas, C.degree)
     try:
         g = genus(C, deltas=deltas)
     except ValueError as e:

@@ -331,15 +331,25 @@ class FamilyDescriptor:
         return f"FamilyDescriptor({self.family}, {self.parameters})"
 
 
+def _param(params, key):
+    """A family parameter as given: an int or a string such as "3/2", never
+    a float (whose binary value is not the decimal written) or a bool."""
+    value = params[key]
+    if type(value) not in (int, str):
+        raise ValueError(f"parameter {key!r} must be an int or a string, not {value!r}")
+    return value
+
+
 def build_family(tag, params):
-    """Instantiate a family by tag with a plain dict of parameters.
+    """Instantiate a family by tag with a plain dict of parameters, each an
+    int or a string.
 
     Returns (foliation, descriptor).  The descriptor's claimed block holds
     the expected invariants; callers verify them, the constructor does not.
     """
     if tag == "linear":
-        p = int(params["p"])
-        q = int(params["q"])
+        p = int(_param(params, "p"))
+        q = int(_param(params, "q"))
         F, expected = linear_family(p, q)
         claimed = {
             "degree": 0 if (p, q) in ((1, 1), (-1, -1)) else 1,
@@ -347,20 +357,20 @@ def build_family(tag, params):
         }
         return F, FamilyDescriptor(tag, {"p": p, "q": q}, claimed)
     if tag == "lins_neto":
-        alpha = Fraction(params["alpha"])
+        alpha = Fraction(_param(params, "alpha"))
         return lins_neto(alpha), FamilyDescriptor(
             tag, {"alpha": alpha}, {"degree": 4}
         )
     if tag == "riccati_hypergeometric":
-        a = Fraction(params["a"])
-        b = Fraction(params["b"])
-        c = Fraction(params["c"])
+        a = Fraction(_param(params, "a"))
+        b = Fraction(_param(params, "b"))
+        c = Fraction(_param(params, "c"))
         return hypergeometric_riccati(a, b, c), FamilyDescriptor(
             tag, {"a": a, "b": b, "c": c}, {"degree": 4}
         )
     if tag == "power_pullback":
-        alpha = Fraction(params["alpha"])
-        r = int(params["r"])
+        alpha = Fraction(_param(params, "alpha"))
+        r = int(_param(params, "r"))
         F = power_pullback(lins_neto(alpha), r)
         # the published values, recorded as published: the degree 3r + 1
         # holds at alpha = 0 only (all three coordinate lines invariant), the

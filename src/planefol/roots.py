@@ -6,7 +6,12 @@ cleared once, and every node of the bisection tree carries an integer
 polynomial, a positive multiple of f(a + (b - a) s) on its interval [a, b],
 whose children come from halving coefficients and one shift by 1, with integer
 additions only. Refinement bisects on the sign of f at a rational N/D, read
-from an integer homogeneous Horner sum. Complex roots come from the
+from an integer homogeneous Horner sum. A real box has one separation loop,
+`RootBox.separate(q)`, which refines it until it leaves out a rational q or is
+pinned to its root, and one rational-root test, `RootBox.rational(height)`,
+which names the only rational of at most that height the box can hold and
+tests it by that sign; `rational_roots(f)` asks it of every real root of f at
+the height the rational-root theorem bounds. Complex roots come from the
 real/imaginary-part system: resultants propose candidate rectangles, interval
 evaluation rejects empty ones, and a Krawczyk operator certifies existence and
 uniqueness. Interval evaluation runs on integer endpoints over one common
@@ -27,6 +32,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .mpoly import MPoly, _integer_coeffs, resultant, squarefree_part
+from .numbers import fraction_height, simplest_between
 
 
 class IsolationError(Exception):
@@ -325,6 +331,37 @@ class RootBox:
         else:
             self.re = Interval(m, b)
 
+    def separate(self, q):
+        """Refine a real box until it leaves out the rational q or is pinned
+        to its root."""
+        for _ in range(500):
+            if self.exact is not None or not self.re.contains(q):
+                return
+            self.refine()
+        raise IsolationError(f"root box would not separate from {q}")
+
+    def rational(self, height):
+        """The root of a real box if it is a rational of height at most
+        `height`, else None.
+
+        Rationals of height <= H are at least 1/H^2 apart, so once the box is
+        at most 1/(2H^2) wide it holds at most one of them, and that one has
+        the smallest denominator in the box: the candidate is
+        `simplest_between` of the box, tested exactly by the sign of the
+        box's integer polynomial at it.
+        """
+        target = Fraction(1, 2 * height * height)
+        while self.exact is None and self.re.width() > target:
+            self.refine()
+        c = self.exact
+        if c is None:
+            c = simplest_between(self.re.lo, self.re.hi)
+        if fraction_height(c) > height:
+            return None
+        if self.exact is None and _sign_at(self._state[1], c) != 0:
+            return None
+        return c
+
     def _refine_complex(self):
         _, system = self._state
         box = system.contract(self.re, self.im)
@@ -361,6 +398,24 @@ def isolate_real_roots(f):
     """
     prepared = _squarefree_dense(f)
     return [] if prepared is None else _isolate_real_squarefree(*prepared)
+
+
+def rational_roots(f):
+    """The distinct rational roots of the univariate rational f, ordered by
+    (|N|, D, positive first) for a root N/D.
+
+    A rational root N/D in lowest terms of the integer form of f divides its
+    lowest nonzero coefficient by N and its leading one by D (the rational
+    root theorem), so its height is at most the larger of the two; each real
+    root box is asked for its rational of at most that height.
+    """
+    boxes = isolate_real_roots(f)
+    _, ints = _integer_coeffs(f.scalar_coeffs())
+    lowest = next(c for c in ints if c)
+    height = max(abs(lowest), abs(ints[-1]))
+    found = (box.rational(height) for box in boxes)
+    return sorted((q for q in found if q is not None),
+                  key=lambda q: (abs(q.numerator), q.denominator, q < 0))
 
 
 def _deflate(c, q):
@@ -455,14 +510,8 @@ def _isolate_real_squarefree(dense, var):
         if sa == 0 or sb == 0 or sa == sb:
             raise IsolationError("isolating interval lost its sign change")
         box = RootBox(var, Interval(a, b), Interval.point(0), state=("real", work, sa))
-        # shrink until no deflated rational root sits inside the interval
         for q in exact_roots:
-            guard = 200
-            while box.re.contains(q) and box.exact is None:
-                box.refine()
-                guard -= 1
-                if guard < 0:
-                    raise IsolationError("could not separate interval from a rational root")
+            box.separate(q)
         boxes.append(box)
     for q in exact_roots:
         boxes.append(RootBox(var, Interval.point(q), Interval.point(0), exact=q))
@@ -604,27 +653,12 @@ def _isolate_upper_half(system, n_pairs):
         raise IsolationError("real/imaginary parts unexpectedly share a factor")
     a_boxes = isolate_real_roots(res_im.drop_vars())
     b_all = isolate_real_roots(res_re.drop_vars())
-    # keep only strictly positive imaginary candidates; an isolating interval
-    # with zero strictly inside isolates the root 0 itself (real direction)
-    zero_is_root = res_re.eval_all({"im": Fraction(0), "re": Fraction(0)}) == 0
+    # keep only strictly positive imaginary candidates; a box that straddles
+    # a root at 0 is the root interval [-M, M], which its first midpoint pins
     b_boxes = []
     for rb in b_all:
-        if rb.exact is not None:
-            if rb.exact > 0:
-                b_boxes.append(rb)
-            continue
-        if zero_is_root and rb.re.lo < 0 < rb.re.hi:
-            continue
-        guard = 200
-        while rb.re.contains(Fraction(0)) and rb.exact is None:
-            rb.refine()
-            guard -= 1
-            if guard < 0:
-                raise IsolationError("could not separate an imaginary candidate from zero")
-        if rb.exact is not None:
-            if rb.exact > 0:
-                b_boxes.append(rb)
-        elif rb.re.lo > 0:
+        rb.separate(0)
+        if rb.re.lo > 0:
             b_boxes.append(rb)
     certified = []
     candidates = [(ra, rb) for ra in a_boxes for rb in b_boxes]

@@ -37,8 +37,8 @@ from .mpoly import (
     subresultant_prs,
     yun_decomposition,
 )
-from .numbers import QuadExt, fraction_height, quadratic_roots, simplest_between
-from .roots import isolate_real_roots, isolate_roots, poly_image
+from .numbers import QuadExt, quadratic_roots
+from .roots import isolate_real_roots, isolate_roots, poly_image, rational_roots
 
 REDUCED_NONDEGENERATE = "reduced-nondegenerate"
 REDUCED_SADDLE_NODE = "reduced-saddle-node"
@@ -665,24 +665,13 @@ def _classify_once(field, f, xt, yt):
     rho = squarefree_part(rho)
 
     unresolved = False
-    target = Fraction(1, 2 * RATIO_HEIGHT_BOUND ** 2)
     for box in isolate_real_roots(rho):
-        guard = 0
-        while not box.is_exact() and box.re.lo <= 0 <= box.re.hi:
-            box.refine()
-            guard += 1
-            if guard > 500:
-                raise ArithmeticError("ratio box would not separate from zero")
-        # an exact box is the point interval of its root
-        if box.re.hi <= 0:
+        box.separate(0)
+        if box.re.lo <= 0:
             continue
-        while box.width() > target and not box.is_exact():
-            box.refine()
-        c = box.exact if box.is_exact() else simplest_between(box.re.lo, box.re.hi)
-        if fraction_height(c) > RATIO_HEIGHT_BOUND or (
-                not box.is_exact() and rho.eval_all({rname: c}) != 0):
-            # a root taller than the bound, or a candidate that is not the
-            # root: any other rational in its box is taller than the bound
+        c = box.rational(RATIO_HEIGHT_BOUND)
+        if c is None:
+            # an irrational root or a rational taller than the bound
             unresolved = True
             continue
         Wc = _subs_mod(W, {rname: c}, f, tau).with_vars((tau,))
@@ -706,8 +695,8 @@ def _quadratic_root_in_base(f):
 
 
 def _positive_rational_root_exists(g):
-    """Any root in Q>0 of a polynomial of degree <= 2 (coefficients rational
-    or QuadExt; a QuadExt coefficient forces the root through both components)."""
+    """Any root in Q>0 of a univariate polynomial (coefficients rational or
+    QuadExt; a QuadExt coefficient forces the root through both components)."""
     if g.is_zero():
         return False
     if not g.is_rational():
@@ -719,14 +708,4 @@ def _positive_rational_root_exists(g):
             g = comp_a
         else:
             g = poly_gcd(comp_a, comp_b)
-    c = g.scalar_coeffs()
-    deg = len(c) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        root = -c[0] / c[1]
-        return root > 0
-    if deg == 2:
-        roots = quadratic_roots(c)
-        return roots is not None and any(root > 0 for root in roots)
-    raise ValueError(f"unexpected degree {deg} in ratio gcd")
+    return any(q > 0 for q in rational_roots(g))

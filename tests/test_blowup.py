@@ -194,6 +194,22 @@ def test_reduce_degree_three_point_unavailable():
         seidenberg_reduce(fol("x^3 - 2", "6*x^2*y"))
 
 
+def test_exceptional_cubic_with_large_coefficients_peels_its_rational_root():
+    # the chart-1 restriction is (y - 2)(y^2 - 2*10^13), with coefficients
+    # above 10^12: its rational root 2 is found and peeled, and the
+    # quadratic factor left has roots +-2000000*sqrt(5)
+    from planefol.blowup import _exceptional_singularities
+
+    big = 2 * 10**13
+    c1, c2, ell, dic = blow_up((pp("-y^2"), pp(f"{2 * big}*x^2 - {big}*x*y - 2*y^2")), O)
+    assert c1[1] == pp(f"y^3 - 2*y^2 - {big}*y + {2 * big}")
+    points = _exceptional_singularities(c1, c2)
+    assert [chart for chart, _ in points] == [1, 1, 1]
+    assert points[0][1] == (0, 2)
+    assert [pt[1] * pt[1] for _, pt in points[1:]] == [big, big]
+    assert isinstance(points[1][1][1], QuadExt)
+
+
 def test_safe_adds_one_blowup_per_remaining_singularity():
     cases = [("x", "-y"), ("x", "2*y"), ("2*y", "3*x^2"), ("x", "y")]
     for p, q in cases:

@@ -541,3 +541,35 @@ class TestMalformedJson:
         code, _, err = run(capsys, "bound", "first-integral", "--d", "4", "--g", "2",
                            "--oracle", o)
         assert code == 2 and err.startswith("error: ")
+
+    def test_point_with_zero_denominator(self, capsys, tmp_path, saddle):
+        c = write(tmp_path, "line.json", {"f": "x"})
+        code, out, err = run(capsys, "--format", "json", "index", "--foliation", saddle,
+                             "--curve", c, "--point", "1/0,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("deltas", ["[1.5]", "[true]", "[-4]", "[0]", '["1"]', "[2]",
+                                        '{"d": 1}', "1"],
+                             ids=["float", "bool", "negative", "zero", "str",
+                                  "above-smooth-genus", "object", "int"])
+    def test_deltas(self, capsys, tmp_path, deltas):
+        # the cusp cubic has smooth genus 1, so its deltas total at most 1
+        c = write(tmp_path, "cusp.json", {"f": "y^2 - x^3"})
+        code, out, err = run(capsys, "genus", "--curve", c, "--deltas", deltas)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("action", ["gen", "census"])
+    @pytest.mark.parametrize("family, params", [
+        ("lins_neto", '{"alpha": 0.1}'),
+        ("lins_neto", '{"alpha": true}'),
+        ("linear", '{"p": 1.5, "q": 1}'),
+        ("power_pullback", '{"alpha": 0, "r": true}'),
+        ("power_pullback", '{"alpha": 0, "r": [2]}'),
+    ], ids=["alpha-float", "alpha-bool", "p-float", "r-bool", "r-list"])
+    def test_family_params(self, capsys, action, family, params):
+        code, out, err = run(capsys, "examples", action, "--family", family,
+                             "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

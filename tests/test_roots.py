@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -661,3 +663,112 @@ def test_boxes_json_as_recorded(p, q, digest, tmp_path, capsys):
     path.write_text(json.dumps({"P": p, "Q": q}))
     assert main(["--format", "json", "singularities", "--boxes", "--foliation", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# -- rational roots and separation ---------------------------------------------------
+
+
+def _divisor_test_reference(dense):
+    """Rational roots by the rational-root theorem, enumerated as the divisor
+    test did: N over the divisors of the lowest nonzero integer coefficient,
+    then D over those of the leading one, N/D before -N/D."""
+    ints = [int(c * lcm(*(q.denominator for q in dense))) for c in dense]
+    lo = next(i for i, c in enumerate(ints) if c)
+    found = [Fraction(0)] if lo else []
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[lo]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in found and _eval_dense_reference(dense, cand) == 0:
+                    found.append(cand)
+    return found
+
+
+def _sympy_rational_roots(f):
+    x = sympy.Symbol(f.vars[0])
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(f.scalar_coeffs()))
+    return {Fraction(int(r.p), int(r.q)) for r in sympy.Poly(expr, x, domain="QQ").ground_roots()}
+
+
+def _seeded_polys(seed, big):
+    rng = random.Random(seed)
+    x = MPoly.variable("x", ("x",))
+    for _ in range(12):
+        f = MPoly.const(("x",), Fraction(rng.choice([1, -3, 7, 10**13 + 1]), rng.randint(1, 5)))
+        for _ in range(rng.randint(1, 4)):
+            num = rng.randint(-6, 6) if not big else rng.choice([rng.randint(-6, 6), 10**13 + 7])
+            den = rng.randint(1, 6)
+            f = f * (den * x - num) ** rng.randint(1, 2)
+        f = f * parse_poly(rng.choice(["1", "x^2 - 2", "x^2 + 1", "x^3 - 3*x + 1"]), vars=("x",))
+        yield f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_match_sympy(seed):
+    for f in _seeded_polys(seed, big=seed >= 2):
+        found = roots.rational_roots(f)
+        assert set(found) == _sympy_rational_roots(f) and len(found) == len(set(found))
+        assert found == sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
+
+
+@pytest.mark.parametrize("text", [
+    "(x - 1)^2*(6*x + 5)*(3*x - 10)*(x^2 - 3)",
+    "x^3*(4*x^2 - 9)*(x^2 + x + 1)",
+])
+def test_rational_roots_keep_the_divisor_test_order(text):
+    f = parse_poly(text, vars=("x",))
+    assert roots.rational_roots(f) == _divisor_test_reference(f.scalar_coeffs())
+
+
+def test_rational_roots_pinned_order_and_large_coefficients():
+    f = parse_poly("x*(x + 1)*(x - 2)*(x + 2)*(2*x - 1)*(2*x + 3)", vars=("x",))
+    assert roots.rational_roots(f) == [Fraction(v) for v in ("0", "-1", "1/2", "2", "-2", "-3/2")]
+    big = 10**13 + 7
+    g = parse_poly(f"(3*x - {big})*(x + 5)^2*(x^2 - 2)", vars=("x",))
+    assert roots.rational_roots(g) == [Fraction(-5), Fraction(big, 3)]
+    assert roots.rational_roots(parse_poly("x^2 + 1", vars=("x",))) == []
+    assert roots.rational_roots(parse_poly("7", vars=("x",))) == []
+
+
+def _box_near(f, q):
+    (box,) = [b for b in isolate_real_roots(f) if b.re.lo <= q <= b.re.hi]
+    return box
+
+
+def test_root_box_rational_at_the_height():
+    f = parse_poly("(1000*x - 1001)*(x^2 - 2)", vars=("x",))
+    q = Fraction(1001, 1000)
+    assert not _box_near(f, q).is_exact()
+    # the root's height is 1001: one above the height asked for
+    assert _box_near(f, q).rational(1000) is None
+    assert _box_near(f, q).rational(1001) == q
+    # the one real root, 1/2 + 10^-7, shares its box of width 1/(2 * 1000^2)
+    # with 1/2, which the exact sign test refuses
+    (box,) = isolate_real_roots(parse_poly("(x - 1/2)^3 - 1/10^21", vars=("x",)))
+    assert box.rational(1000) is None
+    assert box.re.contains(Fraction(1, 2)) and box.re.width() <= Fraction(1, 2 * 10**6)
+
+
+def test_separate_pins_zero_in_the_root_interval(monkeypatch):
+    # a lone root at 0 is isolated by the root interval [-M, M], here M = 1
+    (box,) = isolate_real_roots(parse_poly("3*x", vars=("x",)))
+    assert box.re == Interval(-1, 1) and not box.is_exact()
+    calls = []
+    refine = RootBox.refine
+    monkeypatch.setattr(RootBox, "refine", lambda self: calls.append(1) or refine(self))
+    box.separate(0)
+    assert box.exact == 0 and box.re == Interval.point(0) and len(calls) == 1
+
+
+def test_separate_has_one_budget():
+    # 1/3 is no bisection midpoint of this tree, so its box never leaves it out
+    f = parse_poly("(3*x - 1)*(x^2 - 5)", vars=("x",))
+    box = _box_near(f, Fraction(1, 3))
+    box.separate(0)
+    assert box.re.lo > 0
+    with pytest.raises(IsolationError):
+        box.separate(Fraction(1, 3))
