@@ -1,6 +1,14 @@
 """Exact computation with polynomial vector fields on the projective plane."""
 
-from .mpoly import MPoly, exact_div, parse_poly, poly_gcd, squarefree_part
+from .mpoly import (
+    MPoly,
+    exact_div,
+    linear_subresultant,
+    parse_poly,
+    poly_gcd,
+    resultant,
+    squarefree_part,
+)
 from .foliation import Foliation, foliation_degree, make_foliation
 from .singularities import (
     SingularPoint,
@@ -65,7 +73,8 @@ from .families import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MPoly", "exact_div", "parse_poly", "poly_gcd", "squarefree_part",
+    "MPoly", "exact_div", "linear_subresultant", "parse_poly", "poly_gcd",
+    "resultant", "squarefree_part",
     "Foliation", "foliation_degree", "make_foliation",
     "SingularPoint", "bezout_total", "classify_all", "classify_point",
     "classify_singularity", "milnor_number", "singular_points", "total_milnor",

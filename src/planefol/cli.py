@@ -502,8 +502,9 @@ def _build_parser():
     p = sub.add_parser("genus", help="geometric genus of a plane curve")
     p.add_argument("--curve", required=True, metavar="FILE")
     p.add_argument("--deltas", metavar="JSON",
-                   help="delta invariants for non-nodal clusters, in "
-                        "curve_singularities order")
+                   help="the delta invariant of every singular point, nodes "
+                        "included, as a JSON list of positive ints; taken as "
+                        "given, without a check against the singular clusters")
 
     p = sub.add_parser("bound", help="degree bounds from plurigenera gates")
     p.add_argument("which", choices=("first-integral", "invariant-curve"))

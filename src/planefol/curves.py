@@ -331,9 +331,12 @@ def curve_singularities(C):
 
 
 def genus(C, deltas=None):
-    """Geometric genus by degree-genus with nodal corrections.
+    """Geometric genus by the degree-genus formula, (n-1)(n-2)/2 less the
+    delta invariants of the singular points.
 
-    Without an explicit delta list every detected singularity must be an
+    `deltas` lists the delta invariant of every singular point, nodes
+    included, and is taken as given: it is not checked against
+    `curve_singularities`. Without it every detected singularity must be an
     ordinary node (delta = 1 per point, so per cluster its point count).
     """
     C = _as_curve(C)

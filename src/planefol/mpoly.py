@@ -9,11 +9,16 @@ The module also houses the polynomial algebra the rest of the package needs:
 exact single-divisor division (also behind every remainder modulo a cluster
 modulus), multivariate gcd (the subresultant PRS behind a coprimality
 certificate from images mod p), Yun squarefree decomposition, a
-fraction-free determinant, Sylvester/Bareiss resultants, the subresultant S1
-as one such determinant, and the subresultant PRS. The determinant and the
-PRS both run on packed exponents (`_packing`) with integer coefficients:
-rational input is put over one denominator (`_clear_denominators`), and the
-exact divisions of both are checked (`_exact_quo`).
+fraction-free determinant (for the extactics), and one subresultant chain
+(`_Chain`) behind the subresultant PRS, the resultant and the subresultant
+S1. The resultant and S1 are read from the end of the chain with Cohen's
+correction for a degree gap, the scale of the cleared denominators and a
+sign from the degree parities; each equals the determinant of its Sylvester
+or subresultant matrix (derived in `_Chain.subresultant`). The determinant
+and the chain both run on packed exponents (`_packing`) with integer
+coefficients: rational input is put over one denominator
+(`_clear_denominators`), and the exact divisions of both are checked
+(`_exact_quo`).
 """
 
 from __future__ import annotations
@@ -1051,54 +1056,6 @@ def _exact_quo(a, b, guard, quo):
     return q
 
 
-def sylvester_matrix(f, g, var):
-    f, g = f._pair(g)
-    m = f.deg_in(var)
-    n = g.deg_in(var)
-    fa = f.as_univar(var)
-    ga = g.as_univar(var)
-    size = m + n
-    zero = MPoly.zero(f.vars)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fa)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(ga)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
-def resultant(f, g, var):
-    """Resultant eliminating `var`: the Bareiss determinant of the Sylvester
-    matrix."""
-    f, g = f._pair(g)
-    m = f.deg_in(var)
-    n = g.deg_in(var)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    if m <= 0 and n <= 0:
-        raise ValueError(f"both inputs are constant in {var!r}")
-    if m <= 0:
-        return f ** n
-    if n <= 0:
-        return g ** m
-    rows = sylvester_matrix(f, g, var)
-    det = bareiss_det(rows)
-    if isinstance(det, MPoly):
-        i = det.vars.index(var) if var in det.vars else None
-        if i is not None:
-            for e, c in det.terms.items():
-                if e[i] != 0:
-                    raise ArithmeticError("resultant failed to eliminate the variable")
-        return det
-    return MPoly.const(f.vars, det)
-
-
 def _product(factors):
     """Product of packed polynomials; the constant 1 for none."""
     out = {0: 1}
@@ -1135,102 +1092,187 @@ def _pseudo_remainder(a, b):
     return r
 
 
+class _Chain:
+    """One run of the packed subresultant PRS of f and g in `var`
+    (Brown-Traub; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 3.3.1 and 3.3.7), the one loop behind `subresultant_prs`,
+    `resultant` and `linear_subresultant`.
+
+    f and g are paired and ordered so that m = deg f >= n = deg g (`swapped`
+    records an exchange). `elems` is the sequence A_0 = Lf*f, A_1 = Lg*g,
+    A_2, ... with A_(i+1) = prem(A_(i-1), A_i) / (gg * h^delta), each element
+    a dense list in var of packed coefficients (see `_packing`), and `hs[i]`
+    the h of the loop once A_i is appended. Each rational input is put over
+    its own denominator once (`scales` = (Lf, Lg)) and the loop runs on ints;
+    one denominator for both would multiply every S_j by a power of the
+    larger one, and the ratio polynomial pairs an often integral modulus f
+    with a W whose reduction mod f brought large denominators. Inputs with
+    QuadExt coefficients run the same loop over their field, unscaled
+    (`scales` is None). Every division is exact by the subresultant theorem
+    and is checked.
+    """
+
+    __slots__ = ("f", "g", "var", "swapped", "scales", "elems", "hs", "unpack", "guard", "quo")
+
+    def __init__(self, f, g, var):
+        f, g = f._pair(g)
+        self.swapped = f.deg_in(var) < g.deg_in(var)
+        if self.swapped:
+            f, g = g, f
+        if g.is_zero():
+            raise ZeroDivisionError("pseudo-division by zero")
+        self.f, self.g, self.var = f, g, var
+        a, b = f.as_univar(var), g.as_univar(var)
+        # Packing bound. With d the largest total degree of a coefficient in
+        # var, every A_i is +-S_j for some j, and each coefficient of S_j,
+        # like the leading coefficients gg and h, is a minor of order
+        # m + n - 2j <= m + n of the Sylvester matrix, of total degree at
+        # most (m + n) d. One step of `_pseudo_remainder` adds at most the
+        # degree of lc(b), and there are delta + 1 <= m + 1 of them, so every
+        # intermediate of the pseudo-remainder of a by b, and gg * h^delta and
+        # gg^delta, have degree at most (delta + 2)(m + n) d <= (m + n + 2)(m + n) d.
+        # So do the end corrections of `subresultant`: lc(b)^e * b and h^e
+        # with e + 1 <= m factors of degree at most (m + n) d. The heap
+        # division keeps its keys at or below the dividend's degree.
+        m, n = len(a) - 1, len(b) - 1
+        d = max(c.total_degree() for c in a + b)
+        pack, self.unpack, self.guard = _packing(f.vars, (m + n + 2) * (m + n) * max(d, 1))
+        a, b = [pack(c) for c in a], [pack(c) for c in b]
+        integral = f.is_rational() and g.is_rational()
+        self.scales = (_clear_denominators(a), _clear_denominators(b)) if integral else None
+        self.quo = _zquo if integral else operator.truediv
+        gg = h = {0: 1}
+        self.elems, self.hs = [a, b], [h, h]
+        while len(b) > 1:
+            delta = len(a) - len(b)
+            r = _pseudo_remainder(a, b)
+            if not r:
+                break
+            divisor = _product([gg] + [h] * delta)
+            r = [self._quo(c, divisor) for c in r]
+            a, b = b, r
+            gg = a[-1]
+            if delta == 1:
+                h = gg
+            elif delta > 1:
+                h = self._quo(_product([gg] * delta), _product([h] * (delta - 1)))
+            self.elems.append(r)
+            self.hs.append(h)
+
+    def _quo(self, a, b):
+        return _exact_quo(a, b, self.guard, self.quo)
+
+    def poly(self, coeffs):
+        """The MPoly of a dense list of packed coefficients in var."""
+        i = self.f.vars.index(self.var)
+        return MPoly(self.f.vars, {e[:i] + (k,) + e[i + 1:]: x for k, c in enumerate(coeffs)
+                                   for e, x in self.unpack(c).items()})
+
+    def subresultant(self, k):
+        """S_k(f, g) read from the element of degree k, or None when the
+        sequence has none; k <= n and k < m.
+
+        End correction. Let b = A_j be that element and a = A_(j-1), of
+        degree d_a > k. By the subresultant theorem b is +-S_(d_a - 1), and
+        the h kept once b is appended is +- the principal coefficient of the
+        regular S_(d_a), its coefficient of var^d_a. When d_a - 1 > k,
+        S_(d_a - 1) is defective, the S_i strictly between k and d_a - 1
+        vanish, and S_k = (lc(b) / h)^e * S_(d_a - 1) with e = d_a - 1 - k;
+        for k = 0 this is Cohen's lc(b)^d_a / h^(d_a - 1). Computed as
+        lc(b)^e * b / h^e, the division exact.
+
+        Scale. The S_k matrix has n - k rows of f and m - k rows of g, so
+        S_k(Lf f, Lg g) = Lf^(n - k) Lg^(m - k) S_k(f, g).
+
+        Sign. For consecutive elements A, B of degrees p >= q > k with
+        R = prem(A, B) of degree r, putting the rows of R in place of those
+        of A (R = lc(B)^(p - q + 1) A - Q B) and moving the p - k rows of B
+        above the q - k rows of R gives
+        lc(B)^((p - q + 1)(q - k)) S_k(A, B) = (-1)^((p - k)(q - k)) lc(B)^(p - r) S_k(B, R),
+        after expanding along the columns where only B has entries. The
+        powers are what the divisions by gg * h^delta take out, so only the
+        sign is left: (-1)^sum (d_(i-1) - k)(d_i - k) over consecutive
+        degrees of the sequence up to a (b adds a zero term). For k = 0 it is
+        Cohen's s, flipped where two consecutive degrees are both odd.
+        """
+        degrees = [len(x) - 1 for x in self.elems]
+        if k not in degrees[1:]:
+            return None
+        j = degrees.index(k, 1)
+        b, h = self.elems[j], self.hs[j]
+        e = degrees[j - 1] - 1 - k
+        if e:
+            lift, down = _product([b[-1]] * e), _product([h] * e)
+            b = [self._quo(_mul_sub(lift, c, {}, {}), down) for c in b]
+        sign = (-1) ** sum((p - k) * (q - k) for p, q in zip(degrees[:j], degrees[1:j]))
+        if self.scales is None:
+            return self.poly([{key: c * sign for key, c in x.items()} for x in b])
+        lf, lg = self.scales
+        scale = lf ** (degrees[1] - k) * lg ** (degrees[0] - k)
+        return self.poly([{key: Fraction(c * sign, scale) for key, c in x.items()} for x in b])
+
+    def res(self):
+        """Res(f, g) in the order the inputs were given: S_0, or 0 when the
+        sequence ends above degree 0 (a common factor); Res(g, f) =
+        (-1)^(mn) Res(f, g) undoes an exchange."""
+        res = self.subresultant(0)
+        if res is None:
+            return MPoly.zero(self.f.vars)
+        m, n = len(self.elems[0]) - 1, len(self.elems[1]) - 1
+        return -res if self.swapped and m * n % 2 else res
+
+    def s1(self):
+        """S1 when its degree in var is exactly 1, else None; an input of
+        degree 1 is returned as it is, f before g. S1 has degree 1 exactly
+        when the sequence has an element of degree 1."""
+        for p, x in zip((self.f, self.g), self.elems):
+            if len(x) == 2:
+                return p
+        return self.subresultant(1)
+
+
+def resultant(f, g, var):
+    """Resultant eliminating `var`, equal to the determinant of the Sylvester
+    matrix: S_0 of one `_Chain` run (see `_Chain.subresultant` for the end
+    correction, the scale and the sign)."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    if f.deg_in(var) <= 0 and g.deg_in(var) <= 0:
+        raise ValueError(f"both inputs are constant in {var!r}")
+    return _Chain(f, g, var).res()
+
+
 def subresultant_prs(f, g, var):
     """Subresultant polynomial remainder sequence (Collins/Brown-Traub).
 
     Returns the list [f, g, r1, r2, ...], with f and g swapped when g has the
-    higher degree in `var`; each ri is proportional over the base field to a
-    subresultant, which is all its callers need: the eigenvalue-ratio
-    polynomial of `singularities` and the multivariate `poly_gcd` when the
-    coprimality certificate fails both normalize what they take from it.
-    `linear_subresultant` takes S1 from a determinant instead. Coefficient
-    growth stays polynomial, unlike the naive PRS.
-
-    The sequence is kept dense in `var`, each coefficient packed over the
-    inputs' variables (see `_packing`). Each rational input is put over its
-    own denominator once, f times Lf and g times Lg, and the loop runs on
-    ints, so ri is, up to sign, a subresultant of Lf*f and Lg*g. One
-    denominator for both would multiply every S_j by a power of the larger
-    one, and the ratio polynomial pairs an often integral modulus f with a W
-    whose reduction mod f brought large denominators. Inputs with QuadExt
-    coefficients run the same loop over their field, unscaled. Every
-    division is exact by the subresultant theorem and is checked.
+    higher degree in `var`; each ri is the element A_(i+1) of one `_Chain`
+    run made an MPoly: up to sign the subresultant S_(d-1) of Lf*f and Lg*g,
+    d the degree of the element before it, and so proportional over the base
+    field to a subresultant of f and g. That is all its callers need: the
+    eigenvalue-ratio polynomial of `singularities` and the multivariate
+    `poly_gcd` when the coprimality certificate fails both normalize what
+    they take from it. Coefficient growth stays polynomial, unlike the naive
+    PRS.
     """
-    f, g = f._pair(g)
-    if f.deg_in(var) < g.deg_in(var):
-        f, g = g, f
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    seq = [f, g]
-    a, b = f.as_univar(var), g.as_univar(var)
-    # Packing bound. With m >= n the degrees in var and d the largest total
-    # degree of a coefficient in var, every ri is +-S_j for some j, and each
-    # coefficient of S_j, like the leading coefficients gg and h, is a minor
-    # of order m + n - 2j <= m + n of the Sylvester matrix, of total degree
-    # at most (m + n) d. One step of `_pseudo_remainder` adds at most the
-    # degree of lc(b), and there are delta + 1 <= m + 1 of them, so every
-    # intermediate of the pseudo-remainder of a by b, and gg * h^delta and
-    # gg^delta, have degree at most (delta + 2)(m + n) d <= (m + n + 2)(m + n) d.
-    # The heap division keeps its keys at or below the dividend's degree.
-    m, n = len(a) - 1, len(b) - 1
-    d = max(c.total_degree() for c in a + b)
-    pack, unpack, guard = _packing(f.vars, (m + n + 2) * (m + n) * max(d, 1))
-    a, b = [pack(c) for c in a], [pack(c) for c in b]
-    integral = f.is_rational() and g.is_rational()
-    if integral:
-        _clear_denominators(a)
-        _clear_denominators(b)
-    quo = _zquo if integral else operator.truediv
-    i = f.vars.index(var)
-    gg = h = {0: 1}
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        r = _pseudo_remainder(a, b)
-        if not r:
-            break
-        divisor = _product([gg] + [h] * delta)
-        r = [_exact_quo(c, divisor, guard, quo) for c in r]
-        seq.append(MPoly(f.vars, {e[:i] + (k,) + e[i + 1:]: x
-                                  for k, c in enumerate(r) for e, x in unpack(c).items()}))
-        a, b = b, r
-        gg = a[-1]
-        if delta == 1:
-            h = gg
-        elif delta > 1:
-            h = _exact_quo(_product([gg] * delta), _product([h] * (delta - 1)), guard, quo)
-    return seq
+    chain = _Chain(f, g, var)
+    return [chain.f, chain.g] + [chain.poly(x) for x in chain.elems[2:]]
 
 
 def linear_subresultant(f, g, var):
     """The subresultant S1 of f and g in `var` when its degree in `var` is
     exactly 1, else None.
 
-    With f and g ordered so that m = deg f >= n = deg g, S1 is one Bareiss
+    With f and g ordered so that m = deg f >= n = deg g, S1 is the
     determinant of the (m+n-2)-square subresultant matrix (von zur Gathen and
     Gerhard, Modern Computer Algebra, ch. 6): its rows are var^(n-2) f, ...,
     f, var^(m-2) g, ..., g; its columns their coefficients of var^(m+n-2),
-    ..., var^2, and a last column holding each row's c1*var + c0 part. By the
-    subresultant theorem it is None exactly when `subresultant_prs` has no
-    element of degree 1, and otherwise proportional to that element over the
-    fraction field of the other variables. As in the PRS, an input of degree 1
-    is returned as it is, f before g after that ordering. A zero input raises
-    ValueError.
+    ..., var^2, and a last column holding each row's c1*var + c0 part. It is
+    read from one `_Chain` run, from the element of degree 1 when there is
+    one (`_Chain.subresultant`), and is None when there is none. An input of
+    degree 1 is returned as it is, f before g after that ordering. A zero
+    input raises ValueError.
     """
-    f, g = f._pair(g)
     if f.is_zero() or g.is_zero():
         raise ValueError("subresultant of a zero polynomial")
-    if f.deg_in(var) < g.deg_in(var):
-        f, g = g, f
-    for p in (f, g):
-        if p.deg_in(var) == 1:
-            return p
-    n = g.deg_in(var)
-    if n < 2:
-        return None
-    # the Sylvester rows without the top shift of each block, less the
-    # var^(m+n-1) column, with the var^1 and var^0 columns folded into one
-    rows = sylvester_matrix(f, g, var)
-    v = MPoly.variable(var, f.vars)
-    s1 = bareiss_det([row[1:-2] + [row[-2] * v + row[-1]]
-                      for row in rows[1:n] + rows[n + 1:]])
-    return s1 if s1.deg_in(var) == 1 else None
+    return _Chain(f, g, var).s1()

@@ -28,8 +28,8 @@ from .algebraic import (
 from .foliation import _fresh_name
 from .mpoly import (
     MPoly,
+    _Chain,
     _squarefree_degree_mod_p,
-    linear_subresultant,
     normalized,
     poly_gcd,
     resultant,
@@ -403,19 +403,23 @@ def _shear_candidates(F):
 
 
 def _exact_shear(F, Pt, Qt):
-    """(yun parts of R_t, squarefree degree of R_t), from the exact resultant."""
+    """((yun parts of R_t, S1), squarefree degree of R_t), R_t = Res_y(P_t, Q_t)
+    and S1 the linear subresultant of P_t and Q_t in y, both read from one
+    subresultant chain."""
     x, y = F.vars
-    R = resultant(Pt, Qt, y).with_vars((x,))
+    chain = _Chain(Pt, Qt, y)
+    R = chain.res().with_vars((x,))
     if R.is_zero():
         raise ArithmeticError("resultant vanished for a coprime field")
     parts = yun_decomposition(R) if R.total_degree() > 0 else []
-    return parts, sum(g.total_degree() for g, _ in parts)
+    return (parts, chain.s1()), sum(g.total_degree() for g, _ in parts)
 
 
 def _ranked(F, shears, exact):
-    """(t, P_t, Q_t, parts, degree) for each of `shears`: exact parts and
-    degree when `exact`, else the squarefree degree of R_t mod p with parts
-    None, or the exact ones when no prime gives an image."""
+    """(t, P_t, Q_t, exact, degree) for each of `shears`: the exact pair of
+    `_exact_shear` and its degree when `exact`, else the squarefree degree of
+    R_t mod p with None for the pair, or the exact ones when no prime gives an
+    image."""
     for t, Pt, Qt in shears:
         degree = None if exact else _squarefree_degree_mod_p(Pt, Qt, F.vars[1])
         if degree is None:
@@ -462,27 +466,27 @@ def affine_singular_points(F):
             pending.extend(_ranked(F, islice(candidates, 1), exact=floor < 0))
         if not pending:
             raise DecompositionError("no shear passed the fiber certificates")
-        t, Pt, Qt, parts, degree = pending.pop(0)
+        t, Pt, Qt, exact, degree = pending.pop(0)
         best = max(best, degree, *(c[-1] for c in pending))
         if degree <= floor or degree < best:
             continue
-        if parts is None:
-            parts, degree = _exact_shear(F, Pt, Qt)
+        if exact is None:
+            exact, degree = _exact_shear(F, Pt, Qt)
             best = max(best, degree)
+        parts, S1 = exact
         if not parts:
             return []
         try:
-            return _affine_clusters(F, t, parts, Pt, Qt)
+            return _affine_clusters(F, t, parts, S1, Pt, Qt)
         except _ShearReject:
             floor = degree
             pending.extend(_ranked(F, islice(candidates, _LOOKAHEAD - len(pending)),
                                    exact=False))
 
 
-def _affine_clusters(F, shear, parts, Pt, Qt):
+def _affine_clusters(F, shear, parts, S1, Pt, Qt):
     x, y = F.vars
     tau = _fresh_name("t", F.vars)
-    S1 = linear_subresultant(Pt, Qt, y)
     t1 = t0 = None
     if S1 is not None:
         t1 = S1.coeff_in(y, 1).with_vars((x,)).rename({x: tau})

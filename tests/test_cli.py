@@ -321,6 +321,17 @@ class TestCurveCommands:
                              "--deltas", "[1]")
         assert code == 0 and data["genus"] == 0
 
+    def test_genus_deltas_taken_as_given(self, capsys, tmp_path):
+        # --deltas names every singular point, nodes included, and is not
+        # checked against the clusters: this quartic has a point that is not
+        # a node at the origin and a 2-point node cluster at infinity, yet the
+        # one-entry list [1] is taken as given: 3 - 1 = 2
+        c = write(tmp_path, "q.json", {"f": "(x^2+y^2)^2 - x*y^2 - x^3"})
+        code, data, _ = jrun(capsys, "genus", "--curve", c, "--deltas", "[1]")
+        assert code == 0 and data["genus"] == 2
+        assert [(s["count"], s["node"]) for s in data["singular_clusters"]] == \
+            [(1, False), (2, True)]
+
 
 class TestBound:
     def test_first_integral_worked_example(self, capsys, tmp_path):

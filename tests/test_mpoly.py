@@ -34,10 +34,11 @@ from planefol.mpoly import (
     resultant,
     squarefree_part,
     subresultant_prs,
-    sylvester_matrix,
     yun_decomposition,
 )
+from planefol.families import lins_neto, power_pullback
 from planefol.numbers import QuadExt
+from planefol.singularities import singular_points
 
 
 X, Y = sympy.symbols("x y")
@@ -498,6 +499,31 @@ def test_resultant_trivariate_matches_sympy():
     assert to_sympy(mine) == theirs
 
 
+def sylvester_matrix(f, g, var):
+    """The Sylvester matrix of f and g in `var`: n shifted rows of f's
+    coefficients, then m of g's, highest power first. Its determinant is the
+    reference value of `resultant`."""
+    f, g = f._pair(g)
+    m = f.deg_in(var)
+    n = g.deg_in(var)
+    fa = f.as_univar(var)
+    ga = g.as_univar(var)
+    size = m + n
+    zero = MPoly.zero(f.vars)
+    rows = []
+    for i in range(n):
+        row = [zero] * size
+        for j, c in enumerate(reversed(fa)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [zero] * size
+        for j, c in enumerate(reversed(ga)):
+            row[i + j] = c
+        rows.append(row)
+    return rows
+
+
 def test_sylvester_shape():
     f = parse_poly("x^2 + 1", vars=("x",))
     g = parse_poly("x^3 - x", vars=("x",))
@@ -685,12 +711,13 @@ def test_linear_subresultant_gives_y_rule(f, g, rule):
     assert (t1 * parse_poly(rule, vars=("x", "y")) + t0).is_zero()
 
 
-def test_linear_subresultant_runs_no_prs(monkeypatch):
+def test_resultants_run_no_determinant(monkeypatch, wall_clock_ceiling):
+    # every resultant and S1 comes from the subresultant chain; the Bareiss
+    # determinant serves only the extactics
     def refuse(*args):
-        raise AssertionError("linear_subresultant ran a PRS step")
+        raise AssertionError("a resultant ran a Bareiss determinant")
 
-    monkeypatch.setattr(mpoly, "subresultant_prs", refuse)
-    monkeypatch.setattr(mpoly, "_pseudo_remainder", refuse)
+    monkeypatch.setattr(mpoly, "bareiss_det", refuse)
     # the pullback(0) field x^7 - x, y^7 - y sheared by x -> x + 3y, the first
     # shear `affine_singular_points` accepts on it
     shear = {"x": parse_poly("x + 3*y", vars=("x", "y"))}
@@ -698,6 +725,10 @@ def test_linear_subresultant_runs_no_prs(monkeypatch):
     Q = parse_poly("y^7 - y", vars=("x", "y")).subs(shear)
     lin = linear_subresultant(P, Q, "y")
     assert lin is not None and lin.deg_in("y") == 1
+    assert resultant(P, Q, "y").total_degree() == 49
+    with wall_clock_ceiling(120):
+        for alpha in (0, 1):
+            assert singular_points(power_pullback(lins_neto(alpha), 2))
 
 
 # -- property tests ----------------------------------------------------------------
@@ -915,6 +946,55 @@ def test_linear_subresultant_matches_prs_reference(pair):
         assert mine is ref
     # proportional over Q(x): cross-multiply the leading coefficients in y
     assert (mine * ref.coeff_in("y", 1) - ref * mine.coeff_in("y", 1)).is_zero()
+
+
+def _subresultant_matrix_s1(f, g, var):
+    """S1 as `linear_subresultant` computed it before the subresultant chain:
+    one Bareiss determinant of the Sylvester rows without the top shift of
+    each block, less the var^(m+n-1) column, with the var^1 and var^0 columns
+    folded into one; None unless of degree 1, and an input of degree 1 as it
+    is."""
+    f, g = f._pair(g)
+    if f.deg_in(var) < g.deg_in(var):
+        f, g = g, f
+    for p in (f, g):
+        if p.deg_in(var) == 1:
+            return p
+    n = g.deg_in(var)
+    if n < 2:
+        return None
+    rows = sylvester_matrix(f, g, var)
+    v = MPoly.variable(var, f.vars)
+    s1 = bareiss_det([row[1:-2] + [row[-2] * v + row[-1]]
+                      for row in rows[1:n] + rows[n + 1:]])
+    return s1 if s1.deg_in(var) == 1 else None
+
+
+@st.composite
+def _oracle_pair(draw):
+    """A `_subresultant_pair` (degree gaps, common factors, degrees 0 and 1,
+    either order), over Q or, with x scaled by 1 + sqrt(2), over Q(sqrt 2)."""
+    f, g = draw(_subresultant_pair())
+    if draw(st.booleans()):
+        s = {"x": MPoly(("x", "y"), {(1, 0): QuadExt(1, 1, 2)})}
+        f, g = f.subs(s), g.subs(s)
+    return f, g
+
+
+@given(_oracle_pair())
+@settings(max_examples=150, deadline=None)
+def test_resultant_and_s1_equal_their_determinants(pair):
+    # exact equality, sign and scale included, with the determinants the
+    # subresultant chain replaced
+    f, g = pair
+    s1, ref = linear_subresultant(f, g, "y"), _subresultant_matrix_s1(f, g, "y")
+    assert (s1 is None) == (ref is None)
+    if ref is not None:
+        assert s1.vars == ref.vars and s1.terms == ref.terms
+    if f.deg_in("y") <= 0 and g.deg_in("y") <= 0:
+        return
+    res, det = resultant(f, g, "y"), bareiss_det(sylvester_matrix(f, g, "y"))
+    assert res.vars == det.vars and res.terms == det.terms
 
 
 # -- substitution ------------------------------------------------------------------

@@ -12,7 +12,9 @@ from planefol.foliation import make_foliation
 from planefol.mpoly import (
     _CERT_PRIMES,
     MPoly,
+    _Chain,
     _squarefree_degree_mod_p,
+    linear_subresultant,
     parse_poly,
     resultant,
     squarefree_part,
@@ -344,9 +346,10 @@ def test_singular_points_json_same_with_prs_s1(p, q, tmp_path, capsys, monkeypat
         assert main(argv) == 0
         return capsys.readouterr().out
 
-    by_det = canonical()
-    monkeypatch.setattr(singularities, "linear_subresultant", _linear_subresultant_reference)
-    assert canonical() == by_det
+    by_chain = canonical()
+    monkeypatch.setattr(_Chain, "s1", lambda chain: _linear_subresultant_reference(
+        chain.f, chain.g, chain.var))
+    assert canonical() == by_chain
 
 
 def test_ratio_polynomial_from_prs_proportional_to_resultant(tmp_path, capsys, monkeypatch):
@@ -470,7 +473,8 @@ def _affine_singular_points_reference(F):
         if R.total_degree() == 0:
             return []
         try:
-            return singularities._affine_clusters(F, t, yun_decomposition(R), Pt, Qt)
+            return singularities._affine_clusters(F, t, yun_decomposition(R),
+                                                  linear_subresultant(Pt, Qt, y), Pt, Qt)
         except singularities._ShearReject:
             continue
     raise singularities.DecompositionError("no shear passed the fiber certificates")
@@ -535,21 +539,46 @@ def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
     assert seen == [1, 3]
 
 
+def _count_chains(monkeypatch, F):
+    """Record, for each subresultant chain started, the shear whose (P_t, Q_t)
+    it runs on, or None for any other pair."""
+    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
+    calls = []
+    real = _Chain.__init__
+
+    def counting(chain, f, g, var):
+        calls.append(next((t for t, pq in shears.items() if pq == (f, g)), None))
+        real(chain, f, g, var)
+
+    monkeypatch.setattr(_Chain, "__init__", counting)
+    return calls
+
+
 def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceiling):
     # shears -1, 2 and -2 are ranked mod p and skipped: no exact resultant
     F = power_pullback(lins_neto(1), 2)
-    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
-    calls = []
-    real = singularities.resultant
-
-    def counting(f, g, var):
-        calls.append(next(t for t, pq in shears.items() if pq == (f, g)))
-        return real(f, g, var)
-
-    monkeypatch.setattr(singularities, "resultant", counting)
+    calls = _count_chains(monkeypatch, F)
     with wall_clock_ceiling(120):
         affine_singular_points(F)
     assert calls == [1, 3]
+
+
+def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
+    # the resultant R_t and the S1 rule of a tried shear come from one chain:
+    # `_affine_clusters` starts none of its own
+    F = power_pullback(lins_neto(1), 2)
+    tried = []
+    real = singularities._affine_clusters
+
+    def clusters(F, shear, *rest):
+        tried.append(shear)
+        return real(F, shear, *rest)
+
+    monkeypatch.setattr(singularities, "_affine_clusters", clusters)
+    calls = _count_chains(monkeypatch, F)
+    with wall_clock_ceiling(120):
+        affine_singular_points(F)
+    assert tried == [1, 3] and calls == tried
 
 
 # -- squarefree degrees of the shear resultants mod p ---------------------------------
