@@ -249,18 +249,21 @@ def _milnor_once(field, f, xt, yt):
     if Ploc.is_zero() or Qloc.is_zero():
         raise ArithmeticError("translated component vanished; field was degenerate")
 
+    tops = [max(_xy_parts(p, tau).items())[1] for p in (Ploc, Qloc)]
     for t in _SHEARS:
+        # the test of `_shear_candidates`: the top (x, y)-layer of each
+        # unsheared component at (t, 1) is the y-leading coefficient of its
+        # shear, and must not vanish, or a common zero at infinity on the
+        # line x = 0 enters ord_x Res_y
+        at = {x: Fraction(t), y: Fraction(1)}
+        if any(_vanishes(top.subs(at).with_vars((tau,)), f) for top in tops):
+            continue
         if t == 0:
             Pt, Qt = Ploc, Qloc
         else:
             sx = MPoly.variable(x, Ploc.vars) + MPoly.variable(y, Ploc.vars) * Fraction(t)
             Pt = _subs_mod(Ploc, {x: sx}, f, tau)
             Qt = _subs_mod(Qloc, {x: sx}, f, tau)
-        # the top (x, y)-layer of each component must not vanish at (t, 1)
-        at = {x: Fraction(t), y: Fraction(1)}
-        if any(_vanishes(max(_xy_parts(p, tau).items())[1].subs(at).with_vars((tau,)), f)
-               for p in (Pt, Qt)):
-            continue
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = mod_reduce(resultant(Pt, Qt, y), f, tau)
@@ -317,64 +320,40 @@ def milnor_number(field, point):
 # -- global decomposition -----------------------------------------------------------
 
 
-def _monic_in_y(p, f, tau, y):
-    d = p.deg_in(y)
-    lc = p.coeff_in(y, d).with_vars((tau,))
-    # SplitNeeded when the leading coefficient dies on part of the cluster
-    inv = invert_mod(lc, f, tau)
-    return mod_reduce(p * inv, f, tau)
+def _fiber_rule(fibers, fi, tau, y):
+    """y-coordinate above the cluster fi, from the subresultants S_k of P_t
+    and Q_t in y (x renamed tau).
 
-
-def _ring_gcd_y(A, B, f, tau, y):
-    """Monic gcd of A and B in y over Q[tau]/(f), valid at every root of f.
-
-    Euclidean steps with the divisor made monic first, so each remainder is
-    an exact identity on the whole cluster; leading coefficients that vanish
-    at only some roots surface as SplitNeeded.
-    """
-    A = mod_reduce(A, f, tau)
-    B = mod_reduce(B, f, tau)
-    if A.deg_in(y) < B.deg_in(y):
-        A, B = B, A
-    while not B.is_zero():
-        Bm = _monic_in_y(B, f, tau, y)
-        db = Bm.deg_in(y)
-        R = A
-        while not R.is_zero() and R.deg_in(y) >= db:
-            dr = R.deg_in(y)
-            co = R.coeff_in(y, dr)
-            shift = MPoly.variable(y, R.vars) ** (dr - db)
-            R = mod_reduce(R - co * shift * Bm, f, tau)
-        A, B = Bm, R
-    if A.is_zero():
-        raise ArithmeticError("gcd of two polynomials that vanish on the cluster")
-    return _monic_in_y(A, f, tau, y)
-
-
-def _fiber_rule(Pf, Qf, fi, tau, y):
-    """y-coordinate above a cluster whose fiber gcd is not linear.
-
-    A single singular point on the fiber forces the monic fiber gcd to be
-    (y - y0)**k; the binomial comparison certifies exactly that.  A failed
+    `fibers` yields (k, S_k) for k ascending, the last S_k an input with a
+    constant leading coefficient. At a root of R_t the fiber gcd is S_k at
+    the least k whose principal coefficient s_k is nonzero there (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 6): an S_k whose s_k
+    vanishes on the whole cluster is passed over, and one that vanishes on
+    part of it splits the cluster. k = 1 is the linear rule y0 = -c_0 / s_1.
+    For k >= 2 a single singular point on the fiber forces the monic gcd to
+    be (y - y0)**k; the binomial comparison certifies exactly that. A failed
     comparison means two singular points share this vertical line, so the
     caller must move to the next shear.
     """
-    G = _ring_gcd_y(Pf, Qf, fi, tau, y)
-    k = G.deg_in(y)
-    if k <= 0:
-        raise ArithmeticError("empty fiber above a resultant root")
-    ck1 = G.coeff_in(y, k - 1).with_vars((tau,))
-    y0 = mod_reduce(ck1 * Fraction(-1, k), fi, tau)
-    if k >= 2:
-        yv = MPoly.variable(y, G.vars)
-        diff = mod_reduce(G - (yv - y0) ** k, fi, tau)
-        if not diff.is_zero():
-            slices = ([diff.coeff_in(y, j).with_vars((tau,))]
-                      for j in range(diff.deg_in(y) + 1))
-            if _first_nonzero(slices, fi) is not None:
-                raise _ShearReject("two singular points share a fiber")
-            raise ArithmeticError("trimmed difference has no nonzero slice")
-    return y0
+    for k, S in fibers:
+        try:
+            inv = invert_mod(S.coeff_in(y, k).with_vars((tau,)), fi, tau)
+        except ZeroDivisionError:
+            # s_k vanishes on the whole cluster
+            continue
+        ck1 = S.coeff_in(y, k - 1).with_vars((tau,))
+        y0 = mod_reduce(ck1 * inv * Fraction(-1, k), fi, tau)
+        if k >= 2:
+            yv = MPoly.variable(y, S.vars)
+            diff = mod_reduce(S * inv - (yv - y0) ** k, fi, tau)
+            if not diff.is_zero():
+                slices = ([diff.coeff_in(y, j).with_vars((tau,))]
+                          for j in range(diff.deg_in(y) + 1))
+                if _first_nonzero(slices, fi) is not None:
+                    raise _ShearReject("two singular points share a fiber")
+                raise ArithmeticError("trimmed difference has no nonzero slice")
+        return y0
+    raise ArithmeticError("no subresultant is nonzero above a resultant root")
 
 
 def _shear_candidates(F):
@@ -403,21 +382,22 @@ def _shear_candidates(F):
 
 
 def _exact_shear(F, Pt, Qt):
-    """((yun parts of R_t, S1), squarefree degree of R_t), R_t = Res_y(P_t, Q_t)
-    and S1 the linear subresultant of P_t and Q_t in y, both read from one
-    subresultant chain."""
+    """((yun parts of R_t, chain), squarefree degree of R_t): `chain` the one
+    subresultant chain of P_t and Q_t in y, R_t = Res_y(P_t, Q_t) read from
+    it, and the fiber rule's S_k read from it later."""
     x, y = F.vars
     chain = _Chain(Pt, Qt, y)
     R = chain.res().with_vars((x,))
     if R.is_zero():
         raise ArithmeticError("resultant vanished for a coprime field")
     parts = yun_decomposition(R) if R.total_degree() > 0 else []
-    return (parts, chain.s1()), sum(g.total_degree() for g, _ in parts)
+    return (parts, chain), sum(g.total_degree() for g, _ in parts)
 
 
 def _ranked(F, shears, exact):
     """(t, P_t, Q_t, exact, degree) for each of `shears`: the exact pair of
-    `_exact_shear` and its degree when `exact`, else the squarefree degree of
+    `_exact_shear` (the Yun parts of R_t and the chain whose S_k give the
+    fiber rule) and its degree when `exact`, else the squarefree degree of
     R_t mod p with None for the pair, or the exact ones when no prime gives an
     image."""
     for t, Pt, Qt in shears:
@@ -453,6 +433,11 @@ def affine_singular_points(F):
     loop may then skip a separating shear and take a later one, which
     `_fiber_rule` still certifies, or refuse with DecompositionError. The
     degrees only choose which shear to try; they never accept one.
+
+    The y-coordinate of every cluster comes from one rule on the
+    subresultant chain that gave R_t: the fiber gcd is S_k at the least k
+    whose principal coefficient is nonzero on the cluster, and k = 1 is the
+    S1 rule y = -c_0 / s_1 (`_fiber_rule`).
     """
     P, Q = F.P, F.Q
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
@@ -473,43 +458,42 @@ def affine_singular_points(F):
         if exact is None:
             exact, degree = _exact_shear(F, Pt, Qt)
             best = max(best, degree)
-        parts, S1 = exact
+        parts, chain = exact
         if not parts:
             return []
         try:
-            return _affine_clusters(F, t, parts, S1, Pt, Qt)
+            return _affine_clusters(F, t, parts, chain)
         except _ShearReject:
             floor = degree
             pending.extend(_ranked(F, islice(candidates, _LOOKAHEAD - len(pending)),
                                    exact=False))
 
 
-def _affine_clusters(F, shear, parts, S1, Pt, Qt):
+def _affine_clusters(F, shear, parts, chain):
     x, y = F.vars
     tau = _fresh_name("t", F.vars)
-    t1 = t0 = None
-    if S1 is not None:
-        t1 = S1.coeff_in(y, 1).with_vars((x,)).rename({x: tau})
-        t0 = S1.coeff_in(y, 0).with_vars((x,)).rename({x: tau})
-    Pf = Pt.rename({x: tau})
-    Qf = Qt.rename({x: tau})
+    # the k at which a principal coefficient s_k can be nonzero: the degrees
+    # of the sequence below the lower-degree input g, then g's own, where
+    # S_k is g up to a constant (m = n leaves S_n undefined)
+    n = chain.g.deg_in(y)
+    ks = sorted(len(e) - 1 for e in chain.elems[2:] if len(e) > 1) + [n]
+    cache = {}
+
+    def fibers():
+        for k in ks:
+            if k not in cache:
+                cache[k] = (chain.g if k == n else chain.subresultant(k)).rename({x: tau})
+            yield k, cache[k]
+
+    def rule(fi, xi, yi):
+        return _fiber_rule(fibers(), fi, tau, y)
+
+    seed = MPoly.zero((tau,))
     out = []
     for g, mult in parts:
         if g.total_degree() == 0:
             continue
         g = g.rename({g.vars[0]: tau})
-
-        def rule(fi, xi, yi):
-            if t1 is not None:
-                try:
-                    inv = invert_mod(t1, fi, tau)
-                    return mod_reduce(-(t0 * inv), fi, tau)
-                except ZeroDivisionError:
-                    # the linear rule dies on this whole cluster
-                    pass
-            return _fiber_rule(Pf, Qf, fi, tau, y)
-
-        seed = MPoly.zero((tau,))
         for fi, _, _, yr in _resolve_clusters(normalized(g), seed, seed, rule):
             xr = MPoly.variable(tau, (tau,)) + yr * Fraction(shear)
             out.append(SingularPoint("affine", F, fi, xr, yr, milnor=mult))

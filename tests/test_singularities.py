@@ -2,19 +2,20 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from planefol import singularities
-from planefol.algebraic import mod_reduce
+from planefol.algebraic import _first_nonzero, _resolve_clusters, invert_mod, mod_reduce
 from planefol.cli import main
 from planefol.families import lins_neto, power_pullback
-from planefol.foliation import make_foliation
+from planefol.foliation import _fresh_name, make_foliation
 from planefol.mpoly import (
     _CERT_PRIMES,
     MPoly,
     _Chain,
     _squarefree_degree_mod_p,
     linear_subresultant,
+    normalized,
     parse_poly,
     resultant,
     squarefree_part,
@@ -347,8 +348,10 @@ def test_singular_points_json_same_with_prs_s1(p, q, tmp_path, capsys, monkeypat
         return capsys.readouterr().out
 
     by_chain = canonical()
-    monkeypatch.setattr(_Chain, "s1", lambda chain: _linear_subresultant_reference(
-        chain.f, chain.g, chain.var))
+    real = _Chain.subresultant
+    monkeypatch.setattr(_Chain, "subresultant", lambda chain, k: (
+        _linear_subresultant_reference(chain.f, chain.g, chain.var) if k == 1
+        else real(chain, k)))
     assert canonical() == by_chain
 
 
@@ -390,12 +393,6 @@ def grid_field(draw):
     xr = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
     yr = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
     return make_foliation(poly_from(xr, "x"), poly_from(yr, "y"))
-
-
-@settings(max_examples=15, deadline=None)
-@given(grid_field())
-def test_bezout_identity_random_grids(F):
-    assert total_milnor(singular_points(F)) == bezout_total(F)
 
 
 # -- cluster substitution by Horner mod f ---------------------------------------------
@@ -474,7 +471,7 @@ def _affine_singular_points_reference(F):
             return []
         try:
             return singularities._affine_clusters(F, t, yun_decomposition(R),
-                                                  linear_subresultant(Pt, Qt, y), Pt, Qt)
+                                                  _Chain(Pt, Qt, y))
         except singularities._ShearReject:
             continue
     raise singularities.DecompositionError("no shear passed the fiber certificates")
@@ -507,6 +504,32 @@ def _degenerate_cubic(draw):
     P = _dense_poly(draw, (2, 3), (3, 0))
     q = _dense_poly(draw, (1, 2), (0, 1))
     return make_foliation(P, MPoly.variable("y", V) * q)
+
+
+# the g4-3 field of the benchmark's degree-4 pool: at [1 : 0 : 0] the top
+# layers of both local components vanish at (1, 1), so shear 1 leaves both
+# y-leading coefficients zero, while the sheared top layers at (1, 1) do not
+G43 = ("x^4 - x^3*y + x^2*y^2 + y^4 - x^3 + x^2*y - x*y^2 - y^3 - x^2 + x*y",
+       "x*y^3 + y^4 + y^3 + x^2 - x*y - y^2 + x - y")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(grid_field(), _dense_field()))
+@example(fol(*G43))
+def test_bezout_identity_random_grids(F):
+    assert total_milnor(singular_points(F)) == bezout_total(F)
+
+
+def test_milnor_at_infinity_tests_the_unsheared_top_layers():
+    # a common zero at infinity on the line x = 0 entered ord_x Res_y and
+    # made mu = 2 at [1 : 0 : 0]; resultants along u = b + s*w, s = 7, 11
+    # and -13, give 1 at b = 0, 2 at b = 1 and 1 on b^2 + b + 1
+    F = fol(*G43)
+    assert milnor_number(F.infinity_chart(1), (0, 0)) == 1
+    pts = singular_points(F)
+    assert [(sp.count, str(sp.modulus), sp.milnor) for sp in pts if sp.chart == "inf1"] == [
+        (1, "t - 1", 2), (3, "t^3 + t^2 + t", 1)]
+    assert total_milnor(pts) == bezout_total(F) == 21
 
 
 @given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
@@ -579,6 +602,162 @@ def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
     with wall_clock_ceiling(120):
         affine_singular_points(F)
     assert tried == [1, 3] and calls == tried
+
+
+# -- the fiber rule against a Euclid over Q[tau]/(f)[y] --------------------------------
+
+
+def _monic_in_y(p, f, tau, y):
+    d = p.deg_in(y)
+    lc = p.coeff_in(y, d).with_vars((tau,))
+    # SplitNeeded when the leading coefficient dies on part of the cluster
+    inv = invert_mod(lc, f, tau)
+    return mod_reduce(p * inv, f, tau)
+
+
+def _ring_gcd_y(A, B, f, tau, y):
+    """Monic gcd of A and B in y over Q[tau]/(f), valid at every root of f:
+    Euclidean steps with the divisor made monic first."""
+    A = mod_reduce(A, f, tau)
+    B = mod_reduce(B, f, tau)
+    if A.deg_in(y) < B.deg_in(y):
+        A, B = B, A
+    while not B.is_zero():
+        Bm = _monic_in_y(B, f, tau, y)
+        db = Bm.deg_in(y)
+        R = A
+        while not R.is_zero() and R.deg_in(y) >= db:
+            dr = R.deg_in(y)
+            co = R.coeff_in(y, dr)
+            shift = MPoly.variable(y, R.vars) ** (dr - db)
+            R = mod_reduce(R - co * shift * Bm, f, tau)
+        A, B = Bm, R
+    if A.is_zero():
+        raise ArithmeticError("gcd of two polynomials that vanish on the cluster")
+    return _monic_in_y(A, f, tau, y)
+
+
+def _fiber_rule_reference(Pf, Qf, fi, tau, y):
+    """The y-rule `_affine_clusters` fell back to where S1 died on a cluster
+    before it read every S_k from the chain: the monic fiber gcd by Euclid,
+    certified equal to (y - y0)**k."""
+    G = _ring_gcd_y(Pf, Qf, fi, tau, y)
+    k = G.deg_in(y)
+    if k <= 0:
+        raise ArithmeticError("empty fiber above a resultant root")
+    ck1 = G.coeff_in(y, k - 1).with_vars((tau,))
+    y0 = mod_reduce(ck1 * Fraction(-1, k), fi, tau)
+    if k >= 2:
+        yv = MPoly.variable(y, G.vars)
+        diff = mod_reduce(G - (yv - y0) ** k, fi, tau)
+        if not diff.is_zero():
+            slices = ([diff.coeff_in(y, j).with_vars((tau,))]
+                      for j in range(diff.deg_in(y) + 1))
+            if _first_nonzero(slices, fi) is not None:
+                raise singularities._ShearReject("two singular points share a fiber")
+            raise ArithmeticError("trimmed difference has no nonzero slice")
+    return y0
+
+
+def _affine_clusters_reference(F, shear, parts, Pt, Qt):
+    """`_affine_clusters` as it was before it read every S_k from the chain:
+    the S1 rule y0 = -c_0 / s_1, and the Euclid rule where s_1 vanishes on
+    the whole cluster."""
+    x, y = F.vars
+    tau = _fresh_name("t", F.vars)
+    S1 = linear_subresultant(Pt, Qt, y)
+    Pf, Qf = Pt.rename({x: tau}), Qt.rename({x: tau})
+
+    def rule(fi, xi, yi):
+        if S1 is not None:
+            s1, c0 = (S1.coeff_in(y, j).with_vars((x,)).rename({x: tau}) for j in (1, 0))
+            try:
+                return mod_reduce(-(c0 * invert_mod(s1, fi, tau)), fi, tau)
+            except ZeroDivisionError:
+                pass
+        return _fiber_rule_reference(Pf, Qf, fi, tau, y)
+
+    seed = MPoly.zero((tau,))
+    out = []
+    for g, mult in parts:
+        if g.total_degree() == 0:
+            continue
+        g = g.rename({g.vars[0]: tau})
+        for fi, _, _, yr in _resolve_clusters(normalized(g), seed, seed, rule):
+            xr = MPoly.variable(tau, (tau,)) + yr * Fraction(shear)
+            out.append(SingularPoint("affine", F, fi, xr, yr, milnor=mult))
+    out.sort(key=SingularPoint.sort_key)
+    return out
+
+
+def _by_both_rules(F, t, Pt, Qt):
+    """The cluster rows of shear t by the chain rule and by the Euclid rule,
+    "reject" for a rule that raises _ShearReject."""
+    (parts, chain), _ = singularities._exact_shear(F, Pt, Qt)
+    out = []
+    for clusters, args in ((singularities._affine_clusters, (chain,)),
+                           (_affine_clusters_reference, (Pt, Qt))):
+        try:
+            out.append(_cluster_rows(clusters(F, t, parts, *args)))
+        except singularities._ShearReject:
+            out.append("reject")
+    return out
+
+
+def _recorded_ks(monkeypatch):
+    """(deg fi, k) for each cluster fi that `_fiber_rule` answers or rejects:
+    the k of the S_k it read last."""
+    seen = []
+    real = singularities._fiber_rule
+
+    def recording(fibers, fi, tau, y):
+        drawn = []
+
+        def tee():
+            for k, S in fibers:
+                drawn.append(k)
+                yield k, S
+
+        try:
+            return real(tee(), fi, tau, y)
+        finally:
+            seen.append((fi.deg_in(tau), drawn[-1]))
+
+    monkeypatch.setattr(singularities, "_fiber_rule", recording)
+    return seen
+
+
+@given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
+@settings(max_examples=40, deadline=None)
+def test_fiber_rule_matches_euclid_on_every_admissible_shear(F):
+    for t, Pt, Qt in singularities._shear_candidates(F):
+        by_chain, by_euclid = _by_both_rules(F, t, Pt, Qt)
+        assert by_chain == by_euclid
+
+
+@pytest.mark.parametrize("alpha, shear, degree, accepted", [(0, 1, 6, False),
+                                                             (1, 3, 12, True)])
+def test_pullback_fiber_rule_at_k2(alpha, shear, degree, accepted, monkeypatch):
+    # both clusters need S_2: on pullback(0) at shear 1 it is no square, two
+    # points share each fiber; on pullback(1) at shear 3 it is (y - y0)^2
+    F = power_pullback(lins_neto(alpha), 2)
+    _, Pt, Qt = next(c for c in singularities._shear_candidates(F) if c[0] == shear)
+    ks = _recorded_ks(monkeypatch)
+    by_chain, by_euclid = _by_both_rules(F, shear, Pt, Qt)
+    assert (degree, 2) in ks and (by_chain != "reject") == accepted
+    assert by_chain == by_euclid
+
+
+def test_fiber_rule_takes_the_whole_input_when_degrees_are_equal(monkeypatch):
+    # m = n = 2 and at x = 0 both components are y^2: the fiber gcd is the
+    # whole of Q_t, where the chain holds no S_2
+    F = fol("y^2 + x", "y^2 + 2*x")
+    t, Pt, Qt = next(singularities._shear_candidates(F))
+    assert t == 0 and Pt.deg_in("y") == Qt.deg_in("y") == 2
+    ks = _recorded_ks(monkeypatch)
+    by_chain, by_euclid = _by_both_rules(F, t, Pt, Qt)
+    assert ks == [(1, 2)]
+    assert by_chain == by_euclid == [("t", "0", "0", 2)]
 
 
 # -- squarefree degrees of the shear resultants mod p ---------------------------------
