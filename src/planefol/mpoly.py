@@ -797,84 +797,6 @@ def _remainders_mod_p(a, b, p):
         a, b = b, a
 
 
-def _resultant_mod_p(a, b, p):
-    """Res(a, b) in F_p of two dense lists with nonzero leading entries.
-
-    Along the remainder sequence r_0 = a, r_1 = b, ..., r_k of degrees n_i
-    and leading entries l_i, Res(r_(i-1), r_i) = (-1)^(n_(i-1) n_i)
-    l_i^(n_(i-1) - n_(i+1)) Res(r_i, r_(i+1)), ending in l_k^(n_(k-1)) when
-    r_k is a constant and in 0 otherwise."""
-    degs, leads = [len(a) - 1], []
-    for r in _remainders_mod_p(a, b, p):
-        degs.append(len(r) - 1)
-        leads.append(r[-1])
-    if degs[-1] > 0:
-        return 0
-    degs.append(0)
-    res = 1
-    for i, lead in enumerate(leads, 1):
-        res = res * pow(lead, degs[i - 1] - degs[i + 1], p) % p
-        if degs[i - 1] * degs[i] % 2:
-            res = -res % p
-    return res
-
-
-def _interpolate_mod_p(values, p):
-    """Dense coefficients, trimmed, of the polynomial of degree below
-    len(values) over F_p that takes values[a] at a = 0, 1, ...: Newton's
-    divided differences, then Horner back to the monomial basis."""
-    c = list(values)
-    n = len(c)
-    for k in range(1, n):
-        inv = pow(k, -1, p)
-        for j in range(n - 1, k - 1, -1):
-            c[j] = (c[j] - c[j - 1]) * inv % p
-    out = []
-    for j in range(n - 1, -1, -1):
-        # out = out * (v - j) + c[j]
-        out = [0, *out]
-        for k in range(len(out) - 1):
-            out[k] = (out[k] - j * out[k + 1]) % p
-        out[0] = (out[0] + c[j]) % p
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _squarefree_degree_mod_p(f, g, var):
-    """Degree of the squarefree part of R = Res_var(f, g) read from its image
-    mod p, or None when no prime of `_CERT_PRIMES` gives one.
-
-    f and g are rational polynomials in two variables whose leading
-    coefficients in var are nonzero constants. A prime dividing no
-    denominator and neither leading coefficient keeps both degrees in var,
-    so R mod p is the resultant of the images, and deg R <= deg f * deg g
-    in the other variable: R mod p is interpolated from that many plus one
-    scalar resultants in F_p[var]. Its squarefree degree is a lower bound on
-    that of R, equal to it unless p divides the leading coefficient or the
-    discriminant of the squarefree part of R (Brown 1971)."""
-    if not (f.is_rational() and g.is_rational()):
-        return None
-    coeffs = [*f.terms.values(), *g.terms.values()]
-    i = f.vars.index(var)
-    leads = [h.coeff_in(var, h.deg_in(var)).constant_value() for h in (f, g)]
-    n = f.total_degree() * g.total_degree()
-    for p in _CERT_PRIMES:
-        if any(c.denominator % p == 0 for c in coeffs) or any(c.numerator % p == 0 for c in leads):
-            continue
-        # the other variable takes a = 0, ..., n; _image_mod_p skips slot i
-        residues = (_residues_mod_p(f, p), _residues_mod_p(g, p))
-        r = _interpolate_mod_p(
-            [_resultant_mod_p(*_image_mod_p(residues, i, (a, a), p), p) for a in range(n + 1)], p)
-        if not r:
-            continue
-        # deg r < p, so the derivative keeps a nonzero leading entry
-        dr = [k * c % p for k, c in enumerate(r)][1:]
-        *_, gcd = _remainders_mod_p(dr, r, p)
-        return len(r) - len(gcd)
-    return None
-
-
 def _residues_mod_p(f, p):
     """The terms of f as (exponent, coefficient mod p) pairs, for a prime p
     dividing no denominator of f."""
@@ -1221,15 +1143,6 @@ class _Chain:
         m, n = len(self.elems[0]) - 1, len(self.elems[1]) - 1
         return -res if self.swapped and m * n % 2 else res
 
-    def s1(self):
-        """S1 when its degree in var is exactly 1, else None; an input of
-        degree 1 is returned as it is, f before g. S1 has degree 1 exactly
-        when the sequence has an element of degree 1."""
-        for p, x in zip((self.f, self.g), self.elems):
-            if len(x) == 2:
-                return p
-        return self.subresultant(1)
-
 
 def resultant(f, g, var):
     """Resultant eliminating `var`, equal to the determinant of the Sylvester
@@ -1275,4 +1188,8 @@ def linear_subresultant(f, g, var):
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("subresultant of a zero polynomial")
-    return _Chain(f, g, var).s1()
+    chain = _Chain(f, g, var)
+    for p, x in zip((chain.f, chain.g), chain.elems):
+        if len(x) == 2:
+            return p
+    return chain.subresultant(1)

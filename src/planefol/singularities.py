@@ -29,7 +29,6 @@ from .foliation import _fresh_name
 from .mpoly import (
     MPoly,
     _Chain,
-    _squarefree_degree_mod_p,
     normalized,
     poly_gcd,
     resultant,
@@ -231,16 +230,6 @@ def _shift_out(p, var, k):
     return MPoly(p.vars, out)
 
 
-def _monomial_in(p, f, tau, var):
-    """Is p == c(tau) * var**k with c nonzero at every root? ('ok'/'no', splits raised)."""
-    a = _ord_ladder(p, f, tau, var)
-    if a is None:
-        return False
-    high = _shift_out(p, var, a)
-    ks = sorted({e[p.vars.index(var)] for e in high.terms} - {0})
-    return _first_nonzero(([high.coeff_in(var, k).with_vars((tau,))] for k in ks), f) is None
-
-
 def _milnor_once(field, f, xt, yt):
     """Milnor number of field at the cluster point, uniform or SplitNeeded."""
     tau = f.vars[0]
@@ -276,22 +265,15 @@ def _milnor_once(field, f, xt, yt):
 
 def _axis_certificate(Pt, Qt, f, tau, x, y):
     """True when, at every root, the only common zero of (Pt, Qt) on the line
-    x = 0 is the origin. Splits the cluster on a mixed answer."""
+    x = 0 is the origin. Splits the cluster on a mixed answer.
+
+    The shear test of `_milnor_once` keeps the y-leading coefficients of Pt
+    and Qt nonzero at every root, so A = Pt(0, y) and B = Qt(0, y) are too,
+    and each has an order in y."""
     A = mod_reduce(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
     B = mod_reduce(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
-    if A.is_zero() and B.is_zero():
-        raise ArithmeticError("both components vanish on a line; field not coprime")
-    if A.is_zero():
-        return _monomial_in(B, f, tau, y)
-    if B.is_zero():
-        return _monomial_in(A, f, tau, y)
-    a = _ord_ladder(A, f, tau, y)
-    b = _ord_ladder(B, f, tau, y)
-    if a is None or b is None:
-        # some slice vanished at part of the cluster without a clean split
-        raise ArithmeticError("order ladder lost its polynomial")
-    A1 = _shift_out(A, y, a)
-    B1 = _shift_out(B, y, b)
+    A1 = _shift_out(A, y, _ord_ladder(A, f, tau, y))
+    B1 = _shift_out(B, y, _ord_ladder(B, f, tau, y))
     if A1.deg_in(y) == 0 or B1.deg_in(y) == 0:
         return True
     res = resultant(A1, B1, y).with_vars((tau,))
@@ -384,7 +366,8 @@ def _shear_candidates(F):
 def _exact_shear(F, Pt, Qt):
     """((yun parts of R_t, chain), squarefree degree of R_t): `chain` the one
     subresultant chain of P_t and Q_t in y, R_t = Res_y(P_t, Q_t) read from
-    it, and the fiber rule's S_k read from it later."""
+    it, and the fiber rule's S_k read from it if the shear is tried. The
+    degree is exact; `affine_singular_points` ranks drawn shears by it."""
     x, y = F.vars
     chain = _Chain(Pt, Qt, y)
     R = chain.res().with_vars((x,))
@@ -394,22 +377,9 @@ def _exact_shear(F, Pt, Qt):
     return (parts, chain), sum(g.total_degree() for g, _ in parts)
 
 
-def _ranked(F, shears, exact):
-    """(t, P_t, Q_t, exact, degree) for each of `shears`: the exact pair of
-    `_exact_shear` (the Yun parts of R_t and the chain whose S_k give the
-    fiber rule) and its degree when `exact`, else the squarefree degree of
-    R_t mod p with None for the pair, or the exact ones when no prime gives an
-    image."""
-    for t, Pt, Qt in shears:
-        degree = None if exact else _squarefree_degree_mod_p(Pt, Qt, F.vars[1])
-        if degree is None:
-            yield (t, Pt, Qt, *_exact_shear(F, Pt, Qt))
-        else:
-            yield t, Pt, Qt, None, degree
-
-
-# shears ranked ahead, mod p, after a rejected shear: shear 1 to shear 3 is
-# four steps of `_SHEARS` (-1, 2, -2, 3)
+# shears drawn ahead after a rejected shear: shear 1 to shear 3 is four steps
+# of `_SHEARS` (-1, 2, -2, 3). Drawing them together lets a separating shear
+# of larger degree pass over the ones between without their cluster work.
 _LOOKAHEAD = 4
 
 
@@ -420,19 +390,18 @@ def affine_singular_points(F):
     when its squarefree degree reaches their number, the separating-element
     test of the rational univariate representation (Rouillier 1999). So a
     shear is skipped, without any cluster work, when its squarefree degree is
-    below that of a shear already ranked, or at most that of a shear already
+    below that of a shear drawn with it, or at most that of a shear already
     rejected: `_affine_clusters` would reject it too.
 
-    Only the first shear and the shears about to be tried get an exact
-    resultant; their degrees, the rejected one included, are exact. After a
-    rejection up to `_LOOKAHEAD` more shears are drawn and ranked by the
-    squarefree degree of an image of R_t mod a 61-bit prime, a lower bound
-    on the exact one (`mpoly._squarefree_degree_mod_p`). With exact degrees
-    the accepted shear is the first of `_SHEARS` that passes the fiber
-    certificate. A prime that merges two roots of R_t lowers a degree: the
-    loop may then skip a separating shear and take a later one, which
-    `_fiber_rule` still certifies, or refuse with DecompositionError. The
-    degrees only choose which shear to try; they never accept one.
+    Shears are drawn in windows: the first shear alone, and after each
+    rejection up to `_LOOKAHEAD` more, less the shears of the last window
+    that followed the rejected one (those count toward the next window and
+    are skipped). Each drawn shear gets one exact chain and resultant
+    (`_exact_shear`), and only the first of the largest degree in a window
+    is tried. The degrees are exact and no prime is involved, so the
+    accepted shear is the first of `_SHEARS` that passes the fiber
+    certificate. The degrees only choose which shear to try; they never
+    accept one.
 
     The y-coordinate of every cluster comes from one rule on the
     subresultant chain that gave R_t: the fiber gcd is S_k at the least k
@@ -443,30 +412,27 @@ def affine_singular_points(F):
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
         return []
     candidates = _shear_candidates(F)
-    pending = []
-    floor = best = -1
+    floor, draw = -1, 1
     while True:
-        if not pending:
-            # the first shear is tried at once, so its exact resultant is needed
-            pending.extend(_ranked(F, islice(candidates, 1), exact=floor < 0))
-        if not pending:
+        # `max` returns the first drawn shear of the largest degree, the only
+        # one that can be tried, and holds one drawn chain at a time
+        drawn = ((i, t, *_exact_shear(F, Pt, Qt))
+                 for i, (t, Pt, Qt) in enumerate(islice(candidates, draw)))
+        best = max(drawn, key=lambda e: e[-1], default=None)
+        if best is None:
             raise DecompositionError("no shear passed the fiber certificates")
-        t, Pt, Qt, exact, degree = pending.pop(0)
-        best = max(best, degree, *(c[-1] for c in pending))
-        if degree <= floor or degree < best:
+        i, t, (parts, chain), degree = best
+        if degree <= floor:
+            draw = 1
             continue
-        if exact is None:
-            exact, degree = _exact_shear(F, Pt, Qt)
-            best = max(best, degree)
-        parts, chain = exact
         if not parts:
             return []
         try:
             return _affine_clusters(F, t, parts, chain)
         except _ShearReject:
-            floor = degree
-            pending.extend(_ranked(F, islice(candidates, _LOOKAHEAD - len(pending)),
-                                   exact=False))
+            floor, draw = degree, _LOOKAHEAD - (draw - 1 - i)
+            # free the rejected chain before the next window is drawn
+            del best, parts, chain
 
 
 def _affine_clusters(F, shear, parts, chain):

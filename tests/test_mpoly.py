@@ -17,11 +17,9 @@ from planefol.mpoly import (
     _exact_quo,
     _image_mod_p,
     _integer_coeffs,
-    _interpolate_mod_p,
     _packing,
     _pseudo_remainder,
     _residues_mod_p,
-    _resultant_mod_p,
     _zquo,
     bareiss_det,
     exact_div,
@@ -246,20 +244,6 @@ def test_gcd_certificate_skips_a_prime_dividing_a_denominator():
     k = MPoly(V, {(1, 0): 1, (0, 1): Fraction(1, p * q)})
     assert not _coprime_mod_p(k, parse_poly("x + 1", vars=V))
     assert poly_gcd(k, parse_poly("x + 1", vars=V)) == 1
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda c: c[-1]),
-       st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda c: c[-1]))
-@settings(max_examples=60, deadline=None)
-def test_resultant_and_interpolation_mod_p(a, b):
-    p = _CERT_PRIMES[0]
-    A = MPoly(("x",), {(k,): c for k, c in enumerate(a)})
-    B = MPoly(("x",), {(k,): c for k, c in enumerate(b)})
-    if len(a) > 1 or len(b) > 1:
-        res = resultant(A, B, "x").constant_value()
-        assert _resultant_mod_p([c % p for c in a], [c % p for c in b], p) == res % p
-    values = [int(A.eval_all({"x": Fraction(k)})) % p for k in range(len(a) + 2)]
-    assert _interpolate_mod_p(values, p) == [c % p for c in a]
 
 
 def _image_mod_p_reference(f, i, point, p):

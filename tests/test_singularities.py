@@ -13,7 +13,7 @@ from planefol.mpoly import (
     _CERT_PRIMES,
     MPoly,
     _Chain,
-    _squarefree_degree_mod_p,
+    _coprime_mod_p,
     linear_subresultant,
     normalized,
     parse_poly,
@@ -534,6 +534,11 @@ def test_milnor_at_infinity_tests_the_unsheared_top_layers():
 
 @given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
 @settings(max_examples=40, deadline=None)
+# points (0, 0), (0, 1), (p + 1, 0) and (p + 1, 1) for p = 2^61 - 1: shear 0
+# is rejected with degree 2, and shears 1 and -1 separate the points (degree
+# 4), but x + y and x - y each take two values congruent mod p, so images mod
+# p read degree 3 there and 4 at shears 2 and -2; shear 1 must be accepted
+@example(fol(f"x^2 - {_CERT_PRIMES[0] + 1}*x + y^2 - y", "y^2 - y"))
 def test_shear_choice_matches_exhaustive_loop(F):
     # grid fields put many points on one line x + t*y = c, so shears are
     # rejected and skipped there
@@ -557,7 +562,7 @@ def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
         assert seen == [1, -1, 2, -2, 3]
         seen.clear()
         assert _cluster_rows(affine_singular_points(F)) == expected
-    # shear 1 is rejected; the squarefree degrees of -1, 2, -2 and 3, read mod p
+    # shear 1 is rejected; the squarefree degrees of -1, 2, -2 and 3, read
     # after it, show shear 3 with the largest, so the others are skipped
     assert seen == [1, 3]
 
@@ -577,18 +582,11 @@ def _count_chains(monkeypatch, F):
     return calls
 
 
-def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceiling):
-    # shears -1, 2 and -2 are ranked mod p and skipped: no exact resultant
-    F = power_pullback(lins_neto(1), 2)
-    calls = _count_chains(monkeypatch, F)
-    with wall_clock_ceiling(120):
-        affine_singular_points(F)
-    assert calls == [1, 3]
-
-
 def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
-    # the resultant R_t and the S1 rule of a tried shear come from one chain:
-    # `_affine_clusters` starts none of its own
+    # every drawn shear gets one chain: shear 1, then -1, 2, -2 and 3 drawn
+    # ahead after its rejection, of which -1, 2 and -2 are skipped on their
+    # degrees. The resultant R_t and the fiber rule of a tried shear come
+    # from the chain it was drawn with: `_affine_clusters` starts none
     F = power_pullback(lins_neto(1), 2)
     tried = []
     real = singularities._affine_clusters
@@ -601,7 +599,7 @@ def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
     calls = _count_chains(monkeypatch, F)
     with wall_clock_ceiling(120):
         affine_singular_points(F)
-    assert tried == [1, 3] and calls == tried
+    assert tried == [1, 3] and calls == [1, -1, 2, -2, 3]
 
 
 # -- the fiber rule against a Euclid over Q[tau]/(f)[y] --------------------------------
@@ -760,48 +758,24 @@ def test_fiber_rule_takes_the_whole_input_when_degrees_are_equal(monkeypatch):
     assert by_chain == by_euclid == [("t", "0", "0", 2)]
 
 
-# -- squarefree degrees of the shear resultants mod p ---------------------------------
-
-
-def _exact_squarefree_degree(Pt, Qt):
-    R = resultant(Pt, Qt, "y").with_vars(("x",))
-    return sum(g.total_degree() for g, _ in yun_decomposition(R)) if R.total_degree() > 0 else 0
-
-
-@given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
-@settings(max_examples=40, deadline=None)
-def test_squarefree_degree_mod_p_matches_exact(F):
-    for _, Pt, Qt in singularities._shear_candidates(F):
-        assert _squarefree_degree_mod_p(Pt, Qt, "y") == _exact_squarefree_degree(Pt, Qt)
+# -- exact squarefree degrees of the shear resultants ------------------------------
 
 
 @pytest.mark.parametrize("alpha, degrees", [(0, [19, 19, 37, 37, 49]),
                                             (1, [19, 19, 31, 31, 37])])
-def test_pullback_squarefree_degrees_mod_p(alpha, degrees):
+def test_pullback_squarefree_degrees(alpha, degrees):
     F = power_pullback(lins_neto(alpha), 2)
     shears = list(singularities._shear_candidates(F))[:5]
     assert [t for t, _, _ in shears] == [1, -1, 2, -2, 3]
-    assert [_squarefree_degree_mod_p(Pt, Qt, "y") for _, Pt, Qt in shears] == degrees
+    assert [singularities._exact_shear(F, Pt, Qt)[1] for _, Pt, Qt in shears] == degrees
 
 
-def test_squarefree_degree_mod_p_skips_a_bad_prime():
-    # at shear 0 the first prime divides the y-leading coefficient of P_t,
-    # so its image comes from the second
-    p1 = _CERT_PRIMES[0]
-    F = make_foliation(parse_poly(f"x^2 + {p1}*y^2 - y - 1", V), parse_poly("x*y + y^2 + x - 2", V))
-    for _, Pt, Qt in singularities._shear_candidates(F):
-        assert _squarefree_degree_mod_p(Pt, Qt, "y") == _exact_squarefree_degree(Pt, Qt)
-
-
-def test_shear_ranking_without_a_prime_takes_the_exact_path():
-    # both primes divide the denominator of the constant terms, so no image
-    # mod p exists and each shear drawn ahead gets its exact resultant
+def test_field_without_a_certificate_prime_gets_its_gcd_from_the_prs():
+    # both primes divide the denominator of the constant terms, so
+    # `_coprime_mod_p` has no image to certify with and `poly_gcd` runs the
+    # PRS; the shears are still chosen as the exhaustive loop chooses them
     d = _CERT_PRIMES[0] * _CERT_PRIMES[1]
     F = make_foliation(parse_poly(f"x^2 - y^2 + 1/{d}", V), parse_poly(f"x*y - 1/{d}", V))
-    ranked = list(singularities._ranked(F, singularities._shear_candidates(F), exact=False))
-    assert ranked
-    for _, Pt, Qt, parts, degree in ranked:
-        assert _squarefree_degree_mod_p(Pt, Qt, "y") is None
-        assert parts is not None and degree == _exact_squarefree_degree(Pt, Qt)
+    assert not _coprime_mod_p(F.P, F.Q)
     assert (_cluster_rows(affine_singular_points(F))
             == _cluster_rows(_affine_singular_points_reference(F)))
