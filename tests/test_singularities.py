@@ -602,6 +602,31 @@ def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
     assert tried == [1, 3] and calls == [1, -1, 2, -2, 3]
 
 
+def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceiling):
+    # every drawn shear reads its resultant S_0 once from its chain, for its
+    # degree; the S_k (k >= 1) of the fiber rule are read only on the chains
+    # of the tried shears 1 and 3, never on the skipped -1, 2 and -2
+    F = power_pullback(lins_neto(1), 2)
+    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
+    owner, reads = {}, []
+    real_init, real_subresultant = _Chain.__init__, _Chain.subresultant
+
+    def init(chain, f, g, var):
+        real_init(chain, f, g, var)
+        owner[id(chain)] = next((t for t, pq in shears.items() if pq == (f, g)), None)
+
+    def subresultant(chain, k):
+        reads.append((owner[id(chain)], k))
+        return real_subresultant(chain, k)
+
+    monkeypatch.setattr(_Chain, "__init__", init)
+    monkeypatch.setattr(_Chain, "subresultant", subresultant)
+    with wall_clock_ceiling(120):
+        affine_singular_points(F)
+    assert [t for t, k in reads if k == 0] == [1, -1, 2, -2, 3]
+    assert {t for t, k in reads if k > 0} == {1, 3}
+
+
 # -- the fiber rule against a Euclid over Q[tau]/(f)[y] --------------------------------
 
 
