@@ -20,7 +20,7 @@ from fractions import Fraction
 from .mpoly import MPoly, exact_div
 from .numbers import QuadExt, quadratic_roots
 from .roots import rational_roots
-from .foliation import Foliation, _aligned, _weighted_reindex
+from .foliation import _aligned, _weighted_reindex
 from .singularities import (
     NON_REDUCED,
     UNDETERMINED,
@@ -87,11 +87,11 @@ def _ord(p, var):
 def blow_up(field, point):
     """Blow up one singular point of a local plane field.
 
-    `field` is a (P, Q) pair over two variables, `point` an exact (a, b) with
-    rational or quadratic-irrational coordinates.  Returns
-    (chart1, chart2, l, dicritical): chart1 is the transformed pair after
-    (x, y) -> (x, x*y), chart2 after (x, y) -> (x*y, y), each divided by the
-    maximal power of its exceptional coordinate ({x = 0}, resp. {y = 0});
+    `field` is a Foliation or a coprime (P, Q) pair over two variables, and
+    `point` an exact (a, b) with rational or quadratic-irrational coordinates.
+    Returns (chart1, chart2, l, dicritical): chart1 is the transformed pair
+    after (x, y) -> (x, x*y), chart2 after (x, y) -> (x*y, y), each divided by
+    the maximal power of its exceptional coordinate ({x = 0}, resp. {y = 0});
     l is that power and dicritical says the divisor is not invariant.
     """
     P, Q = field
@@ -192,7 +192,7 @@ class ResolutionNode:
         "extra",
     )
 
-    def __init__(self, chart, blown_point, chart1, chart2, ell, dicritical):
+    def __init__(self, chart, blown_point, chart1, chart2, ell, dicritical, extra):
         self.chart = chart  # 0 = base affine plane, else parent chart index
         self.blown_point = blown_point
         self.chart1 = chart1
@@ -202,7 +202,7 @@ class ResolutionNode:
         self.children = []
         # (chart index, point, classification) for singularities not blown further
         self.leaf_singularities = []
-        self.extra = False
+        self.extra = extra  # the one blow-up the safe stage adds at a leftover point
 
     def walk(self):
         yield self
@@ -296,17 +296,23 @@ def _node_json(node):
 
 
 def _reduce_at(field, point, chart_tag, budget, recurse=True):
+    """Blow up `point` of the coprime `field`, classify each divisor point on
+    its chart pair, and blow up the non-reduced ones in turn.
+
+    No chart needs a gcd. In chart 1, with P1 = P(x, x*y), Q1 = Q(x, x*y), an
+    irreducible common factor h of (x*P1, Q1 - y*P1) / x**l is not x by the
+    choice of l, so it divides P1 and Q1; (x, y) -> (x, x*y) is an isomorphism
+    off {x = 0}, so P and Q vanish on the image of {h = 0}, a common factor.
+    Chart 2 is alike, and so is a translation, over Q or any Q(sqrt d).
+    """
     if budget[0] <= 0:
         raise ResolutionError("blow-up budget exhausted before reduction finished")
     budget[0] -= 1
     chart1, chart2, ell, dic = blow_up(field, point)
-    node = ResolutionNode(chart_tag, point, chart1, chart2, ell, dic)
-    built = {}  # chart tag -> its Foliation, built at the chart's first point
+    node = ResolutionNode(chart_tag, point, chart1, chart2, ell, dic, not recurse)
     for tag, pt in _exceptional_singularities(chart1, chart2):
         fld = chart1 if tag == 1 else chart2
-        if tag not in built:
-            built[tag] = Foliation(*fld)
-        kind = classify_point(built[tag], pt[0], pt[1])
+        kind = classify_point(fld, *pt)
         if kind == UNDETERMINED:
             raise ResolutionError(
                 f"undetermined classification at {pt} in chart {tag}"
@@ -319,7 +325,8 @@ def _reduce_at(field, point, chart_tag, budget, recurse=True):
 
 
 def reduce_local_field(field, point, cap=50):
-    """Minimal reduction of one singular point of a local (P, Q) field."""
+    """Minimal reduction of one singular point of a local field: a Foliation
+    or a (P, Q) pair, which must be coprime."""
     return _reduce_at(field, point, 0, [cap])
 
 
@@ -340,7 +347,6 @@ def seidenberg_reduce(F, cap=50):
     """
     nodes = []
     base_reduced = []
-    pair = (F.P, F.Q)
     for sp in affine_singular_points(F):
         for sub, kind in classify_singularity(sp):
             if kind == UNDETERMINED:
@@ -353,7 +359,7 @@ def seidenberg_reduce(F, cap=50):
                 continue
             for pt in _cluster_points(sub):
                 try:
-                    nodes.append(_reduce_at(pair, pt, 0, [cap]))
+                    nodes.append(_reduce_at(F, pt, 0, [cap]))
                 except ResolutionError as e:
                     if e.partial is None:
                         e.partial = ResolutionTree(F, nodes, "partial", base_reduced)
@@ -364,22 +370,14 @@ def seidenberg_reduce(F, cap=50):
 def safe_resolution(F, cap=50):
     """Minimal reduction, then one extra blow-up at each surviving singularity."""
     tree = seidenberg_reduce(F, cap)
-    pair = (F.P, F.Q)
-    minimal_nodes = list(tree.all_nodes())
-    for node in minimal_nodes:
-        remaining = list(node.leaf_singularities)
-        node.leaf_singularities = []
-        for tag, pt, kind in remaining:
+    for node in list(tree.all_nodes()):
+        for tag, pt, _ in node.leaf_singularities:
             fld = node.chart1 if tag == 1 else node.chart2
-            child = _reduce_at(fld, pt, tag, [cap], recurse=False)
-            child.extra = True
-            node.children.append(child)
+            node.children.append(_reduce_at(fld, pt, tag, [cap], recurse=False))
+        node.leaf_singularities = []
     nodes = list(tree.nodes)
-    for sub, kind in tree.base_reduced:
-        for pt in _cluster_points(sub):
-            extra = _reduce_at(pair, pt, 0, [cap], recurse=False)
-            extra.extra = True
-            nodes.append(extra)
+    for sub, _ in tree.base_reduced:
+        nodes += [_reduce_at(F, pt, 0, [cap], recurse=False) for pt in _cluster_points(sub)]
     return ResolutionTree(F, nodes, "safe", [])
 
 
@@ -482,11 +480,11 @@ def _series_solve(f, indep, dep, N):
 def z_index(field, branch, point, max_order=256):
     """Vanishing order of the field restricted to a smooth invariant branch.
 
-    `field` is a (P, Q) pair, `branch` a polynomial invariant for it and
-    smooth at the exact `point`.  The branch is parameterized as a truncated
-    power series and the matching field component is restricted; the order of
-    its first certified-nonzero coefficient is returned.  The truncation
-    doubles adaptively up to max_order.
+    `field` is a Foliation or a (P, Q) pair, `branch` a polynomial invariant
+    for it and smooth at the exact `point`.  The branch is parameterized as a
+    truncated power series and the matching field component is restricted;
+    the order of its first certified-nonzero coefficient is returned.  The
+    truncation doubles adaptively up to max_order.
     """
     P, Q = field
     P, Q = P._pair(Q)
@@ -572,8 +570,7 @@ def total_z(tree, C):
         curve = curves[sp.chart]
         for sub in _on_curve_parts(sp, curve):
             for pt in _cluster_points(sub):
-                k = z_index((ch.P, ch.Q), curve, pt)
-                records.append(IndexRecord(sp.chart, pt, curve, k))
+                records.append(IndexRecord(sp.chart, pt, curve, z_index(ch, curve, pt)))
     return sum(r.z_index for r in records), records
 
 

@@ -275,7 +275,7 @@ def _cmd_index(args):
     if args.point is not None:
         pt = _parse_point(args.point)
         try:
-            k = z_index((F.P, F.Q), _aligned(C.f, F.vars), pt)
+            k = z_index(F, _aligned(C.f, F.vars), pt)
         except ValueError as e:
             raise InputError(str(e)) from e
         report = {"z_index": k, "point": [str(pt[0]), str(pt[1])]}
@@ -381,27 +381,31 @@ def _cmd_genus(args):
 
 
 def _cmd_bound(args):
-    if args.which == "first-integral":
-        if args.height is not None and args.oracle is None:
+    fi = args.which == "first-integral"
+    if args.height is not None and (args.oracle is not None or not fi):
+        raise InputError("--height is read by first-integral bounds only, and not "
+                         "beside --oracle (an oracle file can carry a height)")
+    if fi and (args.Z is not None or args.z_quasi_reduced):
+        flag = "--Z" if args.Z is not None else "--z-quasi-reduced"
+        raise InputError(f"{flag} applies to invariant-curve bounds only")
+    if args.Z is not None and args.z_quasi_reduced:
+        raise InputError("--Z conflicts with --z-quasi-reduced: give one")
+    if fi:
+        if args.height is not None:
             rep = first_integral_bound_from_height(args.d, args.g, args.height)
         elif args.oracle is not None:
-            oracle = _load_oracle(args.oracle)
-            rep = first_integral_degree_bound(args.d, args.g, oracle)
+            rep = first_integral_degree_bound(args.d, args.g, _load_oracle(args.oracle))
         else:
-            raise InputError("need --oracle and/or --height")
+            raise InputError("need --oracle or --height")
     else:
         if args.oracle is None:
             raise InputError("invariant-curve bounds need --oracle")
-        oracle = _load_oracle(args.oracle)
-        if args.z_quasi_reduced:
-            Z = z_bound_quasi_reduced(args.d)
-        elif args.Z is not None:
-            Z = args.Z
-        else:
+        if args.Z is None and not args.z_quasi_reduced:
             raise InputError("need --Z or --z-quasi-reduced")
-        rep = invariant_curve_degree_bound(args.d, args.g, oracle, Z)
+        Z = z_bound_quasi_reduced(args.d) if args.z_quasi_reduced else args.Z
+        rep = invariant_curve_degree_bound(args.d, args.g, _load_oracle(args.oracle), Z)
     report = rep.to_json()
-    if args.which == "invariant-curve" and args.z_quasi_reduced:
+    if args.z_quasi_reduced:
         report["Z_hypothesis"] = Z_BOUND_HYPOTHESIS
     _emit(report, args,
           lambda r: [f"n0 = {r['n0']}, degree bound {r['bound']}"]

@@ -267,7 +267,7 @@ def _census(field, chart, f, xt, yt, deadline):
     total = 0
     for pt in points:
         _heartbeat(deadline)
-        tree = reduce_local_field((field.P, field.Q), pt)
+        tree = reduce_local_field(field, pt)
         if any(node.dicritical for node in tree.walk()):
             total += 1
     return total

@@ -43,6 +43,9 @@ class Foliation:
         self.Q = Q
         self.vars = P.vars
 
+    def __iter__(self):
+        return iter((self.P, self.Q))
+
     @property
     def x(self):
         return self.vars[0]
@@ -67,14 +70,6 @@ class Foliation:
         if self.infinity_tangent().is_zero():
             return m - 1
         return m
-
-    def jacobian(self):
-        return (
-            self.P.diff(self.x),
-            self.P.diff(self.y),
-            self.Q.diff(self.x),
-            self.Q.diff(self.y),
-        )
 
     def infinity_chart(self, which):
         """The induced field in a chart at infinity.

@@ -192,7 +192,7 @@ def _translated(field, f, xt, yt):
     vars3 = (x, y, tau)
     shift = {x: MPoly.variable(x, vars3) + xt.with_vars(vars3),
              y: MPoly.variable(y, vars3) + yt.with_vars(vars3)}
-    return tuple(_subs_mod(p.with_vars(vars3), shift, f, tau) for p in (field.P, field.Q))
+    return tuple(_subs_mod(p.with_vars(vars3), shift, f, tau) for p in field)
 
 
 def _xy_parts(p, tau):
@@ -285,9 +285,9 @@ def milnor_clusters(field, f, xt, yt):
     return _resolve_clusters(f, xt, yt, lambda a, b, c: _milnor_once(field, a, b, c))
 
 
-def _point_cluster(field, a, b):
+def _point_cluster(vars, a, b):
     """(f, xt, yt): the exact point (a, b) as the one-point cluster f = t."""
-    tau = _fresh_name("t", field.vars)
+    tau = _fresh_name("t", vars)
     return MPoly.variable(tau, (tau,)), MPoly.const((tau,), a), MPoly.const((tau,), b)
 
 
@@ -296,7 +296,7 @@ def milnor_number(field, point):
 
     Coordinates may be rational or quadratic irrationals (QuadExt).
     """
-    return milnor_clusters(field, *_point_cluster(field, *point))[0][3]
+    return milnor_clusters(field, *_point_cluster(field.vars, *point))[0][3]
 
 
 # -- global decomposition -----------------------------------------------------------
@@ -348,7 +348,7 @@ def _shear_candidates(F):
     x + t*y on the affine singular points.
     """
     x, y = F.vars
-    P, Q = F.P, F.Q
+    P, Q = F
     Ptop, Qtop = P.top_part(), Q.top_part()
     for t in _SHEARS:
         tq = Fraction(t)
@@ -408,7 +408,7 @@ def affine_singular_points(F):
     whose principal coefficient is nonzero on the cluster, and k = 1 is the
     S1 rule y = -c_0 / s_1 (`_fiber_rule`).
     """
-    P, Q = F.P, F.Q
+    P, Q = F
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
         return []
     candidates = _shear_candidates(F)
@@ -478,13 +478,13 @@ def infinity_singular_points(F, with_milnor=True):
     clusters = []  # (chart, chart field, modulus, xt, yt)
     ch1 = F.infinity_chart(1)
     b, w = ch1.vars
-    g = _squarefree_on_line((ch1.P, ch1.Q), w, b)
+    g = _squarefree_on_line(ch1, w, b)
     if g is not None:
         tau = _fresh_name("t", ch1.vars)
         f = g.rename({b: tau})
         clusters.append(("inf1", ch1, f, MPoly.variable(tau, (tau,)), MPoly.zero((tau,))))
     ch2 = F.infinity_chart(2)
-    if _zero_at_origin((ch2.P, ch2.Q)):
+    if _zero_at_origin(ch2):
         tau = _fresh_name("t", ch2.vars)
         zero = MPoly.zero((tau,))
         clusters.append(("inf2", ch2, MPoly.variable(tau, (tau,)), zero, zero))
@@ -548,9 +548,10 @@ def classify_singularity(sp):
 
 
 def classify_point(field, a, b):
-    """Classification kind of the (singular) point (a, b) of `field`."""
+    """Kind of the singular point (a, b) of a Foliation or coprime (P, Q) pair."""
+    P, _ = field
     return _resolve_clusters(
-        *_point_cluster(field, a, b),
+        *_point_cluster(P.vars, a, b),
         lambda fi, xt, yt: _classify_once(field, fi, xt, yt),
     )[0][3]
 
@@ -569,8 +570,10 @@ def _eval_on_cluster(E, f, xt, yt, x, y):
 
 def _classify_once(field, f, xt, yt):
     tau = f.vars[0]
-    x, y = field.vars
-    px, py, qx, qy = (_eval_on_cluster(E, f, xt, yt, x, y) for E in field.jacobian())
+    P, Q = field
+    x, y = P.vars
+    px, py, qx, qy = (_eval_on_cluster(E, f, xt, yt, x, y)
+                      for E in (P.diff(x), P.diff(y), Q.diff(x), Q.diff(y)))
     T = mod_reduce(px + qy, f, tau)
     D = mod_reduce(px * qy - py * qx, f, tau)
     if _vanishes(D, f):

@@ -2,6 +2,9 @@ import contextlib
 import signal
 
 import pytest
+from hypothesis import strategies as st
+
+from planefol.mpoly import MPoly
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +27,20 @@ def wall_clock_ceiling():
             signal.signal(signal.SIGALRM, previous)
 
     return ceiling
+
+
+@st.composite
+def quadratic_fields(draw):
+    """A field of degree <= 2 as a foliation file's JSON object, with small
+    integer coefficients; half of them leave the line y = 0 invariant."""
+    def poly(degree):
+        coef = st.integers(min_value=-3, max_value=3)
+        return MPoly(("x", "y"), {(i, j): draw(coef)
+                                  for i in range(degree + 1) for j in range(degree + 1 - i)})
+
+    P = poly(2)
+    if draw(st.booleans()):  # y = 0 invariant, so that `index` has work
+        Q = poly(1) * MPoly.variable("y", ("x", "y"))
+    else:
+        Q = poly(2)
+    return {"vars": ["x", "y"], "P": str(P), "Q": str(Q)}

@@ -29,7 +29,6 @@ from planefol.curves import (
     extactic,
     first_integral_check,
     first_integral_degree,
-    genus,
     is_invariant,
 )
 from planefol.families import (
@@ -43,13 +42,12 @@ from planefol.families import (
     riccati_invariant_curve,
 )
 from planefol.foliation import foliation_degree, make_foliation
-from planefol.mpoly import MPoly, exact_div, parse_poly
+from planefol.mpoly import exact_div, parse_poly
 from planefol.singularities import (
     NON_REDUCED,
     UNDETERMINED,
     bezout_total,
     classify_point,
-    classify_singularity,
     singular_points,
     total_milnor,
 )

@@ -1,7 +1,6 @@
 import json
 
 import pytest
-from fractions import Fraction
 
 from planefol.algebraic import (
     SplitNeeded,

@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import quadratic_fields
+from hypothesis import assume, given, settings
 
 from planefol.blowup import (
     BlowupUnavailableError,
@@ -16,12 +19,11 @@ from planefol.blowup import (
     z_index,
 )
 from planefol.foliation import Foliation, make_foliation
-from planefol.mpoly import MPoly, parse_poly
+from planefol.mpoly import MPoly, parse_poly, poly_gcd
 from planefol.numbers import QuadExt
 from planefol.singularities import (
     NON_REDUCED,
     REDUCED_NONDEGENERATE,
-    REDUCED_SADDLE_NODE,
     classify_point,
 )
 
@@ -67,8 +69,10 @@ def test_blow_up_rotated_saddle():
         assert classify_point(F1, Fraction(0), v0) == REDUCED_NONDEGENERATE
 
 
-def test_reduce_builds_each_chart_foliation_once(monkeypatch):
-    # both divisor points of the rotated saddle lie in chart 1
+def test_reduce_builds_no_foliation_below_the_root(monkeypatch):
+    # both divisor points of the rotated saddle lie in chart 1, and each is
+    # classified on the chart pair itself; the cusp's three blow-ups stack
+    F = fol("2*y", "3*x^2")
     built = []
     init = Foliation.__init__
 
@@ -78,12 +82,84 @@ def test_reduce_builds_each_chart_foliation_once(monkeypatch):
 
     monkeypatch.setattr(Foliation, "__init__", counting_init)
     node = reduce_local_field((pp("y"), pp("x")), O)
-    assert len(built) == 1
+    assert built == []
     assert node.children == []
     assert sorted(node.leaf_singularities, key=lambda leaf: leaf[1]) == [
         (1, (Fraction(0), Fraction(-1)), REDUCED_NONDEGENERATE),
         (1, (Fraction(0), Fraction(1)), REDUCED_NONDEGENERATE),
     ]
+    assert seidenberg_reduce(F).blowup_count() == 3
+    assert built == []
+
+
+# The fixed fields of the `resolve` benchmark (`bench/workloads.py` FIELDS).
+RESOLVE_FIELDS = {
+    "saddle": ("x", "-y"),
+    "cusp": ("2*y", "3*x^2"),
+    "radial": ("x", "y"),
+    "saddle_node": ("x^2", "y"),
+    "lin23": ("3*x", "2*y"),
+    "shear": ("x", "4*y - 2*x^2"),
+}
+
+
+def degenerate_cubic(seed):
+    """A field of degree <= 3 with zero linear part at the origin and the
+    invariant line y = 0, of the shape of the `resolve` benchmark's cubics."""
+    rng = random.Random(seed)
+
+    def poly(degrees):
+        return MPoly(V, {(i, d - i): rng.randint(-2, 2)
+                         for d in degrees for i in range(d + 1)})
+
+    while True:
+        P, q = poly((2, 3)), poly((1, 2))
+        if not (P.is_zero() or q.is_zero()):
+            return make_foliation(P, q * MPoly.variable("y", V))
+
+
+def trees(F):
+    """F's minimal and safe trees, or the finished part of one that stops."""
+    for build in (seidenberg_reduce, safe_resolution):
+        try:
+            yield build(F)
+        except ResolutionError as e:
+            if e.partial is not None:
+                yield e.partial
+        except BlowupUnavailableError:
+            pass
+
+
+def check_chart_pairs(F):
+    """Every chart pair of F's trees is coprime, and each leaf classifies on
+    it as on the Foliation the constructor builds from it."""
+    for tree in trees(F):
+        for node in tree.all_nodes():
+            for chart in (node.chart1, node.chart2):
+                assert poly_gcd(*chart).total_degree() <= 0, (F, node)
+            for tag, pt, kind in node.leaf_singularities:
+                fld = node.chart1 if tag == 1 else node.chart2
+                assert classify_point(make_foliation(*fld), *pt) == kind, (F, node, pt)
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_FIELDS))
+def test_chart_pairs_of_resolve_fields(name):
+    check_chart_pairs(fol(*RESOLVE_FIELDS[name]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chart_pairs_of_degenerate_cubics(seed, wall_clock_ceiling):
+    with wall_clock_ceiling(20):
+        check_chart_pairs(degenerate_cubic(seed))
+
+
+@given(field=quadratic_fields())
+@settings(max_examples=50, deadline=None)
+def test_chart_pairs_of_random_quadratic_fields(field, wall_clock_ceiling):
+    P, Q = pp(field["P"]), pp(field["Q"])
+    assume(not (P.is_zero() and Q.is_zero()))
+    with wall_clock_ceiling(20):
+        check_chart_pairs(make_foliation(P, Q))
 
 
 def test_blow_up_two_to_one_node():

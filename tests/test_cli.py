@@ -4,13 +4,13 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import quadratic_fields
+from hypothesis import given, settings
 
 from planefol import cli
 from planefol.blowup import BlowupUnavailableError, ResolutionError
 from planefol.cli import main
 from planefol.families import BudgetExceeded, CensusUndetermined
-from planefol.mpoly import MPoly
 from planefol.roots import IsolationError
 from planefol.singularities import DecompositionError, ExactnessError
 
@@ -369,6 +369,20 @@ class TestBound:
         code, _, err = jrun(capsys, "bound", "invariant-curve",
                             "--d", "4", "--g", "0", "--oracle", oracle)
         assert code == 2 and "--Z" in err
+        # a flag the chosen bound would not read is rejected, never dropped
+        for which, extra, flag in [
+            ("first-integral", ("--oracle", oracle, "--height", "2"), "--height"),
+            ("first-integral", ("--height", "2", "--Z", "3"), "--Z"),
+            ("first-integral", ("--height", "2", "--z-quasi-reduced"), "--z-quasi-reduced"),
+            ("invariant-curve", ("--oracle", oracle, "--Z", "3", "--height", "2"), "--height"),
+            ("invariant-curve", ("--oracle", oracle, "--Z", "3", "--z-quasi-reduced"), "--Z"),
+        ]:
+            code, out, err = jrun(capsys, "bound", which, "--d", "4", "--g", "2", *extra)
+            assert (code, out) == (2, None), (which, extra)
+            assert err.startswith("error: ") and flag in err, (which, extra, err)
+        code, _, err = jrun(capsys, "bound", "first-integral", "--d", "4", "--g", "2",
+                            "--oracle", oracle, "--height", "2")
+        assert "an oracle file can carry a height" in err
 
 
 class TestExamples:
@@ -452,21 +466,6 @@ class TestParser:
         assert exc.value.code == 2
         code, data, _ = jrun(capsys, "degree", "--foliation", saddle)
         assert code == 0 and data["degree"] == 1
-
-
-@st.composite
-def quadratic_fields(draw):
-    def poly(degree):
-        coef = st.integers(min_value=-3, max_value=3)
-        return MPoly(("x", "y"), {(i, j): draw(coef)
-                                  for i in range(degree + 1) for j in range(degree + 1 - i)})
-
-    P = poly(2)
-    if draw(st.booleans()):  # y = 0 invariant, so that `index` has work
-        Q = poly(1) * MPoly.variable("y", ("x", "y"))
-    else:
-        Q = poly(2)
-    return {"vars": ["x", "y"], "P": str(P), "Q": str(Q)}
 
 
 class TestExitCodes:

@@ -88,10 +88,7 @@ def test_infinity_chart_fresh_names():
     assert not set(ch.vars) & {"b", "w"}
 
 
-def test_jacobian():
+def test_foliation_unpacks_as_its_pair():
     F = fol("x^2 + y", "x*y")
-    px, py, qx, qy = F.jacobian()
-    assert px == parse_poly("2*x", V)
-    assert py == parse_poly("1", V)
-    assert qx == parse_poly("y", V)
-    assert qy == parse_poly("x", V)
+    P, Q = F
+    assert (P, Q) == (F.P, F.Q)

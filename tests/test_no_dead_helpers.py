@@ -1,8 +1,9 @@
 """Every module-level function and class of the package is either used inside
-the package or exported through `planefol.__all__`, every name a module
-imports is used in that module, every parameter of a module-level function
-or method is read in its body, and every defaulted parameter of an unexported
-module-level function is set by some call.
+the package or exported through `planefol.__all__`, every name a module of
+the package or of the tests imports is used in that module, every parameter
+of a module-level function or method is read in its body, and every
+defaulted parameter of an unexported module-level function is set by some
+call.
 
 Uses are read from the source: a name counts as used when it appears as a
 name or an attribute anywhere in `src/planefol` outside its own definition.
@@ -16,7 +17,8 @@ from pathlib import Path
 import planefol
 
 SRC = Path(planefol.__file__).parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _definitions_and_uses():
@@ -51,7 +53,7 @@ def test_every_helper_is_used_or_exported():
 
 def test_every_import_is_used():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.stem == "__init__":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))

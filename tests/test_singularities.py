@@ -35,7 +35,6 @@ from planefol.singularities import (
     classify_all,
     classify_point,
     classify_singularity,
-    infinity_singular_points,
     milnor_number,
     singular_points,
     total_milnor,
