@@ -33,19 +33,16 @@ def mod_reduce(g, f, var):
 
 
 def xgcd_univar(a, b):
-    """(g, s, t) with s*a + t*b = g; univariate over an exact field."""
+    """(g, s) with g = gcd(a, b) and s*a = g mod b; univariate over an exact
+    field. The cofactor of b is not formed."""
     vars = a._pair(b)[0].vars
-    zero = MPoly.zero(vars)
-    one = MPoly.const(vars, 1)
     r0, r1 = a.with_vars(vars), b.with_vars(vars)
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    s0, s1 = MPoly.const(vars, 1), MPoly.zero(vars)
     while not r1.is_zero():
         q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
+    return r0, s0
 
 
 def invert_mod(a, f, var):
@@ -57,7 +54,7 @@ def invert_mod(a, f, var):
     a = mod_reduce(a, f, var)
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in Q[x]/(f)")
-    g, s, _ = xgcd_univar(a, f)
+    g, s = xgcd_univar(a, f)
     if g.total_degree() == 0:
         inv = s / g.constant_value()
         return mod_reduce(inv, f, var)

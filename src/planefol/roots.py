@@ -99,6 +99,10 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
+    def magnitude(self):
+        """max |q| over the interval."""
+        return max(-self.lo, self.hi)
+
     def mid(self):
         return (self.lo + self.hi) / 2
 
@@ -567,15 +571,17 @@ class _ComplexSystem:
         y21, y22 = -j21 / det, j11 / det
         tables = self._tables(ia, ib)
         J11, J12, J21, J22 = (_form_image(form, tables) for form in self._forms[2:])
-        # E - Y * J(X)
-        e11 = 1 - (y11 * J11 + y12 * J21)
-        e12 = -(y11 * J12 + y12 * J22)
-        e21 = -(y21 * J11 + y22 * J21)
-        e22 = 1 - (y21 * J12 + y22 * J22)
-        da = ia - ma
-        db = ib - mb
-        ka = (ma - (y11 * fa + y12 * fb)) + (e11 * da + e12 * db)
-        kb = (mb - (y21 * fa + y22 * fb)) + (e21 * da + e22 * db)
+        # centered form: K(X) = m - Y*f(m) + (E - Y*J(X))*(X - m), and X - m
+        # is exactly [-w/2, w/2], so each row of the product is plus or minus
+        # the entrywise magnitudes of E - Y*J(X) times the half widths (so the
+        # signs of the off-diagonal entries drop out)
+        e11, e12, e21, e22 = (e.magnitude() for e in (
+            1 - (y11 * J11 + y12 * J21), y11 * J12 + y12 * J22,
+            y21 * J11 + y22 * J21, 1 - (y21 * J12 + y22 * J22)))
+        ha, hb = ia.width() / 2, ib.width() / 2
+        ca, ra = ma - (y11 * fa + y12 * fb), e11 * ha + e12 * hb
+        cb, rb = mb - (y21 * fa + y22 * fb), e21 * ha + e22 * hb
+        ka, kb = Interval(ca - ra, ca + ra), Interval(cb - rb, cb + rb)
         if not ka.intersects(ia) or not kb.intersects(ib):
             return "empty", None
         if ka.strictly_inside(ia) and kb.strictly_inside(ib):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 
 from .algebraic import (
     SplitNeeded,
@@ -148,39 +147,17 @@ class SingularPoint:
 # -- split-driven cluster work ------------------------------------------------------
 
 
-def _subs_mod(p, mapping, f, tau):
-    """`mod_reduce(p.subs(mapping), f, tau)`, by Horner in each substituted
-    variable with a reduction mod f after every product, so no power of an
-    image is expanded past tau-degree deg f.
-
-    Substituting one variable at a time gives the simultaneous substitution
-    because no image holds another substituted variable: an image may hold
-    its own (x -> x + xt(tau)), and one that holds another raises ValueError.
-    """
-    images = {}
-    union = list(p.vars)
-    for v, img in mapping.items():
-        if v not in p.vars:
-            continue
-        if isinstance(img, MPoly):
-            if any(w != v and w in mapping and w in p.vars and img.deg_in(w) > 0
-                   for w in img.vars):
-                raise ValueError(f"the image of {v!r} holds another substituted variable")
-            union.extend(w for w in img.vars if w not in union)
-        images[v] = img
-    union.extend(w for w in f.vars if w not in union)
-    f = f.with_vars(union)
-    q = p.with_vars(union)
-    for v, img in images.items():
-        if not isinstance(img, MPoly):
-            img = MPoly.const(union, img)
-        img = img.with_vars(union)
-        coeffs = q.as_univar(v)
-        if not coeffs:
-            break
-        q = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            q = mod_reduce(q * img, f, tau) + c
+def _horner_mod(p, v, img, f, tau):
+    """`mod_reduce(p.subs({v: img}), f, tau)`, by Horner in v with a reduction
+    mod f after every product, so no power of img is expanded past tau-degree
+    deg f. p, img and f are over the same variables; img may hold v itself
+    (x -> x + xt(tau)), since the coefficients of p in v do not."""
+    coeffs = p.as_univar(v)
+    if not coeffs:
+        return p
+    q = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        q = mod_reduce(q * img, f, tau) + c
     return mod_reduce(q, f, tau)
 
 
@@ -190,9 +167,11 @@ def _translated(field, f, xt, yt):
     tau = f.vars[0]
     x, y = field.vars
     vars3 = (x, y, tau)
-    shift = {x: MPoly.variable(x, vars3) + xt.with_vars(vars3),
-             y: MPoly.variable(y, vars3) + yt.with_vars(vars3)}
-    return tuple(_subs_mod(p.with_vars(vars3), shift, f, tau) for p in field)
+    f3 = f.with_vars(vars3)
+    sx = MPoly.variable(x, vars3) + xt.with_vars(vars3)
+    sy = MPoly.variable(y, vars3) + yt.with_vars(vars3)
+    return tuple(_horner_mod(_horner_mod(p.with_vars(vars3), x, sx, f3, tau), y, sy, f3, tau)
+                 for p in field)
 
 
 def _xy_parts(p, tau):
@@ -251,8 +230,9 @@ def _milnor_once(field, f, xt, yt):
             Pt, Qt = Ploc, Qloc
         else:
             sx = MPoly.variable(x, Ploc.vars) + MPoly.variable(y, Ploc.vars) * Fraction(t)
-            Pt = _subs_mod(Ploc, {x: sx}, f, tau)
-            Qt = _subs_mod(Qloc, {x: sx}, f, tau)
+            f3 = f.with_vars(Ploc.vars)
+            Pt = _horner_mod(Ploc, x, sx, f3, tau)
+            Qt = _horner_mod(Qloc, x, sx, f3, tau)
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = mod_reduce(resultant(Pt, Qt, y), f, tau)
@@ -367,7 +347,7 @@ def _exact_shear(F, Pt, Qt):
     """((yun parts of R_t, chain), squarefree degree of R_t): `chain` the one
     subresultant chain of P_t and Q_t in y, R_t = Res_y(P_t, Q_t) read from
     it, and the fiber rule's S_k read from it if the shear is tried. The
-    degree is exact; `affine_singular_points` ranks drawn shears by it."""
+    degree is exact; `affine_singular_points` skips shears by it."""
     x, y = F.vars
     chain = _Chain(Pt, Qt, y)
     R = chain.res().with_vars((x,))
@@ -377,31 +357,17 @@ def _exact_shear(F, Pt, Qt):
     return (parts, chain), sum(g.total_degree() for g, _ in parts)
 
 
-# shears drawn ahead after a rejected shear: shear 1 to shear 3 is four steps
-# of `_SHEARS` (-1, 2, -2, 3). Drawing them together lets a separating shear
-# of larger degree pass over the ones between without their cluster work.
-_LOOKAHEAD = 4
-
-
 def affine_singular_points(F):
     """All affine singular clusters of F, with Milnor numbers.
 
-    Shears are tried in `_SHEARS` order. A shear separates the points exactly
-    when its squarefree degree reaches their number, the separating-element
-    test of the rational univariate representation (Rouillier 1999). So a
-    shear is skipped, without any cluster work, when its squarefree degree is
-    below that of a shear drawn with it, or at most that of a shear already
-    rejected: `_affine_clusters` would reject it too.
-
-    Shears are drawn in windows: the first shear alone, and after each
-    rejection up to `_LOOKAHEAD` more, less the shears of the last window
-    that followed the rejected one (those count toward the next window and
-    are skipped). Each drawn shear gets one exact chain and resultant
-    (`_exact_shear`), and only the first of the largest degree in a window
-    is tried. The degrees are exact and no prime is involved, so the
-    accepted shear is the first of `_SHEARS` that passes the fiber
-    certificate. The degrees only choose which shear to try; they never
-    accept one.
+    Shears are taken in `_SHEARS` order, each with its one exact chain and
+    resultant R_t (`_exact_shear`). A shear separates the points exactly
+    when the squarefree degree of R_t reaches their number, the
+    separating-element test of the rational univariate representation
+    (Rouillier 1999). So a shear whose degree is at most that of a rejected
+    shear is skipped without any cluster work: `_affine_clusters` would
+    reject it too. Every other shear is tried, and the first that passes the
+    fiber certificate is accepted; the degrees never accept a shear.
 
     The y-coordinate of every cluster comes from one rule on the
     subresultant chain that gave R_t: the fiber gcd is S_k at the least k
@@ -411,28 +377,18 @@ def affine_singular_points(F):
     P, Q = F
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
         return []
-    candidates = _shear_candidates(F)
-    floor, draw = -1, 1
-    while True:
-        # `max` returns the first drawn shear of the largest degree, the only
-        # one that can be tried, and holds one drawn chain at a time
-        drawn = ((i, t, *_exact_shear(F, Pt, Qt))
-                 for i, (t, Pt, Qt) in enumerate(islice(candidates, draw)))
-        best = max(drawn, key=lambda e: e[-1], default=None)
-        if best is None:
-            raise DecompositionError("no shear passed the fiber certificates")
-        i, t, (parts, chain), degree = best
+    floor = -1
+    for t, Pt, Qt in _shear_candidates(F):
+        (parts, chain), degree = _exact_shear(F, Pt, Qt)
         if degree <= floor:
-            draw = 1
             continue
         if not parts:
             return []
         try:
             return _affine_clusters(F, t, parts, chain)
         except _ShearReject:
-            floor, draw = degree, _LOOKAHEAD - (draw - 1 - i)
-            # free the rejected chain before the next window is drawn
-            del best, parts, chain
+            floor = degree
+    raise DecompositionError("no shear passed the fiber certificates")
 
 
 def _affine_clusters(F, shear, parts, chain):
@@ -565,7 +521,10 @@ def classify_all(F):
 
 def _eval_on_cluster(E, f, xt, yt, x, y):
     tau = f.vars[0]
-    return _subs_mod(E, {x: xt, y: yt}, f, tau).with_vars((tau,))
+    vars3 = (x, y, tau)
+    f3 = f.with_vars(vars3)
+    Ex = _horner_mod(E.with_vars(vars3), x, xt.with_vars(vars3), f3, tau)
+    return _horner_mod(Ex, y, yt.with_vars(vars3), f3, tau).with_vars((tau,))
 
 
 def _classify_once(field, f, xt, yt):
@@ -631,7 +590,8 @@ def _classify_once(field, f, xt, yt):
             # an irrational root or a rational taller than the bound
             unresolved = True
             continue
-        Wc = _subs_mod(W, {rname: c}, f, tau).with_vars((tau,))
+        Wc = _horner_mod(W, rname, MPoly.const(vars2, c), f.with_vars(vars2), tau)
+        Wc = Wc.with_vars((tau,))
         if _vanishes(Wc, f):
             return NON_REDUCED
         # a true root of rho always divides something off f; treat a miss honestly

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import quadratic_fields
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from planefol.blowup import (
     BlowupUnavailableError,
@@ -24,6 +24,7 @@ from planefol.numbers import QuadExt
 from planefol.singularities import (
     NON_REDUCED,
     REDUCED_NONDEGENERATE,
+    REDUCED_SADDLE_NODE,
     classify_point,
 )
 
@@ -318,6 +319,35 @@ def test_tree_json_round_trip():
     assert len(data["trees"]) == 1
 
 
+@st.composite
+def _field_at_point(draw):
+    """(P, Q, a, b): a field of degree <= 2 singular at (a, b), the point
+    rational or in Q(sqrt 2), with integer coefficients in the local
+    coordinates (x - a, y - b)."""
+    small = st.integers(-3, 3)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        a, b = draw(rational), draw(rational)
+    else:
+        a = QuadExt(draw(rational), draw(rational.filter(bool)), 2)
+        b = QuadExt(draw(rational), draw(rational), 2)
+    local = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    P, Q = (MPoly(V, {e: draw(small) for e in local}) for _ in range(2))
+    x, y = (MPoly.variable(v, V) for v in V)
+    moved = {"x": x - MPoly.const(V, a), "y": y - MPoly.const(V, b)}
+    return P.subs(moved), Q.subs(moved), a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_at_point())
+def test_classify_point_is_always_certified(case):
+    # a point is a degree-1 cluster, which the ratio test always decides;
+    # `_reduce_at` relies on this and has no branch for an undetermined kind
+    P, Q, a, b = case
+    assert classify_point((P, Q), a, b) in (REDUCED_NONDEGENERATE, REDUCED_SADDLE_NODE,
+                                            NON_REDUCED)
+
+
 # -- strict transforms -----------------------------------------------------------------
 
 
@@ -376,6 +406,14 @@ def test_z_index_rejects_bad_branches():
         z_index((pp("2*y"), pp("3*x^2")), pp("y^2 - x^3"), O)  # singular branch
     with pytest.raises(ValueError):
         z_index((pp("x"), pp("y")), pp("y"), (Fraction(0), Fraction(1)))
+
+
+def test_z_index_refuses_a_branch_inside_the_component():
+    # y = 0 is invariant for (x*y, y) and lies in {x*y = 0}, so the
+    # restriction vanishes to every order; the Bezout truncation N = 1 * 2
+    # decides that at once
+    with pytest.raises(ArithmeticError, match="order 2$"):
+        z_index((pp("x*y"), pp("y")), pp("y"), O)
 
 
 def test_total_z_line_for_linear_saddle():

@@ -69,9 +69,32 @@ class TestDegree:
         code, data, _ = jrun(capsys, "degree", "--foliation", f)
         assert code == 0 and data["degree"] == 1
 
-    def test_text_mode(self, capsys, saddle):
+    def test_text_mode(self, capsys, saddle, cusp_field):
         code, out, _ = run(capsys, "degree", "--foliation", saddle)
         assert code == 0 and out.strip() == "degree 1"
+        # the text renderers of the other report-printing subcommands
+        for argv, lines in [
+            (("singularities", "--foliation", saddle),
+             ["3 clusters, total Milnor 3 (Bezout 3)",
+              "  affine: 1 point(s), modulus t, mu=1",
+              "  inf1: 1 point(s), modulus t, mu=1",
+              "  inf2: 1 point(s), modulus t, mu=1"]),
+            (("classify", "--foliation", saddle),
+             ["  affine t: reduced-nondegenerate", "  inf1 t: non-reduced",
+              "  inf2 t: non-reduced"]),
+            (("reduce", "--foliation", cusp_field),
+             ["minimal resolution: 3 blow-ups, 1 tree(s)"]),
+            (("first-integral", "--foliation", cusp_field, "--max-m", "3"),
+             ["first integral of degree 3"]),
+            (("first-integral", "--foliation", saddle, "--max-m", "1"),
+             ["no rational first integral of degree <= 1"]),
+            (("bound", "first-integral", "--d", "5", "--g", "3", "--height", "2"),
+             ["n0 = 26, degree bound 104"]),
+            (("examples", "gen", "--family", "linear", "--params", '{"p": 1, "q": 2}'),
+             ["linear with {'p': '1', 'q': '2'}", "P = 2*x", "Q = y"]),
+        ]:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out.splitlines()) == (0, lines), argv
 
 
 class TestInputErrors:

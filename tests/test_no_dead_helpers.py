@@ -1,9 +1,10 @@
 """Every module-level function and class of the package is either used inside
-the package or exported through `planefol.__all__`, every name a module of
-the package or of the tests imports is used in that module, every parameter
-of a module-level function or method is read in its body, and every
-defaulted parameter of an unexported module-level function is set by some
-call.
+the package or exported through `planefol.__all__`, every private
+module-level constant (`_NAME = ...`) is used inside the package, every
+name a module of the package or of the tests imports is used in that module,
+every parameter of a module-level function or method is read in its body,
+and every defaulted parameter of an unexported module-level function is set
+by some call.
 
 Uses are read from the source: a name counts as used when it appears as a
 name or an attribute anywhere in `src/planefol` outside its own definition.
@@ -29,6 +30,11 @@ def _definitions_and_uses():
         for i, stmt in enumerate(tree.body):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((path.stem, stmt.name, i))
+            elif isinstance(stmt, ast.Assign):
+                # private module-level constants, `_NAME = ...`
+                defs += [(path.stem, t.id, i) for t in stmt.targets
+                         if isinstance(t, ast.Name) and t.id.startswith("_")
+                         and not t.id.startswith("__")]
             names = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):

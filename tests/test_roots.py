@@ -546,6 +546,20 @@ def test_krawczyk_equals_fraction_reference_on_drawn_boxes(dense, re, im):
     assert new == ref
 
 
+def test_contract_bisects_when_the_krawczyk_step_stalls():
+    # around the root i of x^2 + 1, the Krawczyk image of this box keeps more
+    # than half of the wider, real side, so `contract` bisects that side and
+    # keeps the half whose image still meets the root
+    system = roots._ComplexSystem([Fraction(1), Fraction(0), Fraction(1)])
+    ia, ib = Interval(-1, Fraction(1, 2)), Interval(Fraction(1, 2), Fraction(3, 2))
+    status, (ka, kb) = system.krawczyk(ia, ib)
+    assert status == "unknown" and ka.width() > ia.width() / 2
+    na, nb = system.contract(ia, ib)
+    assert na.contains(0) and nb.contains(1)
+    assert ia.lo <= na.lo and na.hi <= ia.hi and ib.lo <= nb.lo and nb.hi <= ib.hi
+    assert na.width() <= ia.width() / 2
+
+
 def _box_rows(boxes):
     return [(str(b.re.lo), str(b.re.hi), str(b.im.lo), str(b.im.hi)) for b in boxes]
 

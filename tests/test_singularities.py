@@ -425,24 +425,37 @@ def _cluster_substitution(draw):
     return p, mapping, f
 
 
+def _horner_xy(p, mapping, f):
+    """`_horner_mod` in x, then in y, over (x, y, t), as `_translated` and
+    `_eval_on_cluster` compose it."""
+    vars3 = ("x", "y", "t")
+    f3 = f.with_vars(vars3)
+    q = p.with_vars(vars3)
+    for v in ("x", "y"):
+        q = singularities._horner_mod(q, v, mapping[v].with_vars(vars3), f3, "t")
+    return q
+
+
 @given(_cluster_substitution())
 @settings(max_examples=80, deadline=None)
-def test_subs_mod_equals_reduced_substitution(case):
+def test_horner_mod_equals_reduced_substitution(case):
     p, mapping, f = case
-    mine = singularities._subs_mod(p, mapping, f, "t")
-    ref = mod_reduce(p.subs(mapping), f, "t")
-    assert mine.vars == ref.vars and mine.terms == ref.terms
+    mine = _horner_xy(p, mapping, f)
+    ref = mod_reduce(p.subs(mapping), f, "t").with_vars(("x", "y", "t"))
+    assert mine.terms == ref.terms
+    if p.vars == V:
+        # an evaluation: `_eval_on_cluster` is this composition read in t
+        on_cluster = singularities._eval_on_cluster(p, f, mapping["x"], mapping["y"], "x", "y")
+        assert on_cluster == ref.with_vars(("t",))
 
 
-def test_subs_mod_rejects_an_image_holding_another_substituted_variable():
-    p = parse_poly("x^2 + y", V)
-    f = parse_poly("t^2 - 2", ("t",))
-    with pytest.raises(ValueError):
-        singularities._subs_mod(p, {"x": parse_poly("y + 1", V), "y": parse_poly("x", V)},
-                                f, "t")
-    # an image may hold its own variable: a translation
-    moved = singularities._subs_mod(p, {"x": parse_poly("x + 1", V)}, f, "t")
-    assert moved == parse_poly("x^2 + 2*x + 1 + y", V)
+def test_horner_mod_image_may_hold_its_own_variable():
+    # a translation x -> x + 1, as `_translated` makes
+    vars3 = ("x", "y", "t")
+    p = parse_poly("x^2 + y", vars3)
+    f = parse_poly("t^2 - 2", vars3)
+    moved = singularities._horner_mod(p, "x", parse_poly("x + 1", vars3), f, "t")
+    assert moved == parse_poly("x^2 + 2*x + 1 + y", vars3)
 
 
 # -- shear choice: skipped shears are ones the exhaustive loop rejects ---------------
@@ -561,9 +574,9 @@ def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
         assert seen == [1, -1, 2, -2, 3]
         seen.clear()
         assert _cluster_rows(affine_singular_points(F)) == expected
-    # shear 1 is rejected; the squarefree degrees of -1, 2, -2 and 3, read
-    # after it, show shear 3 with the largest, so the others are skipped
-    assert seen == [1, 3]
+    # shears 1 and 2 are rejected; -1 and -2 are skipped, since their
+    # squarefree degrees are at most that of a shear rejected before them
+    assert seen == [1, 2, 3]
 
 
 def _count_chains(monkeypatch, F):
@@ -582,10 +595,10 @@ def _count_chains(monkeypatch, F):
 
 
 def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
-    # every drawn shear gets one chain: shear 1, then -1, 2, -2 and 3 drawn
-    # ahead after its rejection, of which -1, 2 and -2 are skipped on their
-    # degrees. The resultant R_t and the fiber rule of a tried shear come
-    # from the chain it was drawn with: `_affine_clusters` starts none
+    # every drawn shear gets one chain: shears 1, -1, 2, -2 and 3, of which
+    # -1 and -2 are skipped on their degrees. The resultant R_t and the
+    # fiber rule of a tried shear come from the chain it was drawn with:
+    # `_affine_clusters` starts none
     F = power_pullback(lins_neto(1), 2)
     tried = []
     real = singularities._affine_clusters
@@ -598,13 +611,13 @@ def test_pullback_one_chain_per_tried_shear(monkeypatch, wall_clock_ceiling):
     calls = _count_chains(monkeypatch, F)
     with wall_clock_ceiling(120):
         affine_singular_points(F)
-    assert tried == [1, 3] and calls == [1, -1, 2, -2, 3]
+    assert tried == [1, 2, 3] and calls == [1, -1, 2, -2, 3]
 
 
 def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceiling):
     # every drawn shear reads its resultant S_0 once from its chain, for its
     # degree; the S_k (k >= 1) of the fiber rule are read only on the chains
-    # of the tried shears 1 and 3, never on the skipped -1, 2 and -2
+    # of the tried shears 1, 2 and 3, never on the skipped -1 and -2
     F = power_pullback(lins_neto(1), 2)
     shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
     owner, reads = {}, []
@@ -623,7 +636,7 @@ def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceili
     with wall_clock_ceiling(120):
         affine_singular_points(F)
     assert [t for t, k in reads if k == 0] == [1, -1, 2, -2, 3]
-    assert {t for t, k in reads if k > 0} == {1, 3}
+    assert {t for t, k in reads if k > 0} == {1, 2, 3}
 
 
 # -- the fiber rule against a Euclid over Q[tau]/(f)[y] --------------------------------
