@@ -110,6 +110,27 @@ def _first_nonzero(groups, f):
     return None
 
 
+def _lowest_layer(polys, f):
+    """The least d whose (x, y)-layer of `polys` is nonzero at every root of
+    f, the (x, y) of a polynomial being its variables other than f's; None
+    when every layer vanishes there. The layer of degree d holds the
+    tau-coefficient of each (x, y)-monomial of degree d, those of polys[0]
+    first, each in term order; `_first_nonzero` decides the layers in
+    ascending d. With one (x, y)-variable, d is the order in it."""
+    tau = f.vars[0]
+    layers = {}
+    for p in polys:
+        ti = p.vars.index(tau)
+        coeffs = {}
+        for e, c in p.terms.items():
+            coeffs.setdefault(e[:ti] + e[ti + 1:], {})[(e[ti],)] = c
+        for m, terms in coeffs.items():
+            layers.setdefault(sum(m), []).append(terms)
+    degrees = sorted(layers)
+    i = _first_nonzero(([MPoly((tau,), t) for t in layers[d]] for d in degrees), f)
+    return None if i is None else degrees[i]
+
+
 def _resolve_clusters(f, xt, yt, job):
     """Run job(f, xt, yt) on the cluster, splitting until every piece answers.
 
@@ -140,3 +161,52 @@ def _resolve_clusters(f, xt, yt, job):
                 stack.append((g, mod_reduce(xi, g, tau).with_vars((tau,)),
                               mod_reduce(yi, g, tau).with_vars((tau,))))
     return out
+
+
+# -- substitution on a cluster -------------------------------------------------------
+
+
+def _horner_mod(p, v, img, f, tau):
+    """`mod_reduce(p.subs({v: img}), f, tau)`, by Horner in v with a reduction
+    mod f after every product, so no power of img is expanded past tau-degree
+    deg f. p, img and f are over the same variables; img may hold v itself
+    (x -> x + xt(tau)), since the coefficients of p in v do not."""
+    coeffs = p.as_univar(v)
+    if not coeffs:
+        return p
+    q = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        q = mod_reduce(q * img, f, tau) + c
+    return mod_reduce(q, f, tau)
+
+
+def _translated(field, f, xt, yt):
+    """(P, Q) of field at (x + xt(tau), y + yt(tau)), reduced mod f, in the
+    variables (x, y, tau): the field seen from each point of the cluster."""
+    tau = f.vars[0]
+    x, y = field.vars
+    vars3 = (x, y, tau)
+    f3 = f.with_vars(vars3)
+    sx = MPoly.variable(x, vars3) + xt.with_vars(vars3)
+    sy = MPoly.variable(y, vars3) + yt.with_vars(vars3)
+    return tuple(_horner_mod(_horner_mod(p.with_vars(vars3), x, sx, f3, tau), y, sy, f3, tau)
+                 for p in field)
+
+
+def _eval_on_cluster(E, f, xt, yt, x, y):
+    """E(xt(tau), yt(tau)) mod f, as a polynomial in tau."""
+    tau = f.vars[0]
+    vars3 = (x, y, tau)
+    f3 = f.with_vars(vars3)
+    Ex = _horner_mod(E.with_vars(vars3), x, xt.with_vars(vars3), f3, tau)
+    return _horner_mod(Ex, y, yt.with_vars(vars3), f3, tau).with_vars((tau,))
+
+
+def _xy_parts(p, tau):
+    """p split into its (x, y)-homogeneous layers, tau left alone."""
+    ti = p.vars.index(tau)
+    layers = {}
+    for e, cval in p.terms.items():
+        d = sum(v for i, v in enumerate(e) if i != ti)
+        layers.setdefault(d, {})[e] = cval
+    return {d: MPoly(p.vars, terms) for d, terms in layers.items()}

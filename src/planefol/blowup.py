@@ -17,25 +17,21 @@ trees certify reducedness and nothing numeric can.
 
 from fractions import Fraction
 
-from .mpoly import MPoly, exact_div
+from .mpoly import MPoly, _shift_out, exact_div
 from .numbers import QuadExt, quadratic_roots
 from .roots import rational_roots
-from .foliation import _aligned, _weighted_reindex
+from .foliation import _aligned, _squarefree_on_line, _weighted_reindex, _zero_at_origin
 from .singularities import (
     NON_REDUCED,
     UNDETERMINED,
     ExactnessError,
     SingularPoint,
-    _eval_on_cluster,
-    _shift_out,
-    _squarefree_on_line,
-    _zero_at_origin,
     affine_singular_points,
     classify_point,
     classify_singularity,
     singular_points,
 )
-from .algebraic import _resolve_clusters, _vanishes
+from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes
 
 
 class BlowupUnavailableError(Exception):

@@ -390,20 +390,24 @@ def _cmd_bound(args):
         raise InputError(f"{flag} applies to invariant-curve bounds only")
     if args.Z is not None and args.z_quasi_reduced:
         raise InputError("--Z conflicts with --z-quasi-reduced: give one")
-    if fi:
-        if args.height is not None:
-            rep = first_integral_bound_from_height(args.d, args.g, args.height)
-        elif args.oracle is not None:
-            rep = first_integral_degree_bound(args.d, args.g, _load_oracle(args.oracle))
+    try:
+        # the bounds reject an out-of-range d, g, height or Z with ValueError
+        if fi:
+            if args.height is not None:
+                rep = first_integral_bound_from_height(args.d, args.g, args.height)
+            elif args.oracle is not None:
+                rep = first_integral_degree_bound(args.d, args.g, _load_oracle(args.oracle))
+            else:
+                raise InputError("need --oracle or --height")
         else:
-            raise InputError("need --oracle or --height")
-    else:
-        if args.oracle is None:
-            raise InputError("invariant-curve bounds need --oracle")
-        if args.Z is None and not args.z_quasi_reduced:
-            raise InputError("need --Z or --z-quasi-reduced")
-        Z = z_bound_quasi_reduced(args.d) if args.z_quasi_reduced else args.Z
-        rep = invariant_curve_degree_bound(args.d, args.g, _load_oracle(args.oracle), Z)
+            if args.oracle is None:
+                raise InputError("invariant-curve bounds need --oracle")
+            if args.Z is None and not args.z_quasi_reduced:
+                raise InputError("need --Z or --z-quasi-reduced")
+            Z = z_bound_quasi_reduced(args.d) if args.z_quasi_reduced else args.Z
+            rep = invariant_curve_degree_bound(args.d, args.g, _load_oracle(args.oracle), Z)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     report = rep.to_json()
     if args.z_quasi_reduced:
         report["Z_hypothesis"] = Z_BOUND_HYPOTHESIS

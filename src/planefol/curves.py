@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import _resolve_clusters, _vanishes, mod_reduce
-from .foliation import Foliation, _aligned, _fresh_name, _weighted_reindex
-from .mpoly import MPoly, bareiss_det, exact_div, squarefree_part
-from .singularities import (
-    _eval_on_cluster,
+from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes, mod_reduce
+from .foliation import (
+    Foliation,
+    _aligned,
+    _fresh_name,
     _squarefree_on_line,
+    _weighted_reindex,
     _zero_at_origin,
-    affine_singular_points,
 )
+from .mpoly import MPoly, bareiss_det, exact_div, squarefree_part
+from .singularities import affine_singular_points
 
 
 class PlaneCurve:

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import _first_nonzero, _resolve_clusters, mod_reduce
+from .algebraic import _lowest_layer, _resolve_clusters, _translated, _xy_parts, mod_reduce
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
 from .foliation import Foliation
@@ -24,8 +24,6 @@ from .singularities import (
     UNDETERMINED,
     ExactnessError,
     SingularPoint,
-    _translated,
-    _xy_parts,
     classify_singularity,
     singular_points,
 )
@@ -211,16 +209,6 @@ def _heartbeat(deadline):
         raise BudgetExceeded("dicritical census ran past its time budget")
 
 
-def _tau_coeff_polys(p, tau):
-    """The tau-coefficient polynomial of each (x, y)-monomial of p."""
-    ti = p.vars.index(tau)
-    bucket = {}
-    for e, cval in p.terms.items():
-        key = tuple(v for i, v in enumerate(e) if i != ti)
-        bucket.setdefault(key, {})[(e[ti],)] = cval
-    return [MPoly((tau,), terms) for terms in bucket.values()]
-
-
 def _census(field, chart, f, xt, yt, deadline):
     """Dicritical points within one non-reduced cluster, or SplitNeeded.
 
@@ -234,26 +222,21 @@ def _census(field, chart, f, xt, yt, deadline):
     x, y = field.vars
     PT, QT = _translated(field, f, xt, yt)
     vars3 = PT.vars
-    pparts = _xy_parts(PT, tau)
-    qparts = _xy_parts(QT, tau)
 
     # lowest (x, y)-order of the translated field on this cluster
-    zero3 = MPoly.zero(vars3)
-    orders = sorted(set(pparts) | set(qparts))
-    i = _first_nonzero((_tau_coeff_polys(pparts.get(d, zero3), tau)
-                        + _tau_coeff_polys(qparts.get(d, zero3), tau) for d in orders), f)
-    if i is None:
+    nu = _lowest_layer((PT, QT), f)
+    if nu is None:
         raise ArithmeticError("field vanished identically along a cluster")
-    nu = orders[i]
     if nu == 0:
         raise ArithmeticError("census reached a regular point")
 
-    Pnu = pparts.get(nu, zero3)
-    Qnu = qparts.get(nu, zero3)
+    zero3 = MPoly.zero(vars3)
+    Pnu, Qnu = (_xy_parts(p, tau).get(nu, zero3) for p in (PT, QT))
     T = mod_reduce(
         MPoly.variable(x, vars3) * Qnu - MPoly.variable(y, vars3) * Pnu, f, tau
     )
-    if _first_nonzero([_tau_coeff_polys(T, tau)], f) is None:
+    # T is (x, y)-homogeneous, so its one layer is the whole cone
+    if _lowest_layer([T], f) is None:
         # tangent cone vanishes on the whole cluster: dicritical first blow-up
         return f.deg_in(tau)
     # the cone is nonzero at every point of the cluster; walk each reduction

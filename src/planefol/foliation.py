@@ -9,8 +9,9 @@ charts along the line at infinity are derived here; everything downstream
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .mpoly import MPoly, exact_div, poly_gcd
+from .mpoly import MPoly, exact_div, poly_gcd, squarefree_part
 
 
 class Foliation:
@@ -135,6 +136,19 @@ def _weighted_reindex(f, m, vars2, slope_var):
             raise ArithmeticError("term above the declared top degree")
         out[(j, k) if slope_var == 0 else (i, k)] = c
     return MPoly(vars2, out)
+
+
+def _squarefree_on_line(polys, var, line):
+    """The squarefree part of the gcd of `polys` restricted to the line
+    var = 0, as a polynomial in the line coordinate `line`; None when that
+    gcd is a constant or zero."""
+    g = reduce(poly_gcd, [p.coeff_in(var, 0).with_vars((line,)) for p in polys])
+    return squarefree_part(g) if g.deg_in(line) > 0 else None
+
+
+def _zero_at_origin(polys):
+    """Do all of `polys` vanish at the origin of their variables?"""
+    return all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
 
 
 # another name for the constructor, the one the README and callers import

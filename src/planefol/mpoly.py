@@ -472,6 +472,17 @@ class MPoly:
         return cls(vars, terms)
 
 
+def _shift_out(p, var, k):
+    """p / var**k, for p divisible by var**k."""
+    i = p.vars.index(var)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i] < k:
+            raise ValueError("shift below zero")
+        out[e[:i] + (e[i] - k,) + e[i + 1:]] = c
+    return MPoly(p.vars, out)
+
+
 def _var_names(value):
     """`value`, a list of distinct variable names, as a tuple; else ValueError."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -774,19 +785,15 @@ def _coprime_mod_p(f, g):
                 break
         else:
             return False
-        *_, gcd = _remainders_mod_p(a, b, p)
-        if len(gcd) > 1:
+        if len(_gcd_mod_p(a, b, p)) > 1:
             return False
     return True
 
 
-def _remainders_mod_p(a, b, p):
-    """Euclid in F_p[v] on dense coefficient lists (lowest degree first, no
-    trailing zeros): yields b and then each nonzero remainder, so the last
-    list yielded is gcd(a, b) up to a unit. No yielded list is changed later."""
+def _gcd_mod_p(a, b, p):
+    """gcd(a, b) up to a unit, by Euclid in F_p[v] on dense coefficient lists
+    (lowest degree first, no trailing zeros); both lists are overwritten."""
     while b:
-        yield b
-        a = a[:]
         inv = pow(b[-1], -1, p)
         while len(a) >= len(b):
             q, shift = a[-1] * inv % p, len(a) - len(b)
@@ -795,6 +802,7 @@ def _remainders_mod_p(a, b, p):
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
+    return a
 
 
 def _residues_mod_p(f, p):

@@ -18,16 +18,21 @@ from functools import reduce
 
 from .algebraic import (
     SplitNeeded,
-    _first_nonzero,
+    _eval_on_cluster,
+    _horner_mod,
+    _lowest_layer,
     _resolve_clusters,
+    _translated,
     _vanishes,
+    _xy_parts,
     invert_mod,
     mod_reduce,
 )
-from .foliation import _fresh_name
+from .foliation import _fresh_name, _squarefree_on_line, _zero_at_origin
 from .mpoly import (
     MPoly,
     _Chain,
+    _shift_out,
     normalized,
     poly_gcd,
     resultant,
@@ -144,69 +149,7 @@ class SingularPoint:
         )
 
 
-# -- split-driven cluster work ------------------------------------------------------
-
-
-def _horner_mod(p, v, img, f, tau):
-    """`mod_reduce(p.subs({v: img}), f, tau)`, by Horner in v with a reduction
-    mod f after every product, so no power of img is expanded past tau-degree
-    deg f. p, img and f are over the same variables; img may hold v itself
-    (x -> x + xt(tau)), since the coefficients of p in v do not."""
-    coeffs = p.as_univar(v)
-    if not coeffs:
-        return p
-    q = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        q = mod_reduce(q * img, f, tau) + c
-    return mod_reduce(q, f, tau)
-
-
-def _translated(field, f, xt, yt):
-    """(P, Q) of field at (x + xt(tau), y + yt(tau)), reduced mod f, in the
-    variables (x, y, tau): the field seen from each point of the cluster."""
-    tau = f.vars[0]
-    x, y = field.vars
-    vars3 = (x, y, tau)
-    f3 = f.with_vars(vars3)
-    sx = MPoly.variable(x, vars3) + xt.with_vars(vars3)
-    sy = MPoly.variable(y, vars3) + yt.with_vars(vars3)
-    return tuple(_horner_mod(_horner_mod(p.with_vars(vars3), x, sx, f3, tau), y, sy, f3, tau)
-                 for p in field)
-
-
-def _xy_parts(p, tau):
-    """p split into its (x, y)-homogeneous layers, tau left alone."""
-    ti = p.vars.index(tau)
-    layers = {}
-    for e, cval in p.terms.items():
-        d = sum(v for i, v in enumerate(e) if i != ti)
-        layers.setdefault(d, {})[e] = cval
-    return {d: MPoly(p.vars, terms) for d, terms in layers.items()}
-
-
 # -- local Milnor number ------------------------------------------------------------
-
-
-def _ord_ladder(p, f, tau, var):
-    """Smallest k with the coefficient of var**k nonzero at every root of f.
-
-    p is a polynomial in (var, tau) only. Raises SplitNeeded on a mixed
-    answer; returns None when p vanishes mod f.
-    """
-    ladder = [(k, c.with_vars((tau,))) for k, c in enumerate(p.as_univar(var))
-              if not c.is_zero()]
-    i = _first_nonzero(([c] for _, c in ladder), f)
-    return None if i is None else ladder[i][0]
-
-
-def _shift_out(p, var, k):
-    i = p.vars.index(var)
-    out = {}
-    for e, c in p.terms.items():
-        if e[i] < k:
-            raise ValueError("shift below zero")
-        out[e[:i] + (e[i] - k,) + e[i + 1:]] = c
-    return MPoly(p.vars, out)
 
 
 def _milnor_once(field, f, xt, yt):
@@ -236,7 +179,8 @@ def _milnor_once(field, f, xt, yt):
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = mod_reduce(resultant(Pt, Qt, y), f, tau)
-        mu = _ord_ladder(R.with_vars((x, tau)), f, tau, x)
+        # R is free of y, so its (x, y)-layers are its powers of x
+        mu = _lowest_layer([R], f)
         if mu is None:
             raise ArithmeticError("resultant vanished despite the certificates")
         return mu
@@ -252,8 +196,8 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
     and each has an order in y."""
     A = mod_reduce(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
     B = mod_reduce(Qt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
-    A1 = _shift_out(A, y, _ord_ladder(A, f, tau, y))
-    B1 = _shift_out(B, y, _ord_ladder(B, f, tau, y))
+    A1 = _shift_out(A, y, _lowest_layer([A], f))
+    B1 = _shift_out(B, y, _lowest_layer([B], f))
     if A1.deg_in(y) == 0 or B1.deg_in(y) == 0:
         return True
     res = resultant(A1, B1, y).with_vars((tau,))
@@ -309,9 +253,7 @@ def _fiber_rule(fibers, fi, tau, y):
             yv = MPoly.variable(y, S.vars)
             diff = mod_reduce(S * inv - (yv - y0) ** k, fi, tau)
             if not diff.is_zero():
-                slices = ([diff.coeff_in(y, j).with_vars((tau,))]
-                          for j in range(diff.deg_in(y) + 1))
-                if _first_nonzero(slices, fi) is not None:
+                if _lowest_layer([diff], fi) is not None:
                     raise _ShearReject("two singular points share a fiber")
                 raise ArithmeticError("trimmed difference has no nonzero slice")
         return y0
@@ -344,7 +286,7 @@ def _shear_candidates(F):
 
 
 def _exact_shear(F, Pt, Qt):
-    """((yun parts of R_t, chain), squarefree degree of R_t): `chain` the one
+    """(yun parts of R_t, chain, squarefree degree of R_t): `chain` the one
     subresultant chain of P_t and Q_t in y, R_t = Res_y(P_t, Q_t) read from
     it, and the fiber rule's S_k read from it if the shear is tried. The
     degree is exact; `affine_singular_points` skips shears by it."""
@@ -354,7 +296,7 @@ def _exact_shear(F, Pt, Qt):
     if R.is_zero():
         raise ArithmeticError("resultant vanished for a coprime field")
     parts = yun_decomposition(R) if R.total_degree() > 0 else []
-    return (parts, chain), sum(g.total_degree() for g, _ in parts)
+    return parts, chain, sum(g.total_degree() for g, _ in parts)
 
 
 def affine_singular_points(F):
@@ -379,7 +321,7 @@ def affine_singular_points(F):
         return []
     floor = -1
     for t, Pt, Qt in _shear_candidates(F):
-        (parts, chain), degree = _exact_shear(F, Pt, Qt)
+        parts, chain, degree = _exact_shear(F, Pt, Qt)
         if degree <= floor:
             continue
         if not parts:
@@ -455,19 +397,6 @@ def infinity_singular_points(F, with_milnor=True):
     return out
 
 
-def _squarefree_on_line(polys, var, line):
-    """The squarefree part of the gcd of `polys` restricted to the line
-    var = 0, as a polynomial in the line coordinate `line`; None when that
-    gcd is a constant or zero."""
-    g = reduce(poly_gcd, [p.coeff_in(var, 0).with_vars((line,)) for p in polys])
-    return squarefree_part(g) if g.deg_in(line) > 0 else None
-
-
-def _zero_at_origin(polys):
-    """Do all of `polys` vanish at the origin of their variables?"""
-    return all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
-
-
 def singular_points(F, with_milnor=True):
     return affine_singular_points(F) + infinity_singular_points(F, with_milnor=with_milnor)
 
@@ -517,14 +446,6 @@ def classify_all(F):
     for sp in singular_points(F):
         out.extend(classify_singularity(sp))
     return out
-
-
-def _eval_on_cluster(E, f, xt, yt, x, y):
-    tau = f.vars[0]
-    vars3 = (x, y, tau)
-    f3 = f.with_vars(vars3)
-    Ex = _horner_mod(E.with_vars(vars3), x, xt.with_vars(vars3), f3, tau)
-    return _horner_mod(Ex, y, yt.with_vars(vars3), f3, tau).with_vars((tau,))
 
 
 def _classify_once(field, f, xt, yt):

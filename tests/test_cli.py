@@ -5,7 +5,7 @@ import json
 
 import pytest
 from conftest import quadratic_fields
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from planefol import cli
 from planefol.blowup import BlowupUnavailableError, ResolutionError
@@ -406,6 +406,20 @@ class TestBound:
         code, _, err = jrun(capsys, "bound", "first-integral", "--d", "4", "--g", "2",
                             "--oracle", oracle, "--height", "2")
         assert "an oracle file can carry a height" in err
+        # values out of the range a bound accepts are bad input too
+        for argv in [
+            ("first-integral", "--d", "-1", "--g", "2", "--height", "1"),
+            ("first-integral", "--d", "4", "--g", "1", "--height", "1"),
+            ("first-integral", "--d", "4", "--g", "3", "--height", "0"),
+            ("invariant-curve", "--oracle", oracle, "--d", "3", "--g", "-1", "--Z", "1"),
+            ("invariant-curve", "--oracle", oracle, "--d", "3", "--g", "1", "--Z", "-1"),
+            ("invariant-curve", "--oracle", oracle, "--d", "0", "--g", "1",
+             "--z-quasi-reduced"),
+            ("invariant-curve", "--oracle", oracle, "--d", "-2", "--g", "1", "--Z", "0"),
+        ]:
+            code, out, err = jrun(capsys, "bound", *argv)
+            assert (code, out) == (2, None), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 class TestExamples:
@@ -509,6 +523,25 @@ class TestExitCodes:
                     contextlib.redirect_stderr(err):
                 code = main(["--format", "json", *argv, "--foliation", fol])
             assert code in (0, 2, 3), (argv, field, code, err.getvalue())
+
+    @given(d=st.integers(-3, 6), g=st.integers(-2, 4), height=st.integers(-1, 3),
+           Z=st.none() | st.integers(-2, 5),
+           oracle=st.sampled_from([{"height": 1}, {"P": ["0", "1", "4"]}]))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_exit_codes_on_small_integers(self, d, g, height, Z, oracle,
+                                                tmp_path_factory, wall_clock_ceiling):
+        # Z = None asks for --z-quasi-reduced
+        path = write(tmp_path_factory.mktemp("oracle"), "oracle.json", oracle)
+        z = ("--z-quasi-reduced",) if Z is None else ("--Z", str(Z))
+        for argv in (("first-integral", "--height", str(height)),
+                     ("first-integral", "--oracle", path),
+                     ("invariant-curve", "--oracle", path, *z)):
+            out, err = io.StringIO(), io.StringIO()
+            with wall_clock_ceiling(10), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["--format", "json", "bound", *argv, "--d", str(d), "--g", str(g)])
+            assert code in (0, 2, 3), (argv, d, g, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def _poly_json(*terms):

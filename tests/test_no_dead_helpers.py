@@ -137,3 +137,16 @@ def test_every_private_knob_is_set():
             unset += [f"{path.stem}.{stmt.name}({p})" for i, p in knobs
                       if not any(_sets(call, i, p) for call in calls.get(stmt.name, []))]
     assert unset == []
+
+
+def test_singularities_is_used_through_its_public_api():
+    # the Q[t]/(f) helpers live in `algebraic`, the chart helpers in
+    # `foliation` and `mpoly`; no module borrows a private name of
+    # `singularities`
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "singularities":
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from planefol import singularities
-from planefol.algebraic import _first_nonzero, _resolve_clusters, invert_mod, mod_reduce
+from planefol.algebraic import (
+    _eval_on_cluster,
+    _first_nonzero,
+    _horner_mod,
+    _resolve_clusters,
+    invert_mod,
+    mod_reduce,
+)
 from planefol.cli import main
 from planefol.families import lins_neto, power_pullback
 from planefol.foliation import _fresh_name, make_foliation
@@ -432,7 +439,7 @@ def _horner_xy(p, mapping, f):
     f3 = f.with_vars(vars3)
     q = p.with_vars(vars3)
     for v in ("x", "y"):
-        q = singularities._horner_mod(q, v, mapping[v].with_vars(vars3), f3, "t")
+        q = _horner_mod(q, v, mapping[v].with_vars(vars3), f3, "t")
     return q
 
 
@@ -445,7 +452,7 @@ def test_horner_mod_equals_reduced_substitution(case):
     assert mine.terms == ref.terms
     if p.vars == V:
         # an evaluation: `_eval_on_cluster` is this composition read in t
-        on_cluster = singularities._eval_on_cluster(p, f, mapping["x"], mapping["y"], "x", "y")
+        on_cluster = _eval_on_cluster(p, f, mapping["x"], mapping["y"], "x", "y")
         assert on_cluster == ref.with_vars(("t",))
 
 
@@ -454,7 +461,7 @@ def test_horner_mod_image_may_hold_its_own_variable():
     vars3 = ("x", "y", "t")
     p = parse_poly("x^2 + y", vars3)
     f = parse_poly("t^2 - 2", vars3)
-    moved = singularities._horner_mod(p, "x", parse_poly("x + 1", vars3), f, "t")
+    moved = _horner_mod(p, "x", parse_poly("x + 1", vars3), f, "t")
     assert moved == parse_poly("x^2 + 2*x + 1 + y", vars3)
 
 
@@ -728,7 +735,7 @@ def _affine_clusters_reference(F, shear, parts, Pt, Qt):
 def _by_both_rules(F, t, Pt, Qt):
     """The cluster rows of shear t by the chain rule and by the Euclid rule,
     "reject" for a rule that raises _ShearReject."""
-    (parts, chain), _ = singularities._exact_shear(F, Pt, Qt)
+    parts, chain, _ = singularities._exact_shear(F, Pt, Qt)
     out = []
     for clusters, args in ((singularities._affine_clusters, (chain,)),
                            (_affine_clusters_reference, (Pt, Qt))):
@@ -804,7 +811,7 @@ def test_pullback_squarefree_degrees(alpha, degrees):
     F = power_pullback(lins_neto(alpha), 2)
     shears = list(singularities._shear_candidates(F))[:5]
     assert [t for t, _, _ in shears] == [1, -1, 2, -2, 3]
-    assert [singularities._exact_shear(F, Pt, Qt)[1] for _, Pt, Qt in shears] == degrees
+    assert [singularities._exact_shear(F, Pt, Qt)[2] for _, Pt, Qt in shears] == degrees
 
 
 def test_field_without_a_certificate_prime_gets_its_gcd_from_the_prs():
