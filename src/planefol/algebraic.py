@@ -182,9 +182,11 @@ def _horner_mod(p, v, img, f, tau):
 
 def _translated(field, f, xt, yt):
     """(P, Q) of field at (x + xt(tau), y + yt(tau)), reduced mod f, in the
-    variables (x, y, tau): the field seen from each point of the cluster."""
+    variables (x, y, tau): the field seen from each point of the cluster.
+    `field` is a Foliation or a (P, Q) pair."""
     tau = f.vars[0]
-    x, y = field.vars
+    P, _ = field
+    x, y = P.vars
     vars3 = (x, y, tau)
     f3 = f.with_vars(vars3)
     sx = MPoly.variable(x, vars3) + xt.with_vars(vars3)

@@ -20,7 +20,13 @@ from fractions import Fraction
 from .mpoly import MPoly, _shift_out, exact_div
 from .numbers import QuadExt, quadratic_roots
 from .roots import rational_roots
-from .foliation import _aligned, _squarefree_on_line, _weighted_reindex, _zero_at_origin
+from .foliation import (
+    _aligned,
+    _derivation,
+    _squarefree_on_line,
+    _weighted_reindex,
+    _zero_at_origin,
+)
 from .singularities import (
     NON_REDUCED,
     UNDETERMINED,
@@ -29,6 +35,7 @@ from .singularities import (
     affine_singular_points,
     classify_point,
     classify_singularity,
+    milnor_number,
     singular_points,
 )
 from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes
@@ -55,11 +62,6 @@ def _shift(p, a, b):
     sx = MPoly.variable(x, p.vars) + MPoly.const(p.vars, a)
     sy = MPoly.variable(y, p.vars) + MPoly.const(p.vars, b)
     return p.subs({x: sx, y: sy})
-
-
-def _eval_origin(p):
-    x, y = p.vars
-    return p.eval_all({x: Fraction(0), y: Fraction(0)})
 
 
 def _chart_maps(p):
@@ -98,7 +100,7 @@ def blow_up(field, point):
     Qp = _shift(Q, a, b)
     if Pp.is_zero() and Qp.is_zero():
         raise ValueError("blow-up of the zero field")
-    if _eval_origin(Pp) != 0 or _eval_origin(Qp) != 0:
+    if not _zero_at_origin((Pp, Qp)):
         raise ValueError("blow-up of a regular point")
     xv = MPoly.variable(x, P.vars)
     yv = MPoly.variable(y, P.vars)
@@ -432,80 +434,36 @@ def _transform_node(C, node):
 # -- vanishing order along a smooth invariant branch ----------------------------------
 
 
-def _trunc(p, var, N):
-    i = p.vars.index(var)
-    return MPoly(p.vars, {e: c for e, c in p.terms.items() if e[i] <= N})
-
-
-def _subst_series(f, phi, indep, dep, N):
-    """f with dep replaced by phi(indep), truncated past indep**N."""
-    coeffs = f.as_univar(dep)
-    acc = MPoly.zero(f.vars)
-    for c in reversed(coeffs):
-        acc = _trunc(acc * phi, indep, N) + c
-    return _trunc(acc, indep, N)
-
-
-def _series_solve(f, indep, dep, N):
-    """phi with phi(0) = 0 and f(indep, phi) = 0 mod indep**(N+1).
-
-    Needs df/d(dep) nonzero at the origin (smooth, non-vertical branch); the
-    linear update is exact at every order.
-    """
-    c0 = _eval_origin(f.diff(dep))
-    if c0 == 0:
-        raise ValueError("branch is vertical for this parameterization")
-    iv = MPoly.variable(indep, f.vars)
-    phi = MPoly.zero(f.vars)
-    for n in range(1, N + 1):
-        res = _subst_series(f, phi, indep, dep, n)
-        i = res.vars.index(indep)
-        rn = None
-        for e, c in res.terms.items():
-            if e[i] == n:
-                rn = c if rn is None else rn + c
-        if rn:
-            phi = phi - (iv ** n) * (rn / c0)
-    return phi
-
-
 def z_index(field, branch, point):
     """Vanishing order of the field restricted to a smooth invariant branch.
 
-    `field` is a Foliation or a (P, Q) pair, `branch` a polynomial invariant
-    for it and smooth at the exact `point`.  The branch is parameterized as a
-    truncated power series and the matching field component is restricted;
-    the order of its first certified-nonzero coefficient is returned.
+    `field` is a Foliation or a coprime (P, Q) pair, `branch` a polynomial
+    invariant for it and smooth at the exact `point`. The matching component
+    is P where the branch is not vertical (d branch/dy != 0 at the point),
+    else Q. For a parametrization g of the branch, ord_t comp(g(t)) is the
+    intersection number of branch and comp at the point (Fulton, Algebraic
+    Curves, 3.3), which is the Milnor number of the pair (branch, comp).
 
-    The series is truncated once, at N = deg(branch) * deg(component): by
-    Bezout that bounds the order unless the branch lies in the component's
-    zero set, where the restriction vanishes to every order.
+    It is finite: by invariance P*branch_x + Q*branch_y = h*branch, so if P
+    vanished on a non-vertical branch, Q*branch_y would too, and Q with it,
+    a common factor of the coprime P and Q; a vertical branch swaps them.
     """
     P, Q = field
     P, Q = P._pair(Q)
     branch = branch.with_vars(P.vars)
     x, y = P.vars
-    Xf = branch.diff(x) * P + branch.diff(y) * Q
-    if exact_div(Xf, branch) is None:
+    if exact_div(_derivation((P, Q), branch), branch) is None:
         raise ValueError("branch is not invariant")
-    a, b = point
-    fb = _shift(branch, a, b)
-    if _eval_origin(fb) != 0:
+    at = dict(zip(P.vars, point))
+    if branch.eval_all(at) != 0:
         raise ValueError("point is not on the branch")
-    Pp = _shift(P, a, b)
-    Qp = _shift(Q, a, b)
-    if _eval_origin(fb.diff(y)) != 0:
-        indep, dep, comp = x, y, Pp
-    elif _eval_origin(fb.diff(x)) != 0:
-        indep, dep, comp = y, x, Qp
+    if branch.diff(y).eval_all(at) != 0:
+        comp = P
+    elif branch.diff(x).eval_all(at) != 0:
+        comp = Q
     else:
         raise ValueError("branch is singular at the point")
-    N = fb.total_degree() * comp.total_degree()
-    phi = _series_solve(fb, indep, dep, N)
-    k = _ord(_subst_series(comp, phi, indep, dep, N), indep)
-    if k is None:
-        raise ArithmeticError(f"restriction vanishes to order {N}")
-    return k
+    return milnor_number((branch, comp), point)
 
 
 # -- total vanishing order along an invariant curve -----------------------------------

@@ -252,10 +252,9 @@ def _cmd_reduce(args, safe=False):
     try:
         tree = builder(F, cap=args.cap)
     except ResolutionError as e:
-        partial = getattr(e, "partial", None)
         report = {"error": str(e)}
-        if partial is not None:
-            report["partial"] = partial.to_json()
+        if e.partial is not None:
+            report["partial"] = e.partial.to_json()
         _emit(report, args, lambda r: [f"unfinished: {r['error']}"])
         return EXIT_UNDETERMINED
     except BlowupUnavailableError as e:
@@ -444,7 +443,10 @@ def _cmd_examples(args):
             raise InputError(f"family {args.family}: {e}") from e
     else:
         raise InputError("census needs --foliation or --family")
-    n = dicritical_count(F, budget_seconds=args.budget_seconds)
+    try:
+        n = dicritical_count(F, budget_seconds=args.budget_seconds)
+    except ValueError as e:
+        raise InputError(f"--budget-seconds: {e}") from e
     report = {"dicritical_count": n}
     _emit(report, args, lambda r: [f"{n} dicritical singular point(s)"])
     return EXIT_OK

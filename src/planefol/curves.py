@@ -14,6 +14,7 @@ from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes, mod_reduc
 from .foliation import (
     Foliation,
     _aligned,
+    _derivation,
     _fresh_name,
     _squarefree_on_line,
     _weighted_reindex,
@@ -83,7 +84,7 @@ class CofactorCertificate:
     def __init__(self, foliation, curve, cofactor):
         F = foliation
         f = _aligned(curve.f, F.vars)
-        residue = F.P * f.diff(F.x) + F.Q * f.diff(F.y) - cofactor * f
+        residue = _derivation(F, f) - cofactor * f
         if not residue.is_zero():
             raise ValueError("cofactor identity does not hold")
         if cofactor.total_degree() > F.degree():
@@ -100,8 +101,7 @@ def is_invariant(F, C):
     """The exact cofactor certificate when C is invariant for F, else None."""
     C = _as_curve(C)
     f = _aligned(C.f, F.vars)
-    Xf = F.P * f.diff(F.x) + F.Q * f.diff(F.y)
-    h = exact_div(Xf, f)
+    h = exact_div(_derivation(F, f), f)
     if h is None:
         return None
     return CofactorCertificate(F, C, h)
@@ -151,7 +151,7 @@ def _extactic_matrix(F, m):
     row = [MPoly.monomial(F.vars, e) for e in exps]
     rows = [row]
     for _ in range(n - 1):
-        row = [F.P * g.diff(F.x) + F.Q * g.diff(F.y) for g in row]
+        row = [_derivation(F, g) for g in row]
         rows.append(row)
     return rows
 
@@ -208,11 +208,7 @@ def first_integral_check(F, numerator, denominator):
     den = _aligned(denominator, F.vars)
     if den.is_zero():
         raise ValueError("denominator is zero")
-
-    def X(g):
-        return F.P * g.diff(F.x) + F.Q * g.diff(F.y)
-
-    return (X(num) * den - num * X(den)).is_zero()
+    return (_derivation(F, num) * den - num * _derivation(F, den)).is_zero()
 
 
 # -- curve singularities and genus -------------------------------------------------

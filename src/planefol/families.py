@@ -264,10 +264,13 @@ def dicritical_count(F, budget_seconds=None):
     never dicritical.  Raises CensusUndetermined when a point resists
     classification, BlowupUnavailableError when a deep walk would need
     coordinates beyond quadratic irrationals, and BudgetExceeded when
-    budget_seconds runs out.
+    budget_seconds runs out; a budget that is NaN or not positive is a
+    ValueError.
     """
     deadline = None
     if budget_seconds is not None:
+        if not budget_seconds > 0:
+            raise ValueError(f"budget must be a positive number of seconds, got {budget_seconds}")
         deadline = time.monotonic() + budget_seconds
     total = 0
     for sp in singular_points(F, with_milnor=False):

@@ -151,6 +151,14 @@ def _zero_at_origin(polys):
     return all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
 
 
+def _derivation(field, g):
+    """X(g) = P*g_x + Q*g_y for X = P d/dx + Q d/dy, a Foliation or a (P, Q)
+    pair; g is over the same variables."""
+    P, Q = field
+    x, y = P.vars
+    return P * g.diff(x) + Q * g.diff(y)
+
+
 # another name for the constructor, the one the README and callers import
 make_foliation = Foliation
 

@@ -155,7 +155,8 @@ class SingularPoint:
 def _milnor_once(field, f, xt, yt):
     """Milnor number of field at the cluster point, uniform or SplitNeeded."""
     tau = f.vars[0]
-    x, y = field.vars
+    P, _ = field
+    x, y = P.vars
     Ploc, Qloc = _translated(field, f, xt, yt)
     if Ploc.is_zero() or Qloc.is_zero():
         raise ArithmeticError("translated component vanished; field was degenerate")
@@ -205,7 +206,8 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
 
 
 def milnor_clusters(field, f, xt, yt):
-    """[(modulus, xt, yt, mu)] for the cluster, split until mu is uniform."""
+    """[(modulus, xt, yt, mu)] for the cluster, split until mu is uniform;
+    `field` is a Foliation or a coprime (P, Q) pair."""
     return _resolve_clusters(f, xt, yt, lambda a, b, c: _milnor_once(field, a, b, c))
 
 
@@ -218,9 +220,12 @@ def _point_cluster(vars, a, b):
 def milnor_number(field, point):
     """Milnor number of `field` at an exact point (a, b); 0 at regular points.
 
-    Coordinates may be rational or quadratic irrationals (QuadExt).
+    `field` is a Foliation or a coprime (P, Q) pair: the intersection number
+    of {P = 0} and {Q = 0} at the point. Coordinates may be rational or
+    quadratic irrationals (QuadExt).
     """
-    return milnor_clusters(field, *_point_cluster(field.vars, *point))[0][3]
+    P, _ = field
+    return milnor_clusters(field, *_point_cluster(P.vars, *point))[0][3]
 
 
 # -- global decomposition -----------------------------------------------------------

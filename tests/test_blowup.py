@@ -409,11 +409,113 @@ def test_z_index_rejects_bad_branches():
 
 
 def test_z_index_refuses_a_branch_inside_the_component():
-    # y = 0 is invariant for (x*y, y) and lies in {x*y = 0}, so the
-    # restriction vanishes to every order; the Bezout truncation N = 1 * 2
-    # decides that at once
-    with pytest.raises(ArithmeticError, match="order 2$"):
+    # y = 0 is invariant for the non-coprime (x*y, y) and lies in {x*y = 0},
+    # so the pair (y, x*y) meets along a whole line and its resultant vanishes
+    with pytest.raises(ArithmeticError, match="resultant vanished"):
         z_index((pp("x*y"), pp("y")), pp("y"), O)
+
+
+# The reference value of z_index: the matching field component restricted to
+# a power-series parametrization of the branch, independent of `milnor_number`.
+
+
+def _origin_value(p):
+    return p.eval_all(dict.fromkeys(p.vars, Fraction(0)))
+
+
+def _trunc(p, var, N):
+    i = p.vars.index(var)
+    return MPoly(p.vars, {e: c for e, c in p.terms.items() if e[i] <= N})
+
+
+def _subst_series(f, phi, indep, dep, N):
+    """f with dep replaced by phi(indep), truncated past indep**N."""
+    acc = MPoly.zero(f.vars)
+    for c in reversed(f.as_univar(dep)):
+        acc = _trunc(acc * phi, indep, N) + c
+    return _trunc(acc, indep, N)
+
+
+def _series_solve(f, indep, dep, N):
+    """phi with phi(0) = 0 and f(indep, phi) = 0 mod indep**(N+1), for
+    df/d(dep) nonzero at the origin; the linear update is exact at every order."""
+    c0 = _origin_value(f.diff(dep))
+    iv = MPoly.variable(indep, f.vars)
+    phi = MPoly.zero(f.vars)
+    for n in range(1, N + 1):
+        res = _subst_series(f, phi, indep, dep, n)
+        i = res.vars.index(indep)
+        rn = None
+        for e, c in res.terms.items():
+            if e[i] == n:
+                rn = c if rn is None else rn + c
+        if rn:
+            phi = phi - (iv ** n) * (rn / c0)
+    return phi
+
+
+def series_z_index(field, branch, point):
+    """ord_t comp(g(t)) for g the smooth branch at `point` as a power series,
+    truncated once at the Bezout bound deg(branch) * deg(comp); that bounds
+    the order unless the branch lies in {comp = 0}, where ArithmeticError
+    is raised."""
+    P, Q = field
+    x, y = P.vars
+
+    def shifted(p):
+        return p.subs({v: MPoly.variable(v, p.vars) + MPoly.const(p.vars, c)
+                       for v, c in zip(p.vars, point)})
+
+    fb = shifted(branch)
+    if _origin_value(fb.diff(y)) != 0:
+        indep, dep, comp = x, y, shifted(P)
+    else:
+        indep, dep, comp = y, x, shifted(Q)
+    N = fb.total_degree() * comp.total_degree()
+    restricted = _subst_series(comp, _series_solve(fb, indep, dep, N), indep, dep, N)
+    if restricted.is_zero():
+        raise ArithmeticError(f"restriction vanishes to order {N}")
+    i = comp.vars.index(indep)
+    return min(e[i] for e in restricted.terms)
+
+
+@st.composite
+def _planted_line_fields(draw):
+    """((P, Q), point) with y = 0 invariant (y divides Q) and P(x, 0) carrying
+    a planted factor (x - c)**k for the rational point (c, 0), or (x^2 - 2)**k
+    for one of (+-sqrt 2, 0); k = 0 leaves the point regular unless the
+    cofactor vanishes there, and a zero cofactor puts y = 0 inside {P = 0}."""
+    coef = st.integers(min_value=-3, max_value=3)
+
+    def poly(degree):
+        return MPoly(V, {(i, j): draw(coef)
+                         for i in range(degree + 1) for j in range(degree + 1 - i)})
+
+    xv, yv = MPoly.variable("x", V), MPoly.variable("y", V)
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        root = QuadExt(0, draw(st.sampled_from([1, -1])), 2)
+        planted = xv * xv - 2
+    else:
+        root = Fraction(draw(st.integers(-2, 2)))
+        planted = xv - root
+    cofactor = MPoly(V, {(i, 0): draw(coef) for i in range(3)})
+    P = planted ** k * cofactor + yv * poly(1)
+    Q = yv * poly(1)
+    return (P, Q), (root, Fraction(0))
+
+
+@given(_planted_line_fields())
+@settings(max_examples=80, deadline=None)
+def test_z_index_matches_the_series_restriction(case):
+    field, point = case
+    try:
+        expected = series_z_index(field, pp("y"), point)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            z_index(field, pp("y"), point)
+        return
+    assert z_index(field, pp("y"), point) == expected
 
 
 def test_total_z_line_for_linear_saddle():

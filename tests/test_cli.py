@@ -456,7 +456,7 @@ class TestExamples:
         code, data, _ = jrun(capsys, "examples", "census",
                              "--family", "lins_neto",
                              "--params", '{"alpha": "0"}',
-                             "--budget-seconds", "0")
+                             "--budget-seconds", "1e-9")
         assert code == 3
 
     def test_census_from_file(self, capsys, tmp_path, saddle):
@@ -542,6 +542,13 @@ class TestExitCodes:
                 code = main(["--format", "json", "bound", *argv, "--d", str(d), "--g", str(g)])
             assert code in (0, 2, 3), (argv, d, g, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+    def test_census_rejects_a_budget_that_is_not_positive(self, capsys, budget):
+        # NaN never compares past a deadline, so it would run unbudgeted
+        code, _, err = run(capsys, "examples", "census", "--family", "lins_neto",
+                           "--params", '{"alpha": "2"}', "--budget-seconds", budget)
+        assert code == 2 and err.startswith("error: --budget-seconds:")
 
 
 def _poly_json(*terms):

@@ -225,7 +225,12 @@ class TestDicriticalCensus:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            dicritical_count(lins_neto(0), budget_seconds=0)
+            dicritical_count(lins_neto(0), budget_seconds=1e-9)
+
+    @pytest.mark.parametrize("budget", [float("nan"), 0, -1])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError):
+            dicritical_count(lins_neto(0), budget_seconds=budget)
 
     def test_deep_walk_needs_exact_coordinates(self):
         F = make_foliation(pp("y^2"), pp("x^3 - 2"))

@@ -1,6 +1,7 @@
 """Every module-level function and class of the package is either used inside
 the package or exported through `planefol.__all__`, every private
 module-level constant (`_NAME = ...`) is used inside the package, every
+private method of a module-level class is used outside its own body, every
 name a module of the package or of the tests imports is used in that module,
 every parameter of a module-level function or method is read in its body,
 and every defaulted parameter of an unexported module-level function is set
@@ -13,6 +14,7 @@ still reported.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import planefol
@@ -55,6 +57,33 @@ def test_every_helper_is_used_or_exported():
         and not any(name in names for key, names in uses.items() if key != (module, i))
     )
     assert dead == []
+
+
+def test_every_private_method_is_used():
+    # a private method (`_name`, not a dunder) of a module-level class counts
+    # as used when its name appears anywhere in the package outside its own
+    # body; a call from a sibling method is a use
+    everywhere = Counter()
+    methods = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        everywhere += _names_in(tree)
+        methods += [(f"{path.stem}.{stmt.name}.{item.name}", item)
+                    for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+                    for item in stmt.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name.startswith("_") and not item.name.startswith("__")]
+    assert methods
+    dead = [name for name, fn in methods
+            if everywhere[fn.name] - _names_in(fn)[fn.name] == 0]
+    assert dead == []
+
+
+def _names_in(tree):
+    """How often each name appears as a name or an attribute in `tree`."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
 
 
 def test_every_import_is_used():

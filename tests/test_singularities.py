@@ -183,6 +183,18 @@ def test_milnor_quadext_point():
     assert milnor_number(F, (-r2, Fraction(0))) == 1
 
 
+@pytest.mark.parametrize("P, Q, point", [
+    ("x^2", "y", (5, 7)),
+    ("x^3", "y^2 + x^17", (0, 0)),
+    ("(x-3)^2", "y + 1", (3, -1)),
+    ("x^2 - 2", "y", (QuadExt(0, 1, 2), Fraction(0))),
+    ("x^2 - 2", "y", (QuadExt(0, -1, 2), Fraction(0))),
+])
+def test_milnor_number_reads_a_foliation_and_its_pair_alike(P, Q, point):
+    F = fol(P, Q)
+    assert milnor_number(F, point) == milnor_number((F.P, F.Q), point)
+
+
 def test_exact_coords_quadratic_cluster():
     F = fol("x^2 - 2", "y")
     cluster = [sp for sp in affine_singular_points(F) if sp.count == 2][0]
