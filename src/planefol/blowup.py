@@ -17,7 +17,7 @@ trees certify reducedness and nothing numeric can.
 
 from fractions import Fraction
 
-from .mpoly import MPoly, _shift_out, exact_div
+from .mpoly import MPoly, _shift_out, exact_div, poly_gcd
 from .numbers import QuadExt, quadratic_roots
 from .roots import rational_roots
 from .foliation import (
@@ -443,10 +443,14 @@ def z_index(field, branch, point):
     else Q. For a parametrization g of the branch, ord_t comp(g(t)) is the
     intersection number of branch and comp at the point (Fulton, Algebraic
     Curves, 3.3), which is the Milnor number of the pair (branch, comp).
+    A factor the two share away from the point (an invariant vertical line
+    divides P, a horizontal one Q) is a unit there and is divided out first;
+    one through the point is refused with ArithmeticError.
 
-    It is finite: by invariance P*branch_x + Q*branch_y = h*branch, so if P
-    vanished on a non-vertical branch, Q*branch_y would too, and Q with it,
-    a common factor of the coprime P and Q; a vertical branch swaps them.
+    It is finite: let B be the component of the branch through the point.
+    By invariance P*B_x + Q*B_y = h*B, so if P vanished on a non-vertical B,
+    Q*B_y would too, and Q with it, a common factor of the coprime P and Q;
+    a vertical B swaps them.
     """
     P, Q = field
     P, Q = P._pair(Q)
@@ -463,7 +467,11 @@ def z_index(field, branch, point):
         comp = Q
     else:
         raise ValueError("branch is singular at the point")
-    return milnor_number((branch, comp), point)
+    g = poly_gcd(branch, comp)
+    if g.eval_all(at) == 0:
+        raise ArithmeticError(f"branch and field component share the factor {g} "
+                              "through the point")
+    return milnor_number((exact_div(branch, g), exact_div(comp, g)), point)
 
 
 # -- total vanishing order along an invariant curve -----------------------------------

@@ -410,9 +410,19 @@ def test_z_index_rejects_bad_branches():
 
 def test_z_index_refuses_a_branch_inside_the_component():
     # y = 0 is invariant for the non-coprime (x*y, y) and lies in {x*y = 0},
-    # so the pair (y, x*y) meets along a whole line and its resultant vanishes
-    with pytest.raises(ArithmeticError, match="resultant vanished"):
+    # so the pair (y, x*y) shares the factor y through the origin
+    with pytest.raises(ArithmeticError, match="share the factor y through"):
         z_index((pp("x*y"), pp("y")), pp("y"), O)
+
+
+def test_z_index_divides_out_a_factor_away_from_the_point():
+    # the invariant line x = 1 divides P, so the reducible branch y*(x - 1),
+    # smooth at the origin, shares it with P; it is a unit at the origin
+    field = (pp("x*(x - 1)"), pp("-y"))
+    assert z_index(field, pp("y*(x - 1)"), O) == 1
+    # on the vertical component the component is Q = -y, sharing y with the
+    # branch; the field is regular at (1, 1/2)
+    assert z_index(field, pp("y*(x - 1)"), (Fraction(1), Fraction(1, 2))) == 0
 
 
 # The reference value of z_index: the matching field component restricted to
@@ -481,10 +491,12 @@ def series_z_index(field, branch, point):
 
 @st.composite
 def _planted_line_fields(draw):
-    """((P, Q), point) with y = 0 invariant (y divides Q) and P(x, 0) carrying
-    a planted factor (x - c)**k for the rational point (c, 0), or (x^2 - 2)**k
-    for one of (+-sqrt 2, 0); k = 0 leaves the point regular unless the
-    cofactor vanishes there, and a zero cofactor puts y = 0 inside {P = 0}."""
+    """((P, Q), branch, point) with y = 0 invariant (y divides Q) and P(x, 0)
+    carrying a planted factor (x - c)**k for the rational point (c, 0), or
+    (x^2 - 2)**k for one of (+-sqrt 2, 0); k = 0 leaves the point regular
+    unless the cofactor vanishes there, and a zero cofactor puts y = 0 inside
+    {P = 0}.  The branch is y, or the reducible y*(x - d) for a rational
+    d != c, with x - d planted in P so that the line x = d is invariant."""
     coef = st.integers(min_value=-3, max_value=3)
 
     def poly(degree):
@@ -502,20 +514,25 @@ def _planted_line_fields(draw):
     cofactor = MPoly(V, {(i, 0): draw(coef) for i in range(3)})
     P = planted ** k * cofactor + yv * poly(1)
     Q = yv * poly(1)
-    return (P, Q), (root, Fraction(0))
+    branch = yv
+    if draw(st.booleans()):
+        d = draw(st.integers(-2, 2).filter(lambda d: d != root))
+        P = P * (xv - d)
+        branch = yv * (xv - d)
+    return (P, Q), branch, (root, Fraction(0))
 
 
 @given(_planted_line_fields())
 @settings(max_examples=80, deadline=None)
 def test_z_index_matches_the_series_restriction(case):
-    field, point = case
+    field, branch, point = case
     try:
-        expected = series_z_index(field, pp("y"), point)
+        expected = series_z_index(field, branch, point)
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
-            z_index(field, pp("y"), point)
+            z_index(field, branch, point)
         return
-    assert z_index(field, pp("y"), point) == expected
+    assert z_index(field, branch, point) == expected
 
 
 def test_total_z_line_for_linear_saddle():

@@ -262,6 +262,14 @@ class TestIndexAndInvariance:
                              "--curve", c, "--point", "0,0")
         assert code == 0 and data["z_index"] == 1
 
+    def test_z_index_on_a_reducible_curve(self, capsys, tmp_path):
+        # the curve's factor x - 1 also divides P but misses the point
+        f = write(tmp_path, "f.json", {"vars": ["x", "y"], "P": "x^2 - x", "Q": "-y"})
+        c = write(tmp_path, "c.json", {"f": "x*y - y"})
+        code, out, _ = run(capsys, "index", "--foliation", f,
+                           "--curve", c, "--point", "0,0")
+        assert (code, out) == (0, "z-index 1\n")
+
     def test_total_z(self, capsys, saddle, tmp_path):
         c = write(tmp_path, "axis.json", {"f": "y"})
         code, data, _ = jrun(capsys, "index", "--foliation", saddle,
