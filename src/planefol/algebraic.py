@@ -202,13 +202,3 @@ def _eval_on_cluster(E, f, xt, yt, x, y):
     f3 = f.with_vars(vars3)
     Ex = _horner_mod(E.with_vars(vars3), x, xt.with_vars(vars3), f3, tau)
     return _horner_mod(Ex, y, yt.with_vars(vars3), f3, tau).with_vars((tau,))
-
-
-def _xy_parts(p, tau):
-    """p split into its (x, y)-homogeneous layers, tau left alone."""
-    ti = p.vars.index(tau)
-    layers = {}
-    for e, cval in p.terms.items():
-        d = sum(v for i, v in enumerate(e) if i != ti)
-        layers.setdefault(d, {})[e] = cval
-    return {d: MPoly(p.vars, terms) for d, terms in layers.items()}

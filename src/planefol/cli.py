@@ -257,9 +257,6 @@ def _cmd_reduce(args, safe=False):
             report["partial"] = e.partial.to_json()
         _emit(report, args, lambda r: [f"unfinished: {r['error']}"])
         return EXIT_UNDETERMINED
-    except BlowupUnavailableError as e:
-        _emit({"error": str(e)}, args, lambda r: [f"unavailable: {r['error']}"])
-        return EXIT_UNDETERMINED
     report = tree.to_json()
     report["blowups"] = tree.blowup_count()
     _emit(report, args,
@@ -282,9 +279,6 @@ def _cmd_index(args):
         return EXIT_OK
     try:
         z, records = total_z(F, C.f)
-    except (BlowupUnavailableError, ExactnessError) as e:
-        _emit({"error": str(e)}, args, lambda r: [f"unavailable: {r['error']}"])
-        return EXIT_UNDETERMINED
     except ValueError as e:
         raise InputError(str(e)) from e
     report = {

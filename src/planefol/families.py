@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .algebraic import _lowest_layer, _resolve_clusters, _translated, _xy_parts, mod_reduce
+from .algebraic import _lowest_layer, _resolve_clusters, _translated, mod_reduce
 from .blowup import BlowupUnavailableError, reduce_local_field
 from .curves import PlaneCurve
 from .foliation import Foliation
@@ -230,8 +230,8 @@ def _census(field, chart, f, xt, yt, deadline):
     if nu == 0:
         raise ArithmeticError("census reached a regular point")
 
-    zero3 = MPoly.zero(vars3)
-    Pnu, Qnu = (_xy_parts(p, tau).get(nu, zero3) for p in (PT, QT))
+    Pnu, Qnu = (MPoly(vars3, {e: c for e, c in p.terms.items() if e[0] + e[1] == nu})
+                for p in (PT, QT))
     T = mod_reduce(
         MPoly.variable(x, vars3) * Qnu - MPoly.variable(y, vars3) * Pnu, f, tau
     )

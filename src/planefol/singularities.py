@@ -24,7 +24,6 @@ from .algebraic import (
     _resolve_clusters,
     _translated,
     _vanishes,
-    _xy_parts,
     invert_mod,
     mod_reduce,
 )
@@ -153,37 +152,29 @@ class SingularPoint:
 
 
 def _milnor_once(field, f, xt, yt):
-    """Milnor number of field at the cluster point, uniform or SplitNeeded."""
-    tau = f.vars[0]
-    P, _ = field
-    x, y = P.vars
-    Ploc, Qloc = _translated(field, f, xt, yt)
-    if Ploc.is_zero() or Qloc.is_zero():
-        raise ArithmeticError("translated component vanished; field was degenerate")
+    """Milnor number of field at the cluster point, uniform or SplitNeeded.
 
-    tops = [max(_xy_parts(p, tau).items())[1] for p in (Ploc, Qloc)]
-    for t in _SHEARS:
-        # the test of `_shear_candidates`: the top (x, y)-layer of each
-        # unsheared component at (t, 1) is the y-leading coefficient of its
-        # shear, and must not vanish, or a common zero at infinity on the
-        # line x = 0 enters ord_x Res_y
-        at = {x: Fraction(t), y: Fraction(1)}
-        if any(_vanishes(top.subs(at).with_vars((tau,)), f) for top in tops):
-            continue
-        if t == 0:
-            Pt, Qt = Ploc, Qloc
-        else:
-            sx = MPoly.variable(x, Ploc.vars) + MPoly.variable(y, Ploc.vars) * Fraction(t)
-            f3 = f.with_vars(Ploc.vars)
-            Pt = _horner_mod(Ploc, x, sx, f3, tau)
-            Qt = _horner_mod(Qloc, x, sx, f3, tau)
+    Each shear of `_shear_candidates` is moved to the sheared point
+    (xt - t*yt, yt): P_t there is P(x + t*y + xt, y + yt), the translated
+    field sheared."""
+    tau = f.vars[0]
+    P, Q = field
+    x, y = P.vars
+    if P.is_zero() or Q.is_zero():
+        raise ArithmeticError("field component vanished; field was degenerate")
+    for t, Pt, Qt in _shear_candidates(field):
+        Pt, Qt = _translated((Pt, Qt), f, xt - yt * Fraction(t), yt)
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = mod_reduce(resultant(Pt, Qt, y), f, tau)
         # R is free of y, so its (x, y)-layers are its powers of x
         mu = _lowest_layer([R], f)
         if mu is None:
-            raise ArithmeticError("resultant vanished despite the certificates")
+            # the shear keeps both y-leading coefficients nonzero constants,
+            # so R vanishes only when P and Q share a factor
+            raise ArithmeticError(
+                "resultant vanished: the components share a factor; "
+                "milnor_number needs a coprime pair")
         return mu
     raise DecompositionError("no shear separated the point from the rest of its fiber")
 
@@ -192,7 +183,7 @@ def _axis_certificate(Pt, Qt, f, tau, x, y):
     """True when, at every root, the only common zero of (Pt, Qt) on the line
     x = 0 is the origin. Splits the cluster on a mixed answer.
 
-    The shear test of `_milnor_once` keeps the y-leading coefficients of Pt
+    The shear test of `_shear_candidates` keeps the y-leading coefficients of Pt
     and Qt nonzero at every root, so A = Pt(0, y) and B = Qt(0, y) are too,
     and each has an order in y."""
     A = mod_reduce(Pt.coeff_in(x, 0).with_vars((y, tau)), f, tau)
@@ -267,15 +258,16 @@ def _fiber_rule(fibers, fi, tau, y):
 
 def _shear_candidates(F):
     """(t, P_t, Q_t) for each shear of `_SHEARS` whose top parts do not
-    vanish at (t, 1), in order, computed only as they are drawn.
+    vanish at (t, 1), in order, computed only as they are drawn; F is a
+    Foliation or a (P, Q) pair.
 
     P_t = P(x + t*y, y). The y-leading coefficients of P_t and Q_t are then
     nonzero constants, so R_t = Res_y(P_t, Q_t) has degree at most
     deg P * deg Q, and its squarefree degree counts the distinct values of
     x + t*y on the affine singular points.
     """
-    x, y = F.vars
     P, Q = F
+    x, y = P.vars
     Ptop, Qtop = P.top_part(), Q.top_part()
     for t in _SHEARS:
         tq = Fraction(t)
@@ -286,7 +278,7 @@ def _shear_candidates(F):
         if t == 0:
             yield t, P, Q
         else:
-            sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * tq
+            sx = MPoly.variable(x, P.vars) + MPoly.variable(y, P.vars) * tq
             yield t, P.subs({x: sx}), Q.subs({x: sx})
 
 

@@ -254,6 +254,24 @@ class TestRefusals:
         assert (code, out) == (3, "undetermined: forced failure\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, P, Q", [
+        ("reduce", "(x^3 - 2)^2", "y^2"),
+        ("index", "x^3 - 2", "y"),
+    ])
+    def test_unavailable_blowup_is_one_undetermined_line(self, capsys, tmp_path,
+                                                         command, P, Q):
+        # the three real points x^3 = 2 form one cluster of degree 3, which
+        # has no exact coordinates to blow up at
+        f = write(tmp_path, "f.json", {"vars": ["x", "y"], "P": P, "Q": Q})
+        argv = [command, "--foliation", f]
+        if command == "index":
+            argv += ["--curve", write(tmp_path, "axis.json", {"f": "y"})]
+        error = "exact blow-up unavailable: no exact coordinates for a degree-3 cluster"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, f"undetermined: {error}\n")
+        assert "Traceback" not in err
+        assert jrun(capsys, *argv)[:2] == (3, {"error": error})
+
 
 class TestIndexAndInvariance:
     def test_z_index_at_point(self, capsys, saddle, tmp_path):

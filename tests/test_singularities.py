@@ -195,6 +195,14 @@ def test_milnor_number_reads_a_foliation_and_its_pair_alike(P, Q, point):
     assert milnor_number(F, point) == milnor_number((F.P, F.Q), point)
 
 
+def test_milnor_number_refuses_a_pair_with_a_common_factor():
+    # the axis certificate accepts (y, x*y) at the origin (A1 = 1), and the
+    # resultant then vanishes because y divides both components
+    y = MPoly.variable("y", V)
+    with pytest.raises(ArithmeticError, match="share a factor.*coprime pair"):
+        milnor_number((y, MPoly.variable("x", V) * y), (0, 0))
+
+
 def test_exact_coords_quadratic_cluster():
     F = fol("x^2 - 2", "y")
     cluster = [sp for sp in affine_singular_points(F) if sp.count == 2][0]
@@ -575,6 +583,22 @@ def test_shear_choice_matches_exhaustive_loop(F):
     # rejected and skipped there
     assert (_cluster_rows(affine_singular_points(F))
             == _cluster_rows(_affine_singular_points_reference(F)))
+
+
+@given(st.one_of(grid_field(), _dense_field(), _degenerate_cubic()))
+@settings(max_examples=40, deadline=None)
+# points (+-sqrt 2, 0) with mu 1 and (+-sqrt 2, 1) with mu 2: shear 0 fails
+# the axis certificate at each, since two points share every vertical line
+@example(fol("x^2 - 2 + y^2*(y - 1)", "y*(y - 1)^2"))
+@example(fol("(x^2 - 2)^2", "y^2"))
+def test_local_milnor_number_matches_the_global_multiplicity(F):
+    # two independent algorithms: the Yun multiplicity of R_t over all affine
+    # points, and the local one at each exact point (translation, shear and
+    # axis certificate)
+    for sp in affine_singular_points(F):
+        if sp.count <= 2:
+            for pt in sp.exact_coords():
+                assert milnor_number(F, pt) == sp.milnor
 
 
 @pytest.mark.parametrize("alpha", [0, 1])
