@@ -2,13 +2,17 @@
 
 Invariance with an exact cofactor certificate, extactic determinants as the
 rational-first-integral detector, and genus bookkeeping through projective
-singularity counting. Everything is exact; probabilistic evaluation is used
-only to certify that a determinant is NOT zero, never that it is.
+singularity counting. Everything is exact. Evaluation at a point certifies
+that an extactic is not zero, by a nonzero determinant there; it also
+certifies that one is zero, through the exact first-integral identity
+X(A)*B == A*X(B) between two leaves read from the kernel at two points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes, mod_reduce
 from .foliation import (
@@ -178,22 +182,118 @@ _PROBE_POINTS = (
 )
 
 
+def _walk_points():
+    """`_PROBE_POINTS`, then the integer points of the squares max(|x|, |y|)
+    = r for r = 0, 1, 2, ...: a nonzero polynomial is nonzero at one of them."""
+    yield from _PROBE_POINTS
+    for r in count():
+        for px in range(-r, r + 1):
+            for py in range(-r, r + 1):
+                if max(abs(px), abs(py)) == r:
+                    yield Fraction(px), Fraction(py)
+
+
+def _series_rows(F, m, point):
+    """Rows 0..max(N - 1, m^2) of the order-m extactic matrix at a point,
+    N = (m+1)(m+2)/2, read from the trajectory series of x' = P, y' = Q
+    through it: row k holds X^k(x^i y^j) there, which is k! times the t^k
+    coefficient of x(t)^i y(t)^j. The series of every monomial up to the
+    degree of the field and m is built one order at a time, so the t^k
+    coefficient of P(x(t), y(t)) gives the t^(k+1) coefficient of x(t)."""
+    P, Q = F
+    exps = _monomial_exponents(m)
+    last = max(len(exps) - 1, m * m)
+    xs, ys = [point[0]], [point[1]]
+    series = {e: [] for e in _monomial_exponents(max(P.total_degree(), Q.total_degree(), m))}
+    for k in range(last + 1):
+        for (i, j), s in series.items():
+            if i:
+                base, factor = series[i - 1, j], xs
+            elif j:
+                base, factor = series[i, j - 1], ys
+            else:
+                s.append(Fraction(1 if k == 0 else 0))
+                continue
+            s.append(sum(factor[l] * base[k - l] for l in range(k + 1)))
+        if k < last:
+            xs.append(sum((c * series[e][k] for e, c in P.terms.items()), Fraction(0)) / (k + 1))
+            ys.append(sum((c * series[e][k] for e, c in Q.terms.items()), Fraction(0)) / (k + 1))
+    return [[factorial(k) * series[e][k] for e in exps] for k in range(last + 1)]
+
+
+def _kernel(rows):
+    """A basis of the rational kernel of a matrix, by Gauss-Jordan elimination."""
+    rows = [list(row) for row in rows]
+    n = len(rows[0])
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [v / lead for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
 def _extactic_vanishes(F, m):
+    """Is E_m identically zero? Every lower extactic must be known nonzero.
+
+    A nonzero determinant of the first N series rows at a point proves
+    E_m != 0. Otherwise a one-dimensional kernel of all the rows is a
+    polynomial of degree <= m through the point, kept as a leaf; two leaves
+    A, B with A/B a nonconstant first integral (`first_integral_check`)
+    prove E_m == 0. The walk ends: a nonzero E_m is nonzero somewhere on
+    `_walk_points`, and when E_m == 0 while every lower extactic is nonzero,
+    the least first integral has degree m, so off its finitely many special
+    leaves the kernel is the leaf through the point (the rows up to m^2
+    force it, by Bezout). For a larger m the kernel would hold the leaf
+    times every polynomial of degree up to the difference, and the walk
+    would not end; `first_integral_degree` asks the orders in turn.
+    """
     diag = _diagonal_coefficients(F)
     if diag is not None:
         return _eigen_extactic(F, m, *diag).is_zero()
-    M = _extactic_matrix(F, m)
-    x, y = F.vars
-    for px, py in _PROBE_POINTS:
-        at = {x: px, y: py}
-        rows = [[e.eval_all(at) for e in row] for row in M]
-        if bareiss_det(rows) != 0:
+    exps = _monomial_exponents(m)
+    leaves = []
+    for point in _walk_points():
+        rows = _series_rows(F, m, point)
+        if bareiss_det(rows[:len(exps)]) != 0:
             return False
-    return bareiss_det(M).is_zero()
+        kernel = _kernel(rows)
+        if len(kernel) != 1:
+            continue
+        A = MPoly(F.vars, dict(zip(exps, kernel[0])))
+        if any(first_integral_check(F, A, B) for B in leaves):
+            return True
+        leaves.append(A)
 
 
 def first_integral_degree(F, max_m):
-    """Smallest m <= max_m whose extactic vanishes identically, else None."""
+    """Smallest m <= max_m whose extactic vanishes identically, else None.
+
+    That m is the least degree of a rational first integral (J. V. Pereira,
+    "Vector fields, invariant varieties and linear systems", Ann. Inst.
+    Fourier 51, 2001). Each answer is certified without expanding E_m: "not
+    m" by a nonzero determinant of the extactic rows at a point, "m" by two
+    leaves A, B of degree <= m, read from the kernel of those rows at two
+    points, with X(A)*B == A*X(B) exactly and A/B nonconstant. Then A/B is a
+    rational first integral of degree <= m, so E_m vanishes: the easy
+    direction of the theorem.
+    """
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     for m in range(1, max_m + 1):
@@ -203,11 +303,19 @@ def first_integral_degree(F, max_m):
 
 
 def first_integral_check(F, numerator, denominator):
-    """Does X annihilate numerator/denominator? Exact cross-derivative test."""
+    """Is numerator/denominator a nonconstant rational first integral of X?
+
+    The exact cross-derivative test X(num)*den == num*X(den). A constant
+    ratio, a zero numerator or one proportional to the denominator, is not a
+    first integral: X annihilates it whatever X is, so the answer is False.
+    """
     num = _aligned(numerator, F.vars)
     den = _aligned(denominator, F.vars)
     if den.is_zero():
         raise ValueError("denominator is zero")
+    e = next(iter(den.terms))
+    if (num * den.terms[e] - den * num.terms.get(e, 0)).is_zero():
+        return False
     return (_derivation(F, num) * den - num * _derivation(F, den)).is_zero()
 
 

@@ -44,10 +44,12 @@ def _workloads_module():
 WORKLOADS = _workloads_module()
 
 # Recorded as `ceiling` (508 s when the reference was made, so no seed draws
-# it), this task now finishes in about 10 s, and the benchmark's judge reads
-# the exit 0 of a command other than reduce or safe-resolve on a `ceiling`
-# record as wrong. It is held to the exit code and stdout digest it has given
-# since it stopped hanging, until the reference is re-recorded (ROADMAP item 7).
+# it), this task now finishes in a few hundredths of a second, since two
+# leaves of the cubic pencil certify E_3 == 0, and the benchmark's judge
+# reads the exit 0 of a command other than reduce or safe-resolve on a
+# `ceiling` record as wrong. It is held to the exit code and stdout digest it
+# has given since it stopped hanging, until the reference is re-recorded
+# (ROADMAP item 1).
 FINISHED_SINCE_RECORDED = {
     "lins(1)/first-integral--max-m3":
         (0, "74d5c9f821a278cd5930912c83098fd565282a996f218e935bde01bc3fbc4e69"),

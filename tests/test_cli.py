@@ -352,6 +352,13 @@ class TestCurveCommands:
                              "--max-m", "3")
         assert code == 0 and data["first_integral_degree"] is None
 
+    def test_first_integral_of_lins_neto_one(self, capsys, tmp_path, wall_clock_ceiling):
+        # two leaves of the cubic pencil certify E_3 == 0 without expanding it
+        f = write(tmp_path, "lins.json", {"P": "(x^3 - 1)*(x - y^2)", "Q": "(y^3 - 1)*(y - x^2)"})
+        with wall_clock_ceiling(10):
+            code, data, _ = jrun(capsys, "first-integral", "--foliation", f, "--max-m", "3")
+        assert code == 0 and data == {"first_integral_degree": 3, "max_m": 3}
+
     def test_genus_smooth_quartic(self, capsys, tmp_path):
         c = write(tmp_path, "q.json", {"f": "x^4 + y^4 - 1"})
         code, data, _ = jrun(capsys, "genus", "--curve", c)

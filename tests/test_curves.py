@@ -19,7 +19,7 @@ from planefol.curves import (
     is_invariant,
     _extactic_matrix,
 )
-from planefol.families import linear_family
+from planefol.families import linear_family, lins_neto
 from planefol.foliation import _fresh_name, make_foliation
 from planefol.mpoly import (
     MPoly,
@@ -165,6 +165,150 @@ def test_first_integral_check_values():
     assert not first_integral_check(fol("x", "2*y"), pp("y"), pp("x"))
     with pytest.raises(ValueError):
         first_integral_check(fol("x", "y"), pp("y"), pp("0"))
+
+
+def test_first_integral_check_refuses_a_constant_ratio():
+    # X annihilates every constant, so a constant ratio certifies nothing:
+    # this field has no rational first integral of degree <= 3
+    F = fol("x", "4*y - 2*x^2")
+    assert first_integral_degree(F, 3) is None
+    for num, den in (("y", "2*y"), ("3", "1"), ("0", "1")):
+        assert not first_integral_check(F, pp(num), pp(den)), (num, den)
+
+
+# -- extactic rows from the trajectory series ----------------------------------------
+
+
+def _evaluated_matrix(F, m, point):
+    at = dict(zip(F.vars, point))
+    return [[e.eval_all(at) for e in row] for row in _extactic_matrix(F, m)]
+
+
+@st.composite
+def _series_fields(draw):
+    """A dense field of degree <= 4 with small integer coefficients, or a
+    Lins Neto field lins_neto(a) of degree 4."""
+    if draw(st.booleans()):
+        a = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        return lins_neto(a)
+    d = draw(st.integers(1, 4))
+    coef = st.integers(min_value=-3, max_value=3)
+    P, Q = (MPoly(V, {(i, j): draw(coef) for i in range(d + 1) for j in range(d + 1 - i)})
+            for _ in range(2))
+    assume(not (P.is_zero() and Q.is_zero()))
+    return make_foliation(P, Q)
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=_series_fields(), m=st.integers(1, 3), point=st.tuples(_rationals, _rationals))
+def test_series_rows_are_the_extactic_matrix_at_the_point(F, m, point):
+    # for m <= 3 the series runs to order N - 1 >= m^2, so the rows are
+    # exactly those of the N x N matrix
+    assert curves._series_rows(F, m, point) == _evaluated_matrix(F, m, point)
+
+
+def test_series_rows_at_a_singular_point_and_on_an_invariant_line():
+    F = lins_neto(1)
+    # (1, 1) is singular: the trajectory is constant, so only row 0 survives
+    rows = curves._series_rows(F, 3, (Fraction(1), Fraction(1)))
+    assert rows == _evaluated_matrix(F, 3, (Fraction(1), Fraction(1)))
+    assert all(v == 0 for row in rows[1:] for v in row)
+    assert len(curves._kernel(rows)) == 9
+    # (1, 2) lies on the invariant line x = 1, whose coefficient vector is
+    # killed by every row
+    point = (Fraction(1), Fraction(2))
+    rows = curves._series_rows(F, 2, point)
+    assert rows == _evaluated_matrix(F, 2, point)
+    line = [{(0, 0): -1, (1, 0): 1}.get(e, 0) for e in curves._monomial_exponents(2)]
+    assert all(sum(a * b for a, b in zip(row, line)) == 0 for row in rows)
+    assert bareiss_det(rows) == 0
+
+
+def test_kernel_is_the_rational_nullspace():
+    rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
+    basis = curves._kernel(rows)
+    assert len(basis) == 2
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in basis)
+    assert curves._kernel([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(5)]]) == []
+
+
+# -- planted first integrals --------------------------------------------------------
+
+
+@st.composite
+def _hamiltonians(draw):
+    """A polynomial H of degree 2 or 3 with small integer coefficients."""
+    d = draw(st.integers(2, 3))
+    coef = st.integers(min_value=-3, max_value=3)
+    H = MPoly(V, {(i, j): draw(coef) for i in range(d + 1) for j in range(d + 1 - i)})
+    assume(H.total_degree() == d)
+    return H
+
+
+@settings(max_examples=30, deadline=None)
+@given(H=_hamiltonians())
+def test_planted_hamiltonian_integral_has_the_degree_of_H(H):
+    # H is a first integral of -H_y d/dx + H_x d/dy; a lower-degree one
+    # exists only when H is a polynomial in one linear form, that is when
+    # H_x and H_y are proportional and the field divides down to a constant
+    F = make_foliation(-H.diff("y"), H.diff("x"))
+    assume(F.degree() > 0)
+    d = H.total_degree()
+    assert first_integral_degree(F, d) == d
+    if d == 2:
+        assert next(m for m in (1, 2) if extactic(F, m).is_zero()) == d
+
+
+def test_planted_cubic_integral_against_the_determinant():
+    # H = x^3 + y^3 - 3xy; the probe (1/2, -3/2) lies on the reducible leaf
+    # H = -1, a line times a conic, where the kernel has dimension 6
+    H = pp("x^3 + y^3 - 3*x*y")
+    F = make_foliation(-H.diff("y"), H.diff("x"))
+    assert first_integral_degree(F, 3) == 3
+    assert not extactic(F, 2).is_zero() and extactic(F, 3).is_zero()
+    assert len(curves._kernel(curves._series_rows(F, 3, curves._PROBE_POINTS[2]))) == 6
+
+
+def test_planted_quartic_integral_uses_rows_up_to_m_squared(wall_clock_ceiling):
+    # Bezout forces the kernel to the quartic leaf only from contact order
+    # m^2 + 1 = 17 on, two more than the N = 15 rows give, so the series
+    # runs to order m^2 = 16
+    H = pp("x^4 + y^4 - x*y + 2*x")
+    F = make_foliation(-H.diff("y"), H.diff("x"))
+    assert len(curves._series_rows(F, 4, curves._PROBE_POINTS[0])) == 17
+    with wall_clock_ceiling(10):
+        assert first_integral_degree(F, 4) == 4
+
+
+def test_first_integral_walk_passes_a_singular_first_probe(wall_clock_ceiling):
+    # (2, 3), the first probe, is the only singular point: every kernel there
+    # has dimension N - 1, and the walk moves on
+    with wall_clock_ceiling(10):
+        assert first_integral_degree(fol("x - 2", "y - 3"), 3) == 1
+
+
+def test_lins_neto_one_has_a_cubic_first_integral(wall_clock_ceiling):
+    with wall_clock_ceiling(10):
+        assert first_integral_degree(lins_neto(1), 3) == 3
+
+
+def test_first_integral_degree_expands_no_polynomial_determinant(monkeypatch):
+    def scalar_det(rows):
+        if any(isinstance(v, MPoly) for row in rows for v in row):
+            pytest.fail("polynomial determinant expanded")
+        return bareiss_det(rows)
+
+    def no_matrix(F, m):
+        pytest.fail("polynomial extactic matrix built")
+
+    monkeypatch.setattr(curves, "bareiss_det", scalar_det)
+    monkeypatch.setattr(curves, "_extactic_matrix", no_matrix)
+    assert first_integral_degree(fol("3*x - 3*y^2", "3*x^2 - 3*y"), 4) == 3
+    assert first_integral_degree(lins_neto(1), 3) == 3
+    assert first_integral_degree(fol("x", "4*y - 2*x^2"), 3) is None
 
 
 @settings(max_examples=30, deadline=None)
