@@ -163,21 +163,29 @@ def _resolve_clusters(f, xt, yt, job):
     return out
 
 
-# -- substitution on a cluster -------------------------------------------------------
+# -- substitution, on a cluster and off it -------------------------------------------
 
 
 def _horner_mod(p, v, img, f, tau):
-    """`mod_reduce(p.subs({v: img}), f, tau)`, by Horner in v with a reduction
-    mod f after every product, so no power of img is expanded past tau-degree
-    deg f. p, img and f are over the same variables; img may hold v itself
-    (x -> x + xt(tau)), since the coefficients of p in v do not."""
+    """p with img put in for v, by Horner in v: the package's one
+    substitution, behind point shifts, shears and cluster translations.
+
+    With a modulus f (univariate in tau) the result is reduced mod f after
+    every product, so no power of img is expanded past tau-degree deg f;
+    with f None nothing is reduced. p, img and f are over the same
+    variables; img may hold v itself (x -> x + xt(tau), x -> x + t*y), since
+    the coefficients of p in v do not."""
     coeffs = p.as_univar(v)
     if not coeffs:
         return p
+
+    def reduced(q):
+        return q if f is None else mod_reduce(q, f, tau)
+
     q = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        q = mod_reduce(q * img, f, tau) + c
-    return mod_reduce(q, f, tau)
+        q = reduced(q * img) + c
+    return reduced(q)
 
 
 def _translated(field, f, xt, yt):

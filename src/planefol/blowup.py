@@ -18,7 +18,7 @@ trees certify reducedness and nothing numeric can.
 from fractions import Fraction
 
 from .mpoly import MPoly, _shift_out, exact_div, poly_gcd
-from .numbers import QuadExt, quadratic_roots
+from .numbers import quadratic_roots
 from .roots import rational_roots
 from .foliation import (
     _aligned,
@@ -38,7 +38,7 @@ from .singularities import (
     milnor_number,
     singular_points,
 )
-from .algebraic import _eval_on_cluster, _resolve_clusters, _vanishes
+from .algebraic import _eval_on_cluster, _horner_mod, _resolve_clusters, _vanishes
 
 
 class BlowupUnavailableError(Exception):
@@ -57,18 +57,19 @@ class ResolutionError(Exception):
 
 
 def _shift(p, a, b):
-    """p(x + a, y + b) for exact scalars a, b."""
-    x, y = p.vars
-    sx = MPoly.variable(x, p.vars) + MPoly.const(p.vars, a)
-    sy = MPoly.variable(y, p.vars) + MPoly.const(p.vars, b)
-    return p.subs({x: sx, y: sy})
+    """p(x + a, y + b) for exact scalars a, b, one Horner pass per nonzero
+    coordinate (most blown points are the origin)."""
+    for v, c in zip(p.vars, (a, b)):
+        if c:
+            p = _horner_mod(p, v, MPoly.variable(v, p.vars) + c, None, None)
+    return p
 
 
 def _chart_maps(p):
-    """p(x, x*y) and p(x*y, y): p read in the two charts of a blow-up."""
-    x, y = p.vars
-    xy = MPoly.variable(x, p.vars) * MPoly.variable(y, p.vars)
-    return p.subs({y: xy}), p.subs({x: xy})
+    """p(x, x*y) and p(x*y, y), p read in the two charts of a blow-up, as
+    exponent maps: x^i y^j goes to x^(i+j) y^j and to x^i y^(i+j)."""
+    return (MPoly(p.vars, {(i + j, j): c for (i, j), c in p.terms.items()}),
+            MPoly(p.vars, {(i, i + j): c for (i, j), c in p.terms.items()}))
 
 
 def _ord(p, var):
@@ -259,14 +260,8 @@ class ResolutionTree:
         )
 
 
-def _scalar_json(v):
-    if isinstance(v, QuadExt):
-        return repr(v)
-    return str(Fraction(v))
-
-
 def _point_json(pt):
-    return [_scalar_json(pt[0]), _scalar_json(pt[1])]
+    return [str(pt[0]), str(pt[1])]
 
 
 def _cluster_json(sub):

@@ -183,22 +183,21 @@ def power_pullback(F, r):
     """Pullback of F under (x, y) -> (x^r, y^r), common factors removed.
 
     The affine field is (y^(r-1) P(x^r, y^r), x^(r-1) Q(x^r, y^r)), read
-    off from the pullback of the dual 1-form P dy - Q dx.  The map ramifies
-    along xyz = 0; each of these lines that F leaves invariant divides the
-    pulled-back form by its (r-1)-th power, so for F of degree d with k
-    invariant lines among x = 0, y = 0, z = 0 the pullback has degree
-    r(d + 2) - 2 - (r - 1)k.
+    off from the pullback of the dual 1-form P dy - Q dx, and built as two
+    exponent maps: x^i y^j goes to x^(ri) y^(rj+r-1) in P and to
+    x^(ri+r-1) y^(rj) in Q.  The map ramifies along xyz = 0; each of these
+    lines that F leaves invariant divides the pulled-back form by its
+    (r-1)-th power, so for F of degree d with k invariant lines among
+    x = 0, y = 0, z = 0 the pullback has degree r(d + 2) - 2 - (r - 1)k.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
     if r == 1:
         return F
-    x, y = F.vars
-    xv = MPoly.variable(x, F.vars)
-    yv = MPoly.variable(y, F.vars)
-    Pr = F.P.subs({x: xv ** r, y: yv ** r})
-    Qr = F.Q.subs({x: xv ** r, y: yv ** r})
-    return Foliation(yv ** (r - 1) * Pr, xv ** (r - 1) * Qr)
+    s = r - 1
+    Pr = MPoly(F.vars, {(r * i, r * j + s): c for (i, j), c in F.P.terms.items()})
+    Qr = MPoly(F.vars, {(r * i + s, r * j): c for (i, j), c in F.Q.terms.items()})
+    return Foliation(Pr, Qr)
 
 
 # -- dicritical census --------------------------------------------------------------

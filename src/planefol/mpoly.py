@@ -329,50 +329,6 @@ class MPoly:
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
         return MPoly(self.vars, out)
 
-    def subs(self, mapping):
-        """Simultaneous substitution; images are MPoly or exact scalars.
-
-        Terms are grouped by their exponents in the substituted variables:
-        each image's powers are built once, each group is multiplied by its
-        product of powers once, and every product lands in one dict.
-        """
-        images = {}
-        union = list(self.vars)
-        for v, img in mapping.items():
-            if v not in self.vars:
-                continue
-            if isinstance(img, _SCALARS):
-                img = MPoly.const(self.vars, img)
-            images[v] = img
-            for w in img.vars:
-                if w not in union:
-                    union.append(w)
-        if not images:
-            return self
-        union = tuple(union)
-        subbed = [i for i, v in enumerate(self.vars) if v in images]
-        kept = [(i, union.index(v)) for i, v in enumerate(self.vars) if v not in images]
-        groups = {}
-        for e, c in self.terms.items():
-            rest = [0] * len(union)
-            for i, j in kept:
-                rest[j] = e[i]
-            groups.setdefault(tuple(e[i] for i in subbed), {})[tuple(rest)] = c
-        one = {(0,) * len(union): Fraction(1)}
-        powers = [[one, images[self.vars[i]].with_vars(union).terms] for i in subbed]
-        out = {}
-        for key, group in groups.items():
-            for cache, k in zip(powers, key):
-                if not k:
-                    continue
-                while len(cache) <= k:
-                    cache.append(_mul_terms(cache[-1], cache[1]))
-                group = _mul_terms(group, cache[k])
-            for e, c in group.items():
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MPoly(union, out)
-
     def eval_all(self, mapping):
         """Evaluate with a scalar for every occurring variable; returns a scalar."""
         result = _coef(0)

@@ -154,16 +154,18 @@ class SingularPoint:
 def _milnor_once(field, f, xt, yt):
     """Milnor number of field at the cluster point, uniform or SplitNeeded.
 
-    Each shear of `_shear_candidates` is moved to the sheared point
-    (xt - t*yt, yt): P_t there is P(x + t*y + xt, y + yt), the translated
-    field sheared."""
+    The field is translated to the cluster once; each shear t of
+    `_shear_candidates` then shears the translated pair, since
+    P(x + t*y + xt, y + yt) is P(x + xt, y + yt) sheared. The shear holds
+    no tau, so the sheared pair stays reduced mod f."""
     tau = f.vars[0]
     P, Q = field
     x, y = P.vars
     if P.is_zero() or Q.is_zero():
         raise ArithmeticError("field component vanished; field was degenerate")
-    for t, Pt, Qt in _shear_candidates(field):
-        Pt, Qt = _translated((Pt, Qt), f, xt - yt * Fraction(t), yt)
+    local = _translated(field, f, xt, yt)
+    for t in _shear_candidates(field):
+        Pt, Qt = _sheared(local, t)
         if not _axis_certificate(Pt, Qt, f, tau, x, y):
             continue
         R = mod_reduce(resultant(Pt, Qt, y), f, tau)
@@ -257,29 +259,31 @@ def _fiber_rule(fibers, fi, tau, y):
 
 
 def _shear_candidates(F):
-    """(t, P_t, Q_t) for each shear of `_SHEARS` whose top parts do not
-    vanish at (t, 1), in order, computed only as they are drawn; F is a
-    Foliation or a (P, Q) pair.
+    """Each shear t of `_SHEARS` at which the top parts of F do not vanish
+    at (t, 1), in order; F is a Foliation or a (P, Q) pair.
 
-    P_t = P(x + t*y, y). The y-leading coefficients of P_t and Q_t are then
-    nonzero constants, so R_t = Res_y(P_t, Q_t) has degree at most
-    deg P * deg Q, and its squarefree degree counts the distinct values of
-    x + t*y on the affine singular points.
+    For such t the y-leading coefficients of P_t = P(x + t*y, y) and Q_t
+    (`_sheared`) are nonzero constants, so R_t = Res_y(P_t, Q_t) has degree
+    at most deg P * deg Q, and its squarefree degree counts the distinct
+    values of x + t*y on the affine singular points.
     """
     P, Q = F
     x, y = P.vars
     Ptop, Qtop = P.top_part(), Q.top_part()
     for t in _SHEARS:
-        tq = Fraction(t)
-        if Ptop.eval_all({x: tq, y: Fraction(1)}) == 0:
-            continue
-        if Qtop.eval_all({x: tq, y: Fraction(1)}) == 0:
-            continue
-        if t == 0:
-            yield t, P, Q
-        else:
-            sx = MPoly.variable(x, P.vars) + MPoly.variable(y, P.vars) * tq
-            yield t, P.subs({x: sx}), Q.subs({x: sx})
+        at = {x: Fraction(t), y: Fraction(1)}
+        if Ptop.eval_all(at) != 0 and Qtop.eval_all(at) != 0:
+            yield t
+
+
+def _sheared(field, t):
+    """(P(x + t*y, y), Q(x + t*y, y)); x and y are the first two variables."""
+    P, Q = field
+    if t == 0:
+        return P, Q
+    x, y = P.vars[:2]
+    sx = MPoly.variable(x, P.vars) + MPoly.variable(y, P.vars) * Fraction(t)
+    return _horner_mod(P, x, sx, None, None), _horner_mod(Q, x, sx, None, None)
 
 
 def _exact_shear(F, Pt, Qt):
@@ -317,8 +321,8 @@ def affine_singular_points(F):
     if P.total_degree() <= 0 or Q.total_degree() <= 0:
         return []
     floor = -1
-    for t, Pt, Qt in _shear_candidates(F):
-        parts, chain, degree = _exact_shear(F, Pt, Qt)
+    for t in _shear_candidates(F):
+        parts, chain, degree = _exact_shear(F, *_sheared(F, t))
         if degree <= floor:
             continue
         if not parts:

@@ -1,10 +1,12 @@
 import contextlib
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from planefol.mpoly import MPoly
+from planefol.numbers import QuadExt
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +46,49 @@ def quadratic_fields(draw):
     else:
         Q = poly(2)
     return {"vars": ["x", "y"], "P": str(P), "Q": str(Q)}
+
+
+def subs_reference(p, mapping):
+    """Simultaneous substitution, term by term: the test oracle for the
+    package's Horner substitution and exponent maps. Images are MPoly or
+    exact scalars; the result is over p's variables followed by the images'
+    new ones. One MPoly product per term, from a cache of MPoly image
+    powers, summed one piece at a time."""
+    images = {}
+    union = list(p.vars)
+    for v, img in mapping.items():
+        if v not in p.vars:
+            continue
+        if isinstance(img, (int, Fraction, QuadExt)):
+            img = MPoly.const(p.vars, img)
+        images[v] = img
+        for w in img.vars:
+            if w not in union:
+                union.append(w)
+    if not images:
+        return p
+    union = tuple(union)
+    aligned = {v: img.with_vars(union) for v, img in images.items()}
+    powers = {v: [MPoly.const(union, 1), img] for v, img in aligned.items()}
+
+    def img_pow(v, k):
+        cache = powers[v]
+        while len(cache) <= k:
+            cache.append(cache[-1] * cache[1])
+        return cache[k]
+
+    result = MPoly.zero(union)
+    for e, c in p.terms.items():
+        piece = MPoly.const(union, c)
+        passthrough = [0] * len(union)
+        for v, power in zip(p.vars, e):
+            if power == 0:
+                continue
+            if v in aligned:
+                piece = piece * img_pow(v, power)
+            else:
+                passthrough[union.index(v)] = power
+        if any(passthrough):
+            piece = piece * MPoly.monomial(union, passthrough)
+        result = result + piece
+    return result

@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
+from conftest import subs_reference
+from hypothesis import given, settings, strategies as st
 
 from planefol.algebraic import (
     SplitNeeded,
     _first_nonzero,
+    _horner_mod,
     _resolve_clusters,
     _vanishes,
     invert_mod,
@@ -13,7 +17,8 @@ from planefol.algebraic import (
     zero_split,
 )
 from planefol.cli import main
-from planefol.mpoly import parse_poly
+from planefol.mpoly import MPoly, parse_poly, squarefree_part
+from planefol.numbers import QuadExt
 
 
 def test_mod_reduce():
@@ -60,6 +65,59 @@ def test_zero_split_cases():
     assert zero_split(parse_poly("x^2 + 5", vars=("x",)), f, "x") == ("none", None)
     assert zero_split(parse_poly("2*x - 2", vars=("x",)), f, "x") == (
         "split", parse_poly("x - 1", vars=("x",)))
+
+
+# -- the Horner substitution ---------------------------------------------------------
+
+V3 = ("x", "y", "t")
+
+
+@st.composite
+def _horner_steps(draw):
+    """(p, v, img, f): p over (x, y, t) with coefficients in Q or Q(sqrt 2),
+    an image of v of a kind the package substitutes, each holding v itself
+    (v + c with c in Q or Q(sqrt 2), v + xt(t), x + s*y, y -> x*y), and a
+    squarefree modulus f in t or None."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    quad = draw(st.booleans())
+
+    def scalar():
+        return QuadExt(draw(small), draw(small), 2) if quad else draw(small)
+
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+    p = MPoly(V3, {e: scalar() for e in draw(st.lists(exps, max_size=8))})
+    kind = draw(st.sampled_from(["scalar", "cluster", "shear", "chart"]))
+    v = "y" if kind == "chart" else draw(st.sampled_from(["x", "y"]))
+    var = MPoly.variable(v, V3)
+    if kind == "scalar":
+        img = var + scalar()
+    elif kind == "cluster":
+        img = var + MPoly(V3, {(0, 0, k): draw(small) for k in range(draw(st.integers(0, 3)))})
+    elif kind == "shear":
+        v, img = "x", MPoly.variable("x", V3) + MPoly.variable("y", V3) * draw(st.integers(-3, 3))
+    else:
+        img = MPoly.variable("x", V3) * var
+    f = None
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        f = squarefree_part(MPoly(("t",), {**{(k,): draw(small) for k in range(n)},
+                                           (n,): Fraction(1)})).with_vars(V3)
+    return p, v, img, f
+
+
+@given(_horner_steps())
+@settings(max_examples=150, deadline=None)
+def test_horner_step_matches_termwise_reference(case):
+    # with a modulus the step reduces mod f after every product; without one
+    # it is the plain substitution
+    p, v, img, f = case
+    ref = subs_reference(p, {v: img})
+    if f is None:
+        mine = _horner_mod(p, v, img, None, None)
+    else:
+        mine = _horner_mod(p, v, img, f, "t")
+        ref = mod_reduce(ref, f, "t")
+    assert mine.vars == ref.vars and mine.terms == ref.terms
 
 
 def test_first_nonzero_group_rule():

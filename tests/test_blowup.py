@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import quadratic_fields
+from conftest import quadratic_fields, subs_reference
 from hypothesis import assume, given, settings, strategies as st
 
 from planefol.blowup import (
     BlowupUnavailableError,
     ResolutionError,
+    _chart_maps,
+    _shift,
     blow_up,
     reduce_local_field,
     resolved_total_z,
@@ -184,8 +186,44 @@ def test_blow_up_quadratic_point():
     assert ell == 1 and dic is False
     # on the divisor the second chart-1 component vanishes only at y = 0
     x, y = c1[1].vars
-    rest = c1[1].subs({x: MPoly.zero(c1[1].vars)})
+    rest = subs_reference(c1[1], {x: MPoly.zero(c1[1].vars)})
     assert rest.eval_all({x: Fraction(0), y: Fraction(0)}) == 0
+
+
+@st.composite
+def _poly_and_point(draw):
+    """A polynomial over (x, y) of degree <= 4 with coefficients in Q or in
+    Q(sqrt 2), and a point whose coordinates are in the same field, each
+    zero a third of the time."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    quad = draw(st.booleans())
+
+    def scalar():
+        return QuadExt(draw(small), draw(small), 2) if quad else draw(small)
+
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= 4)
+    p = MPoly(V, {e: scalar() for e in draw(st.lists(exps, max_size=8))})
+    a, b = (draw(st.sampled_from([Fraction(0), scalar(), scalar()])) for _ in V)
+    return p, a, b
+
+
+@given(_poly_and_point())
+@settings(max_examples=100, deadline=None)
+def test_shift_and_chart_maps_match_the_termwise_reference(case):
+    # the shift is a Horner pass per nonzero coordinate, the charts are
+    # exponent maps; each equals the simultaneous substitution
+    p, a, b = case
+    x, y = (MPoly.variable(v, V) for v in V)
+    expected = [subs_reference(p, {"x": x + a, "y": y + b}),
+                subs_reference(p, {"y": x * y}), subs_reference(p, {"x": x * y})]
+    mine = [_shift(p, a, b), *_chart_maps(p)]
+    assert [(q.vars, q.terms) for q in mine] == [(q.vars, q.terms) for q in expected]
+
+
+def test_chart_maps_substitute_simultaneously():
+    # y -> x*y in every term at once: x*y + y^2 is x^2*y + x^2*y^2 in chart 1
+    c1, c2 = _chart_maps(pp("x*y + y^2"))
+    assert c1 == pp("x^2*y + x^2*y^2") and c2 == pp("x*y^2 + y^2")
 
 
 def test_blow_up_regular_point_rejected():
@@ -335,7 +373,7 @@ def _field_at_point(draw):
     P, Q = (MPoly(V, {e: draw(small) for e in local}) for _ in range(2))
     x, y = (MPoly.variable(v, V) for v in V)
     moved = {"x": x - MPoly.const(V, a), "y": y - MPoly.const(V, b)}
-    return P.subs(moved), Q.subs(moved), a, b
+    return subs_reference(P, moved), subs_reference(Q, moved), a, b
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,8 +511,8 @@ def series_z_index(field, branch, point):
     x, y = P.vars
 
     def shifted(p):
-        return p.subs({v: MPoly.variable(v, p.vars) + MPoly.const(p.vars, c)
-                       for v, c in zip(p.vars, point)})
+        return subs_reference(p, {v: MPoly.variable(v, p.vars) + MPoly.const(p.vars, c)
+                                  for v, c in zip(p.vars, point)})
 
     fb = shifted(branch)
     if _origin_value(fb.diff(y)) != 0:

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import subs_reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -437,7 +438,7 @@ def _infinity_reference(C):
     tvars = (tau,)
 
     def at_chart1(p):
-        q = p.subs({x: MPoly.const(f.vars, 1)})
+        q = subs_reference(p, {x: MPoly.const(f.vars, 1)})
         return MPoly.from_univar(tau, q.scalar_coeffs(), tvars)
 
     g = None

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from conftest import subs_reference
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planefol.blowup import BlowupUnavailableError
@@ -19,8 +20,8 @@ from planefol.families import (
     power_pullback,
     riccati_invariant_curve,
 )
-from planefol.foliation import foliation_degree, make_foliation
-from planefol.mpoly import MPoly, parse_poly
+from planefol.foliation import Foliation, foliation_degree, make_foliation
+from planefol.mpoly import MPoly, exact_div, parse_poly, poly_gcd
 
 
 def pp(text):
@@ -201,6 +202,31 @@ class TestPowerPullback:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             power_pullback(lins_neto(0), 0)
+
+    @given(data=st.data(), r=st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_maps_match_the_termwise_reference(self, data, r):
+        # (y^(r-1) P(x^r, y^r), x^(r-1) Q(x^r, y^r)) from the oracle, with
+        # x = 0 and y = 0 planted as invariant lines half the time, so that
+        # x^(r-1) or y^(r-1) is a common factor the pullback must remove
+        V = ("x", "y")
+        coef = st.integers(-2, 2)
+        P, Q = (MPoly(V, {(i, d - i): data.draw(coef) for d in range(3) for i in range(d + 1)})
+                for _ in range(2))
+        x, y = (MPoly.variable(v, V) for v in V)
+        P = P * x if data.draw(st.booleans()) else P
+        Q = Q * y if data.draw(st.booleans()) else Q
+        assume(not P.is_zero() and not Q.is_zero())
+        F = make_foliation(P, Q)
+        power = {"x": x ** r, "y": y ** r}
+        A = y ** (r - 1) * subs_reference(F.P, power)
+        B = x ** (r - 1) * subs_reference(F.Q, power)
+        G = power_pullback(F, r)
+        assert G == Foliation(A, B)
+        assert poly_gcd(G.P, G.Q).total_degree() == 0
+        assert G.P * B == G.Q * A and exact_div(A, G.P) is not None
+        if F.P.coeff_in("x", 0).is_zero():
+            assert exact_div(A, x ** (r - 1) * G.P) is not None
 
 
 class TestDicriticalCensus:

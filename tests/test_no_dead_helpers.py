@@ -179,3 +179,17 @@ def test_singularities_is_used_through_its_public_api():
                 private += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_substitutes_through_subs():
+    # substitution is the Horner step `algebraic._horner_mod` (shifts, shears,
+    # cluster translations) or an exponent map (charts, pullbacks): no module
+    # defines, reads or calls an attribute named `subs`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "subs":
+                found.append(f"{path.stem}:{node.lineno} defines subs")
+            elif isinstance(node, ast.Attribute) and node.attr == "subs":
+                found.append(f"{path.stem}:{node.lineno} uses .subs")
+    assert found == []

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import subs_reference
 from hypothesis import assume, example, given, settings, strategies as st
 
 from planefol import singularities
@@ -468,7 +469,7 @@ def _horner_xy(p, mapping, f):
 def test_horner_mod_equals_reduced_substitution(case):
     p, mapping, f = case
     mine = _horner_xy(p, mapping, f)
-    ref = mod_reduce(p.subs(mapping), f, "t").with_vars(("x", "y", "t"))
+    ref = mod_reduce(subs_reference(p, mapping), f, "t").with_vars(("x", "y", "t"))
     assert mine.terms == ref.terms
     if p.vars == V:
         # an evaluation: `_eval_on_cluster` is this composition read in t
@@ -504,7 +505,7 @@ def _affine_singular_points_reference(F):
         if Qtop.eval_all({x: tq, y: Fraction(1)}) == 0:
             continue
         sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * tq
-        Pt, Qt = (P, Q) if t == 0 else (P.subs({x: sx}), Q.subs({x: sx}))
+        Pt, Qt = subs_reference(P, {x: sx}), subs_reference(Q, {x: sx})
         R = resultant(Pt, Qt, y).with_vars((x,))
         if R.total_degree() == 0:
             return []
@@ -622,10 +623,49 @@ def test_pullback_shear_choice(alpha, monkeypatch, wall_clock_ceiling):
     assert seen == [1, 2, 3]
 
 
+def test_pullback_tasks_translate_each_milnor_cluster_once(tmp_path, capsys, monkeypatch,
+                                                           wall_clock_ceiling):
+    # the benchmark's three pullback tasks: classify on pullback(0) and the
+    # census on pullback(0) and pullback(1). `_milnor_once` translates its
+    # cluster once and shears the translated pair, so `_translated` runs once
+    # per call: 4 times, where a translation per tried shear ran it 14 times
+    calls = {"milnor": 0, "translated": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(singularities, "_milnor_once",
+                        counted("milnor", singularities._milnor_once))
+    monkeypatch.setattr(singularities, "_translated",
+                        counted("translated", singularities._translated))
+    with wall_clock_ceiling(120):
+        for alpha, commands in ((0, (["classify"], ["examples", "census"])),
+                                (1, (["examples", "census"],))):
+            F = power_pullback(lins_neto(alpha), 2)
+            path = tmp_path / f"pullback{alpha}.json"
+            path.write_text(json.dumps({"vars": list(V), "P": str(F.P), "Q": str(F.Q)}))
+            for command in commands:
+                main(command + ["--foliation", str(path)])
+    capsys.readouterr()
+    assert calls == {"milnor": 4, "translated": 4}
+
+
+def _sheared_pairs(F):
+    """(t, P_t, Q_t) for each shear t that `_shear_candidates` draws, with
+    P_t = P(x + t*y, y) from the termwise oracle."""
+    x, y = F.vars
+    for t in singularities._shear_candidates(F):
+        sx = MPoly.variable(x, F.vars) + MPoly.variable(y, F.vars) * Fraction(t)
+        yield t, subs_reference(F.P, {x: sx}), subs_reference(F.Q, {x: sx})
+
+
 def _count_chains(monkeypatch, F):
     """Record, for each subresultant chain started, the shear whose (P_t, Q_t)
     it runs on, or None for any other pair."""
-    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
+    shears = {t: (Pt, Qt) for t, Pt, Qt in _sheared_pairs(F)}
     calls = []
     real = _Chain.__init__
 
@@ -662,7 +702,7 @@ def test_pullback_resultants_only_for_tried_shears(monkeypatch, wall_clock_ceili
     # degree; the S_k (k >= 1) of the fiber rule are read only on the chains
     # of the tried shears 1, 2 and 3, never on the skipped -1 and -2
     F = power_pullback(lins_neto(1), 2)
-    shears = {t: (Pt, Qt) for t, Pt, Qt in singularities._shear_candidates(F)}
+    shears = {t: (Pt, Qt) for t, Pt, Qt in _sheared_pairs(F)}
     owner, reads = {}, []
     real_init, real_subresultant = _Chain.__init__, _Chain.subresultant
 
@@ -808,7 +848,7 @@ def _recorded_ks(monkeypatch):
 @given(st.one_of(_dense_field(), _degenerate_cubic(), grid_field()))
 @settings(max_examples=40, deadline=None)
 def test_fiber_rule_matches_euclid_on_every_admissible_shear(F):
-    for t, Pt, Qt in singularities._shear_candidates(F):
+    for t, Pt, Qt in _sheared_pairs(F):
         by_chain, by_euclid = _by_both_rules(F, t, Pt, Qt)
         assert by_chain == by_euclid
 
@@ -819,7 +859,7 @@ def test_pullback_fiber_rule_at_k2(alpha, shear, degree, accepted, monkeypatch):
     # both clusters need S_2: on pullback(0) at shear 1 it is no square, two
     # points share each fiber; on pullback(1) at shear 3 it is (y - y0)^2
     F = power_pullback(lins_neto(alpha), 2)
-    _, Pt, Qt = next(c for c in singularities._shear_candidates(F) if c[0] == shear)
+    _, Pt, Qt = next(c for c in _sheared_pairs(F) if c[0] == shear)
     ks = _recorded_ks(monkeypatch)
     by_chain, by_euclid = _by_both_rules(F, shear, Pt, Qt)
     assert (degree, 2) in ks and (by_chain != "reject") == accepted
@@ -830,7 +870,7 @@ def test_fiber_rule_takes_the_whole_input_when_degrees_are_equal(monkeypatch):
     # m = n = 2 and at x = 0 both components are y^2: the fiber gcd is the
     # whole of Q_t, where the chain holds no S_2
     F = fol("y^2 + x", "y^2 + 2*x")
-    t, Pt, Qt = next(singularities._shear_candidates(F))
+    t, Pt, Qt = next(_sheared_pairs(F))
     assert t == 0 and Pt.deg_in("y") == Qt.deg_in("y") == 2
     ks = _recorded_ks(monkeypatch)
     by_chain, by_euclid = _by_both_rules(F, t, Pt, Qt)
@@ -845,7 +885,7 @@ def test_fiber_rule_takes_the_whole_input_when_degrees_are_equal(monkeypatch):
                                             (1, [19, 19, 31, 31, 37])])
 def test_pullback_squarefree_degrees(alpha, degrees):
     F = power_pullback(lins_neto(alpha), 2)
-    shears = list(singularities._shear_candidates(F))[:5]
+    shears = list(_sheared_pairs(F))[:5]
     assert [t for t, _, _ in shears] == [1, -1, 2, -2, 3]
     assert [singularities._exact_shear(F, Pt, Qt)[2] for _, Pt, Qt in shears] == degrees
 
