@@ -316,6 +316,8 @@ def _reduce_at(field, point, chart_tag, budget, recurse=True):
 def reduce_local_field(field, point, cap=50):
     """Minimal reduction of one singular point of a local field: a Foliation
     or a (P, Q) pair, which must be coprime."""
+    if cap < 1:
+        raise ValueError("blow-up cap must be at least 1")
     return _reduce_at(field, point, 0, [cap])
 
 
@@ -334,6 +336,8 @@ def seidenberg_reduce(F, cap=50):
     budget runs out or a classification stays undetermined, and
     BlowupUnavailableError at non-reduced points of algebraic degree > 2.
     """
+    if cap < 1:
+        raise ValueError("blow-up cap must be at least 1")
     nodes = []
     base_reduced = []
     for sp in affine_singular_points(F):

@@ -248,6 +248,8 @@ def _cmd_classify(args):
 
 def _cmd_reduce(args, safe=False):
     F = _load_foliation(args.foliation)
+    if args.cap < 1:
+        raise InputError("--cap must be at least 1")
     builder = safe_resolution if safe else seidenberg_reduce
     try:
         tree = builder(F, cap=args.cap)

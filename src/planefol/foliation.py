@@ -147,8 +147,8 @@ def _squarefree_on_line(polys, var, line):
 
 
 def _zero_at_origin(polys):
-    """Do all of `polys` vanish at the origin of their variables?"""
-    return all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
+    """Do all of `polys` vanish at the origin (have no constant term)?"""
+    return all(p.min_total_degree() != 0 for p in polys)
 
 
 def _derivation(field, g):

@@ -234,9 +234,6 @@ class MPoly:
     def rename(self, mapping):
         return MPoly(tuple(mapping.get(v, v) for v in self.vars), dict(self.terms))
 
-    def map_coeffs(self, fn):
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- arithmetic -----------------------------------------------------------
 
     def _pair(self, other):

@@ -14,7 +14,6 @@ certified root boxes in `roots`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .algebraic import (
     SplitNeeded,
@@ -33,14 +32,13 @@ from .mpoly import (
     _Chain,
     _shift_out,
     normalized,
-    poly_gcd,
     resultant,
     squarefree_part,
     subresultant_prs,
     yun_decomposition,
 )
-from .numbers import QuadExt, quadratic_roots
-from .roots import isolate_real_roots, isolate_roots, poly_image, rational_roots
+from .numbers import QuadExt, quadratic_roots, rational_sqrt
+from .roots import isolate_real_roots, isolate_roots, poly_image
 
 REDUCED_NONDEGENERATE = "reduced-nondegenerate"
 REDUCED_SADDLE_NODE = "reduced-saddle-node"
@@ -422,6 +420,14 @@ def classify_singularity(sp):
     the positive rationals), reduced-saddle-node (exactly one zero eigenvalue),
     non-reduced (nilpotent/zero linear part, or a positive rational ratio), and
     undetermined (the ratio search hit its height bound without an answer).
+
+    With trace T and determinant D != 0, a ratio r satisfies r + 1/r = S/D,
+    S = T^2 - 2D. A cluster of degree at most 2, once split to be
+    irreducible over its coefficient field, is decided by sigma = S/D mod f
+    alone: r is in Q>0 exactly when sigma is a positive rational constant z
+    with z^2 - 4 a rational square. Larger clusters search the real roots of
+    rho(r) = Res_tau(f, D (r^2 + 1) - S r) for rationals, so only they can
+    be undetermined.
     """
     out = []
     for fi, xi, yi, kind in _resolve_clusters(
@@ -462,34 +468,36 @@ def _classify_once(field, f, xt, yt):
             return NON_REDUCED
         return REDUCED_SADDLE_NODE
 
+    # the eigenvalue ratios r at a root are the roots of
+    #   W(tau, r) = D (r^2 + 1) - S r = r (D z - S),  z = r + 1/r,  S = T^2 - 2 D
+    S = mod_reduce(T * T - 2 * D, f, tau)
     n = f.deg_in(tau)
-    if n >= 3:
-        # pre-split on the discriminant: D is nonzero here, so a double
-        # eigenvalue forces ratio exactly 1, non-reduced with no resultant
-        # work; carving that part off also shrinks the PRS modulus below
-        if _vanishes(T * T - 4 * D, f):
-            return NON_REDUCED
-
-    # eigenvalue ratios r at the cluster roots satisfy
-    #   W(tau, r) = D(tau) * (r^2 + 1) - (T(tau)^2 - 2 D(tau)) * r = 0
-    rname = _fresh_name("r", (tau,))
-    vars2 = (tau, rname)
-    r = MPoly.variable(rname, vars2)
-    Dl = D.with_vars(vars2)
-    S = mod_reduce(T.with_vars(vars2) ** 2 - 2 * Dl, f, tau)
-    W = mod_reduce(Dl * (r * r + 1) - S * r, f, tau)
-
     if n <= 2:
         if n == 2:
             split = _quadratic_root_in_base(f)
             if split is not None:
                 raise SplitNeeded(split)
-        # f is now irreducible over its coefficient field, so a ratio r in
-        # that field is a root of every tau-coefficient of W
-        g = reduce(poly_gcd, [W.coeff_in(tau, k).with_vars((rname,)) for k in range(n)])
-        if _positive_rational_root_exists(g):
+        # f is now irreducible over its coefficient field K, so sigma = S/D
+        # mod f takes a value in K at a root only when it is a constant. It
+        # is a rational constant z exactly when S = z D, both being reduced
+        # mod f; z can only be the rational part of lt(S)/lt(D). A ratio r in
+        # Q>0 then needs z > 0 and r = (z +- sqrt(z^2 - 4))/2 rational
+        z = Fraction(0) if S.is_zero() else S.lt()[1] / D.lt()[1]
+        if isinstance(z, QuadExt):
+            z = z.a
+        if z > 0 and rational_sqrt(z * z - 4) is not None and (S - D * z).is_zero():
             return NON_REDUCED
         return REDUCED_NONDEGENERATE
+
+    # pre-split on the discriminant T^2 - 4 D = S - 2 D: D is nonzero here,
+    # so a double eigenvalue forces ratio exactly 1, non-reduced with no
+    # resultant work; carving that part off also shrinks the PRS modulus below
+    if _vanishes(S - 2 * D, f):
+        return NON_REDUCED
+    rname = _fresh_name("r", (tau,))
+    vars2 = (tau, rname)
+    r = MPoly.variable(rname, vars2)
+    W = D.with_vars(vars2) * (r * r + 1) - S.with_vars(vars2) * r
 
     if not f.is_rational() or not W.is_rational():
         return UNDETERMINED
@@ -532,19 +540,3 @@ def _quadratic_root_in_base(f):
         return None
     return MPoly.variable(tau, (tau,)) - MPoly.const((tau,), roots[0])
 
-
-def _positive_rational_root_exists(g):
-    """Any root in Q>0 of a univariate polynomial (coefficients rational or
-    QuadExt; a QuadExt coefficient forces the root through both components)."""
-    if g.is_zero():
-        return False
-    if not g.is_rational():
-        comp_a = g.map_coeffs(lambda c: c.a if isinstance(c, QuadExt) else Fraction(c))
-        comp_b = g.map_coeffs(lambda c: c.b if isinstance(c, QuadExt) else Fraction(0))
-        if comp_a.is_zero():
-            g = comp_b
-        elif comp_b.is_zero():
-            g = comp_a
-        else:
-            g = poly_gcd(comp_a, comp_b)
-    return any(q > 0 for q in rational_roots(g))

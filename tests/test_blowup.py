@@ -302,6 +302,17 @@ def test_reduce_budget_error_carries_partial():
     assert ei.value.partial.mode == "partial"
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_resolution_rejects_a_cap_below_one(cap):
+    # raised up front, also where no point would be blown up
+    for F in (fol("x", "y"), fol("x", "-y")):
+        for build in (seidenberg_reduce, safe_resolution):
+            with pytest.raises(ValueError, match="cap must be at least 1"):
+                build(F, cap=cap)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            reduce_local_field(F, O, cap=cap)
+
+
 def test_reduce_degree_three_point_unavailable():
     # ratio-2 nodes sitting over x^3 = 2; reduced never needs coordinates,
     # but blowing these up would

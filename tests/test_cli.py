@@ -576,6 +576,15 @@ class TestExitCodes:
             assert code in (0, 2, 3), (argv, d, g, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("command", ["reduce", "safe-resolve"])
+    @pytest.mark.parametrize("cap", ["0", "-1", "-3"])
+    def test_resolution_rejects_a_cap_below_one(self, tmp_path, capsys, command, cap):
+        # the radial point needs one blow-up, so a cap below 1 used to run
+        # out of budget and exit 3
+        fol = write(tmp_path, "fol.json", {"P": "x", "Q": "y"})
+        code, out, err = run(capsys, command, "--foliation", fol, "--cap", cap)
+        assert code == 2 and out == "" and err.startswith("error: --cap must be at least 1")
+
     @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
     def test_census_rejects_a_budget_that_is_not_positive(self, capsys, budget):
         # NaN never compares past a deadline, so it would run unbudgeted

@@ -1,9 +1,13 @@
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from planefol import foliation
 from planefol.foliation import Foliation, make_foliation
-from planefol.mpoly import parse_poly, poly_gcd
+from planefol.mpoly import MPoly, parse_poly, poly_gcd
+from planefol.numbers import QuadExt
 
 V = ("x", "y")
 
@@ -92,3 +96,30 @@ def test_foliation_unpacks_as_its_pair():
     F = fol("x^2 + y", "x*y")
     P, Q = F
     assert (P, Q) == (F.P, F.Q)
+
+
+# -- the origin test reads constant terms --------------------------------------------
+
+_scalar = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3)),
+    st.builds(lambda a, b: QuadExt(a, b, 2), st.integers(-3, 3), st.integers(-3, 3)))
+
+
+@st.composite
+def _small_poly(draw):
+    vars = draw(st.sampled_from([V, ("t",), ("b", "w", "t")]))
+    exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+    # constant-only polynomials and the zero polynomial come up often
+    if draw(st.booleans()):
+        exps = st.just((0,) * len(vars))
+    return MPoly(vars, draw(st.dictionaries(exps, _scalar, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_small_poly(), min_size=1, max_size=3))
+@example([MPoly.zero(V)])
+@example([MPoly.const(V, QuadExt(0, 1, 2)), MPoly.zero(V)])
+@example([parse_poly("x*y - x", V), MPoly.const(("t",), QuadExt(1, -1, 2))])
+def test_zero_at_origin_matches_the_evaluation_reference(polys):
+    reference = all(p.eval_all(dict.fromkeys(p.vars, Fraction(0))) == 0 for p in polys)
+    assert foliation._zero_at_origin(polys) == reference

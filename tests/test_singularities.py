@@ -1,16 +1,19 @@
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from conftest import subs_reference
 from hypothesis import assume, example, given, settings, strategies as st
 
-from planefol import singularities
+from planefol import roots, singularities
 from planefol.algebraic import (
+    SplitNeeded,
     _eval_on_cluster,
     _first_nonzero,
     _horner_mod,
     _resolve_clusters,
+    _vanishes,
     invert_mod,
     mod_reduce,
 )
@@ -25,12 +28,14 @@ from planefol.mpoly import (
     linear_subresultant,
     normalized,
     parse_poly,
+    poly_gcd,
     resultant,
     squarefree_part,
     subresultant_prs,
     yun_decomposition,
 )
 from planefol.numbers import QuadExt, quadext_sqrt, rational_sqrt
+from planefol.roots import rational_roots
 from planefol.singularities import (
     NON_REDUCED,
     REDUCED_NONDEGENERATE,
@@ -346,6 +351,138 @@ def test_classify_linear_point_matches_closed_form(entries):
     expected = (NON_REDUCED if _positive_rational_ratio_reference(a + d, D)
                 else REDUCED_NONDEGENERATE)
     assert classify_point(F, 0, 0) == expected
+
+
+# -- clusters of degree <= 2: sigma = S/D against the tau-coefficient gcd ------------
+
+
+def _positive_rational_root_exists(g):
+    """Any root in Q>0 of a univariate polynomial (coefficients rational or
+    QuadExt; a QuadExt coefficient forces the root through both components)."""
+    if g.is_zero():
+        return False
+    if not g.is_rational():
+        def component(part):
+            return MPoly(g.vars, {e: part(c) for e, c in g.terms.items()})
+
+        comp_a = component(lambda c: c.a if isinstance(c, QuadExt) else c)
+        comp_b = component(lambda c: c.b if isinstance(c, QuadExt) else 0)
+        if comp_a.is_zero():
+            g = comp_b
+        elif comp_b.is_zero():
+            g = comp_a
+        else:
+            g = poly_gcd(comp_a, comp_b)
+    return any(q > 0 for q in rational_roots(g))
+
+
+def _classify_small_cluster_reference(field, f, xt, yt):
+    """The rule that classified clusters of degree 1 and 2 before sigma: after
+    the degree-2 pre-split f is irreducible over its coefficient field, so a
+    ratio r in that field is a root of every tau-coefficient of
+    W = D (r^2 + 1) - S r, and the cluster is non-reduced when their gcd has
+    a root in Q>0."""
+    tau = f.vars[0]
+    P, Q = field
+    x, y = P.vars
+    px, py, qx, qy = (_eval_on_cluster(E, f, xt, yt, x, y)
+                      for E in (P.diff(x), P.diff(y), Q.diff(x), Q.diff(y)))
+    T = mod_reduce(px + qy, f, tau)
+    D = mod_reduce(px * qy - py * qx, f, tau)
+    if _vanishes(D, f):
+        return NON_REDUCED if _vanishes(T, f) else REDUCED_SADDLE_NODE
+    n = f.deg_in(tau)
+    assert n <= 2
+    if n == 2:
+        split = singularities._quadratic_root_in_base(f)
+        if split is not None:
+            raise SplitNeeded(split)
+    rname = _fresh_name("r", (tau,))
+    vars2 = (tau, rname)
+    r = MPoly.variable(rname, vars2)
+    Dl = D.with_vars(vars2)
+    S = mod_reduce(T.with_vars(vars2) ** 2 - 2 * Dl, f, tau)
+    W = mod_reduce(Dl * (r * r + 1) - S * r, f, tau)
+    g = reduce(poly_gcd, [W.coeff_in(tau, k).with_vars((rname,)) for k in range(n)])
+    return NON_REDUCED if _positive_rational_root_exists(g) else REDUCED_NONDEGENERATE
+
+
+def _planted_cluster(case):
+    """The roots of m(x) = x^2 + c1 x + c0 on y = 0 as singular points of
+    P = m + y e(x), Q = y m'(x) (c + t x) + m l(x). Where l = 0 the linear
+    part is triangular with eigenvalues m'(a) and m'(a) (c + t a), so the
+    ratio at a root a is 1/(c + t a): planted at every root when t = 0."""
+    (c0, c1), c, t, e, l = case
+    x, y = MPoly.variable("x", V), MPoly.variable("y", V)
+    m = x * x + x * c1 + c0
+    P = m + y * (x * e[1] + e[0])
+    Q = y * m.diff("x") * (x * t + c) + m * (x * l[1] + l[0])
+    tau = MPoly.variable("t", ("t",))
+    modulus = tau * tau + tau * c1 + c0
+    return SingularPoint("affine", (P, Q), modulus, tau, MPoly.zero(("t",)))
+
+
+_int3 = st.integers(-3, 3)
+_ratio_inverse = st.sampled_from(
+    [Fraction(v) for v in ("1", "2", "1/2", "3", "2/3", "-1", "-2", "-1/3", "0")])
+_degree_two_modulus = st.one_of(
+    # a rational conjugate pair: x^2 + b x + c has no rational root
+    st.tuples(_int3, _int3).filter(lambda cb: rational_sqrt(cb[1] ** 2 - 4 * cb[0]) is None)
+    .map(lambda cb: (Fraction(cb[0]), Fraction(cb[1]))),
+    # a modulus that splits over Q: (x - a)(x - b), a != b
+    st.tuples(_int3, _int3).filter(lambda ab: ab[0] != ab[1])
+    .map(lambda ab: (Fraction(ab[0] * ab[1]), Fraction(-ab[0] - ab[1]))),
+    # points in Q(sqrt 2), on a modulus that splits over it or not
+    st.tuples(_in_q_sqrt2, _in_q_sqrt2))
+_linear_in_x = st.tuples(_int3, _int3)
+_degree_two_case = st.tuples(
+    _degree_two_modulus, st.one_of(_ratio_inverse, _in_q_sqrt2), _int3,
+    _linear_in_x, st.one_of(st.just((0, 0)), _linear_in_x))
+
+_I = Fraction(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degree_two_case)
+# ratio -2 on a conjugate pair: z = -5/2 with z^2 - 4 = 9/4 a square
+@example(((_I, 0 * _I), Fraction(-1, 2), 0, (0, 0), (0, 0)))
+# ratio 1/(4 + 3 sqrt 2) on the roots of x^2 - sqrt 2: z = 2 + 9/2 sqrt 2
+@example(((QuadExt(0, -1, 2), 0 * _I), QuadExt(4, 3, 2), 0, (0, 0), (0, 0)))
+# ratios 1 and 1/2 on the roots 1 and 2, which only the pre-split tells apart
+@example(((2 * _I, -3 * _I), 0 * _I, 1, (0, 0), (0, 0)))
+# ratio 1/2 on a conjugate pair, with a full linear part
+@example(((_I, _I), 2 * _I, 0, (1, -1), (0, 0)))
+# S = 111 t + 117 and D = 18 t + 15 on the roots of x^2 - 3x - 3: the leading
+# ratio 37/6 is 6 + 1/6, but S/D is not constant, so no ratio is rational
+@example(((-3 * _I, -3 * _I), _I, 1, (1, 0), (0, 1)))
+def test_degree_two_clusters_classify_as_the_coefficient_gcd(case):
+    (c0, c1), *_ = case
+    assume(c1 * c1 - 4 * c0 != 0)
+    sp = _planted_cluster(case)
+    reference = sorted(
+        (SingularPoint(sp.chart, sp.field, fi, xi, yi).sort_key(), kind)
+        for fi, xi, yi, kind in _resolve_clusters(
+            sp.modulus, sp.xt, sp.yt,
+            lambda f, xt, yt: _classify_small_cluster_reference(sp.field, f, xt, yt)))
+    assert [(sub.sort_key(), kind) for sub, kind in classify_singularity(sp)] == reference
+
+
+def test_small_clusters_isolate_no_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("root isolation on a cluster of degree <= 2")
+
+    for module in (roots, singularities):
+        for name in ("isolate_real_roots", "rational_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert classify_point(fol("x", "2*y"), 0, 0) == NON_REDUCED
+    assert classify_point(fol("x^2 - 2", "y"), QuadExt(0, 1, 2), 0) == REDUCED_NONDEGENERATE
+    # a conjugate pair of ratio 1/2, and the split pair 1, 2 of ratios 1 and 1/2
+    for case, kinds in [(((_I, _I), 2 * _I, 0, (1, -1), (0, 0)), [NON_REDUCED]),
+                        (((2 * _I, -3 * _I), 0 * _I, 1, (0, 0), (0, 0)), [NON_REDUCED] * 2),
+                        (((QuadExt(0, -1, 2), 0 * _I), QuadExt(4, 3, 2), 0, (0, 0), (0, 0)),
+                         [REDUCED_NONDEGENERATE])]:
+        assert [k for _, k in classify_singularity(_planted_cluster(case))] == kinds
 
 
 # -- S1 by determinant: the same singular points as by the PRS ------------------------
