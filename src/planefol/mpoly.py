@@ -6,8 +6,9 @@ are Fraction by default; any exact field scalar with +,-,*,/ and truthiness
 higher total degree first, ties broken by reverse-lex on the exponent tuple.
 
 The module also houses the polynomial algebra the rest of the package needs:
-exact single-divisor division (also behind every remainder modulo a cluster
-modulus), multivariate gcd (the subresultant PRS behind a coprimality
+exact single-divisor division (behind `exact_div` and the univariate
+Euclid; remainders modulo a cluster modulus are taken by the integer kernel
+of `algebraic`), multivariate gcd (the subresultant PRS behind a coprimality
 certificate from images mod p), Yun squarefree decomposition, a
 fraction-free determinant (for the extactics), and one subresultant chain
 (`_Chain`) behind the subresultant PRS, the resultant and the subresultant

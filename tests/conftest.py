@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from planefol.mpoly import MPoly
+from planefol.mpoly import MPoly, normalized
 from planefol.numbers import QuadExt
 
 
@@ -46,6 +46,30 @@ def quadratic_fields(draw):
     else:
         Q = poly(2)
     return {"vars": ["x", "y"], "P": str(P), "Q": str(Q)}
+
+
+@st.composite
+def cluster_moduli(draw, quad):
+    """A modulus in t of a kind the Q[t]/(f) kernel of `algebraic` reads
+    differently. Rational (quad False): monic with integer coefficients, the
+    fold with no scaling; a leading coefficient other than 1, pseudo-divided;
+    or L*t - c with L other than 0 and 1. Over Q(sqrt 2) (quad True): monic,
+    as `normalized` leaves a QuadExt modulus."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n = draw(st.integers(1, 4))
+    if quad:
+        f = MPoly(("t",), {(k,): QuadExt(draw(small), draw(small), 2) for k in range(n)})
+        lc = QuadExt(draw(small.filter(bool)), draw(small), 2)
+        return normalized(f + MPoly.monomial(("t",), (n,), lc))
+    kind = draw(st.sampled_from(["monic", "scaled", "linear"]))
+    if kind == "linear":
+        lc = draw(st.integers(-9, 9).filter(lambda c: c not in (0, 1)))
+        return MPoly(("t",), {(1,): lc, (0,): -draw(small)})
+    if kind == "monic":
+        lc, coef = 1, st.integers(-3, 3)
+    else:
+        lc, coef = draw(small.filter(lambda c: c not in (0, 1))), small
+    return MPoly(("t",), {**{(k,): draw(coef) for k in range(n)}, (n,): lc})
 
 
 def subs_reference(p, mapping):

@@ -1,9 +1,8 @@
 import json
-from fractions import Fraction
 
 import pytest
-from conftest import subs_reference
-from hypothesis import given, settings, strategies as st
+from conftest import cluster_moduli, subs_reference
+from hypothesis import assume, given, settings, strategies as st
 
 from planefol.algebraic import (
     SplitNeeded,
@@ -17,7 +16,7 @@ from planefol.algebraic import (
     zero_split,
 )
 from planefol.cli import main
-from planefol.mpoly import MPoly, parse_poly, squarefree_part
+from planefol.mpoly import MPoly, parse_poly, poly_divmod
 from planefol.numbers import QuadExt
 
 
@@ -73,13 +72,14 @@ V3 = ("x", "y", "t")
 
 
 @st.composite
-def _horner_steps(draw):
-    """(p, v, img, f): p over (x, y, t) with coefficients in Q or Q(sqrt 2),
-    an image of v of a kind the package substitutes, each holding v itself
-    (v + c with c in Q or Q(sqrt 2), v + xt(t), x + s*y, y -> x*y), and a
-    squarefree modulus f in t or None."""
+def _horner_steps(draw, quad):
+    """(p, v, img, f): p over (x, y, t), an image of v of a kind the package
+    substitutes, each holding v itself (v + c, v + xt(t) with xt of any
+    t-degree, also at or above deg f, x + s*y, y -> x*y), and a modulus f in
+    t from `cluster_moduli` or None. Coefficients are rational, or with quad
+    every coefficient of p is a QuadExt over Q(sqrt 2), so that each branch
+    of the kernel is drawn."""
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    quad = draw(st.booleans())
 
     def scalar():
         return QuadExt(draw(small), draw(small), 2) if quad else draw(small)
@@ -92,32 +92,58 @@ def _horner_steps(draw):
     if kind == "scalar":
         img = var + scalar()
     elif kind == "cluster":
-        img = var + MPoly(V3, {(0, 0, k): draw(small) for k in range(draw(st.integers(0, 3)))})
+        img = var + MPoly(V3, {(0, 0, k): draw(small) for k in range(draw(st.integers(0, 6)))})
     elif kind == "shear":
         v, img = "x", MPoly.variable("x", V3) + MPoly.variable("y", V3) * draw(st.integers(-3, 3))
     else:
         img = MPoly.variable("x", V3) * var
-    f = None
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 3))
-        f = squarefree_part(MPoly(("t",), {**{(k,): draw(small) for k in range(n)},
-                                           (n,): Fraction(1)})).with_vars(V3)
+    f = draw(st.none() | cluster_moduli(quad).map(lambda f: f.with_vars(V3)))
     return p, v, img, f
 
 
-@given(_horner_steps())
-@settings(max_examples=150, deadline=None)
-def test_horner_step_matches_termwise_reference(case):
+def _check_horner_step(p, v, img, f):
     # with a modulus the step reduces mod f after every product; without one
-    # it is the plain substitution
-    p, v, img, f = case
+    # it is the plain substitution. The reference expands, then divides
     ref = subs_reference(p, {v: img})
     if f is None:
         mine = _horner_mod(p, v, img, None, None)
     else:
         mine = _horner_mod(p, v, img, f, "t")
-        ref = mod_reduce(ref, f, "t")
+        ref = poly_divmod(ref, f)[1]
     assert mine.vars == ref.vars and mine.terms == ref.terms
+
+
+@given(_horner_steps(False))
+@settings(max_examples=150, deadline=None)
+def test_horner_step_matches_termwise_reference(case):
+    # rational data: the scaled branch of the kernel
+    _check_horner_step(*case)
+
+
+@given(_horner_steps(True))
+@settings(max_examples=100, deadline=None)
+def test_horner_step_over_quadext_matches_termwise_reference(case):
+    # QuadExt data: the same loops, unscaled
+    _check_horner_step(*case)
+
+
+@pytest.mark.parametrize("quad", [False, True], ids=["scaled", "quadext"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_invert_mod_gives_a_reduced_inverse(quad, data):
+    # the Euclid cofactor is the inverse as it stands: below deg f, and a
+    # times it is 1 mod f
+    f = data.draw(cluster_moduli(quad))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    scalar = (lambda: QuadExt(data.draw(small), data.draw(small), 2)) if quad else (
+        lambda: data.draw(small))
+    a = MPoly(("t",), {(k,): scalar() for k in range(data.draw(st.integers(0, 6)))})
+    try:
+        inv = invert_mod(a, f, "t")
+    except (SplitNeeded, ZeroDivisionError):
+        assume(False)
+    assert inv.deg_in("t") < f.deg_in("t")
+    assert poly_divmod(a * inv - 1, f)[1].is_zero()
 
 
 def test_first_nonzero_group_rule():

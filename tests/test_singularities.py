@@ -3,16 +3,17 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from conftest import subs_reference
+from conftest import cluster_moduli, subs_reference
 from hypothesis import assume, example, given, settings, strategies as st
 
-from planefol import roots, singularities
+from planefol import algebraic, mpoly, roots, singularities
 from planefol.algebraic import (
     SplitNeeded,
     _eval_on_cluster,
     _first_nonzero,
     _horner_mod,
     _resolve_clusters,
+    _translated,
     _vanishes,
     invert_mod,
     mod_reduce,
@@ -28,9 +29,9 @@ from planefol.mpoly import (
     linear_subresultant,
     normalized,
     parse_poly,
+    poly_divmod,
     poly_gcd,
     resultant,
-    squarefree_part,
     subresultant_prs,
     yun_decomposition,
 )
@@ -563,36 +564,38 @@ def grid_field(draw):
 
 
 @st.composite
-def _cluster_substitution(draw):
-    """(p, mapping, f): a squarefree modulus f in t, and either a translation
-    (x, y) -> (x + xt(t), y + yt(t)) of p over (x, y, t) or an evaluation
-    (x, y) -> (xt(t), yt(t)) of p over (x, y)."""
+def _cluster_substitution(draw, quad):
+    """(p, mapping, f): a modulus f in t from `cluster_moduli`, and either a
+    translation (x, y) -> (x + xt(t), y + yt(t)) of p over (x, y, t) or an
+    evaluation (x, y) -> (xt(t), yt(t)) of p over (x, y). xt and yt have any
+    t-degree, also at or above deg f. With quad every coefficient of p is a
+    QuadExt over Q(sqrt 2) and so is f."""
     coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    n = draw(st.integers(1, 4))
-    f = MPoly(("t",), {**{(k,): draw(coef) for k in range(n)}, (n,): draw(coef.filter(bool))})
-    f = squarefree_part(f)
-    assume(f.total_degree() > 0)
+    f = draw(cluster_moduli(quad))
+
+    def scalar():
+        return QuadExt(draw(coef), draw(coef), 2) if quad else draw(coef)
 
     def univar(deg):
         return MPoly(("t",), {(k,): draw(coef) for k in range(deg + 1)})
 
-    xt, yt = univar(draw(st.integers(0, 4))), univar(draw(st.integers(0, 4)))
+    top = f.deg_in("t") + 2
+    xt, yt = univar(draw(st.integers(0, top))), univar(draw(st.integers(0, top)))
     exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
     if draw(st.booleans()):
         vars3 = ("x", "y", "t")
         exps3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
-        p = MPoly(vars3, {e: draw(coef) for e in draw(st.lists(exps3, max_size=8))})
+        p = MPoly(vars3, {e: scalar() for e in draw(st.lists(exps3, max_size=8))})
         mapping = {"x": MPoly.variable("x", vars3) + xt.with_vars(vars3),
                    "y": MPoly.variable("y", vars3) + yt.with_vars(vars3)}
     else:
-        p = MPoly(V, {e: draw(coef) for e in draw(st.lists(exps, max_size=8))})
+        p = MPoly(V, {e: scalar() for e in draw(st.lists(exps, max_size=8))})
         mapping = {"x": xt, "y": yt}
     return p, mapping, f
 
 
 def _horner_xy(p, mapping, f):
-    """`_horner_mod` in x, then in y, over (x, y, t), as `_translated` and
-    `_eval_on_cluster` compose it."""
+    """`_horner_mod` in x, then in y, over (x, y, t)."""
     vars3 = ("x", "y", "t")
     f3 = f.with_vars(vars3)
     q = p.with_vars(vars3)
@@ -601,17 +604,94 @@ def _horner_xy(p, mapping, f):
     return q
 
 
-@given(_cluster_substitution())
-@settings(max_examples=80, deadline=None)
-def test_horner_mod_equals_reduced_substitution(case):
-    p, mapping, f = case
+def _reduced_reference(p, mapping, f):
+    """p with the mapping put in term by term, then the remainder of the
+    heap division by f, over (x, y, t)."""
+    return poly_divmod(subs_reference(p, mapping), f)[1].with_vars(("x", "y", "t"))
+
+
+def _check_cluster_substitution(p, mapping, f):
     mine = _horner_xy(p, mapping, f)
-    ref = mod_reduce(subs_reference(p, mapping), f, "t").with_vars(("x", "y", "t"))
+    ref = _reduced_reference(p, mapping, f)
     assert mine.terms == ref.terms
     if p.vars == V:
-        # an evaluation: `_eval_on_cluster` is this composition read in t
-        on_cluster = _eval_on_cluster(p, f, mapping["x"], mapping["y"], "x", "y")
-        assert on_cluster == ref.with_vars(("t",))
+        # an evaluation: `_eval_on_cluster` is this composition read in t,
+        # and `_translated` is the translation with the same images
+        xt, yt = mapping["x"], mapping["y"]
+        on_cluster = _eval_on_cluster(p, f, xt, yt, "x", "y")
+        assert on_cluster.vars == ("t",) and on_cluster == ref.with_vars(("t",))
+        shift = {v: MPoly.variable(v, ("x", "y", "t")) + c.with_vars(("x", "y", "t"))
+                 for v, c in mapping.items()}
+        moved = _translated((p, p * 2), f, xt, yt)
+        assert [m.vars for m in moved] == [("x", "y", "t")] * 2
+        assert moved[0].terms == _reduced_reference(p, shift, f).terms
+        assert moved[1].terms == _reduced_reference(p * 2, shift, f).terms
+
+
+@given(_cluster_substitution(False))
+@settings(max_examples=80, deadline=None)
+def test_horner_mod_equals_reduced_substitution(case):
+    # rational data: the scaled branch of the kernel
+    _check_cluster_substitution(*case)
+
+
+@given(_cluster_substitution(True))
+@settings(max_examples=60, deadline=None)
+def test_horner_mod_over_quadext_equals_reduced_substitution(case):
+    # QuadExt data: the same loops, unscaled
+    _check_cluster_substitution(*case)
+
+
+# the modulus of the degree-12 cluster of pullback(1), the largest a
+# `pullback` census translates its field to
+PULLBACK_MODULUS = "t^12 - 162*t^8 - 1460*t^6 + 4617*t^4 - 118260*t^2 + 529984"
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), QuadExt(1, 1, 2)], ids=["scaled", "quadext"])
+def test_cluster_substitution_on_the_pullback_modulus(c):
+    # xt and yt above deg f = 12, so every product is folded from degree 24 up
+    t = ("t",)
+    f = parse_poly(PULLBACK_MODULUS, t)
+    xt = parse_poly("t^13 - 3*t^11 + 2/3*t^7 - t^2 + 5", t)
+    yt = parse_poly("7*t^14 + t^12/2 - 4*t^5 + t - 1", t)
+    p = parse_poly("x^3*y - 2*x*y^2 + 3*y^3 - x^2 + y - 1", V) + MPoly.monomial(V, (2, 2), c)
+    _check_cluster_substitution(p, {"x": xt, "y": yt}, f)
+    vars3 = ("x", "y", "t")
+    g = xt.with_vars(vars3) * yt.with_vars(vars3) * MPoly.variable("x", vars3) * c
+    assert mod_reduce(g, f, "t") == poly_divmod(g, f)[1]
+
+
+def test_pullback_cluster_arithmetic_makes_no_division_or_mpoly_product(monkeypatch):
+    # on the clusters of pullback(0), `_translated`, `_eval_on_cluster` and
+    # `mod_reduce` run on the integer kernel of `algebraic`: no heap division
+    # and no MPoly product, so a return to either fails here
+    F = power_pullback(lins_neto(0), 2)
+    x, y = F.vars
+    clusters = [sp for sp in affine_singular_points(F) if sp.count > 1]
+    assert clusters
+    cases = []
+    for sp in clusters:
+        cases.append((sp, F.P.diff(x), (sp.xt * sp.yt + sp.xt) * sp.yt))
+    calls = {"poly_divmod": 0, "__mul__": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for module in (mpoly, algebraic):
+        monkeypatch.setattr(module, "poly_divmod",
+                            counting("poly_divmod", mpoly.poly_divmod))
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(MPoly, attr, counting("__mul__", MPoly.__mul__))
+    for sp, E, g in cases:
+        tau = sp.param
+        _translated(F, sp.modulus, sp.xt, sp.yt)
+        _eval_on_cluster(E, sp.modulus, sp.xt, sp.yt, x, y)
+        assert g.deg_in(tau) >= sp.count
+        mod_reduce(g, sp.modulus, tau)
+    assert calls == {"poly_divmod": 0, "__mul__": 0}
 
 
 def test_horner_mod_image_may_hold_its_own_variable():
