@@ -197,14 +197,15 @@ class _Ring:
 
     An element is a pair (table, den): table maps the exponent of a term in
     the variables other than tau to the dense list of its tau-coefficients
-    (index = power), and den is their common denominator. Rational data is
-    scaled to ints (`_integer_coeffs`) and a non-monic f is pseudo-divided:
-    each top coefficient c is folded into the row after the row is multiplied
-    by lc(f), and the power of lc(f) joins den. Data with a QuadExt
-    coefficient runs through the same loops unscaled, den 1, trading c for
-    c/lc(f); every zero sum is put back to 0 after each operation, so each
-    coefficient keeps the scalar type that sparse arithmetic gives it (the
-    idiom of `bareiss_det`).
+    (index = power), and den is their common denominator. As in
+    `bareiss_det`, rational data is scaled to ints (`_integer_coeffs`) and
+    data with a QuadExt coefficient runs through the same loops unscaled,
+    with den 1. A top coefficient c is folded away by subtracting c * inv
+    times the lower terms of f. With ints, inv is 1 and a non-monic f is
+    pseudo-divided: the row is multiplied by lc(f) first, and the power of
+    lc(f) joins den. With field scalars, inv is 1/lc(f), and every zero sum
+    is put back to 0 after each operation, as sparse arithmetic drops it, so
+    each coefficient keeps the scalar type an MPoly computation gives it.
     """
 
     __slots__ = ("integral", "n", "tail", "lc", "inv")

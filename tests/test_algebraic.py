@@ -135,8 +135,11 @@ def test_invert_mod_gives_a_reduced_inverse(quad, data):
     # times it is 1 mod f
     f = data.draw(cluster_moduli(quad))
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    scalar = (lambda: QuadExt(data.draw(small), data.draw(small), 2)) if quad else (
-        lambda: data.draw(small))
+
+    def scalar():
+        a = data.draw(small)
+        return QuadExt(a, data.draw(small), 2) if quad else a
+
     a = MPoly(("t",), {(k,): scalar() for k in range(data.draw(st.integers(0, 6)))})
     try:
         inv = invert_mod(a, f, "t")

@@ -669,9 +669,7 @@ def test_pullback_cluster_arithmetic_makes_no_division_or_mpoly_product(monkeypa
     x, y = F.vars
     clusters = [sp for sp in affine_singular_points(F) if sp.count > 1]
     assert clusters
-    cases = []
-    for sp in clusters:
-        cases.append((sp, F.P.diff(x), (sp.xt * sp.yt + sp.xt) * sp.yt))
+    cases = [(sp, F.P.diff(x), (sp.xt * sp.yt + sp.xt) * sp.yt) for sp in clusters]
     calls = {"poly_divmod": 0, "__mul__": 0}
 
     def counting(name, real):
