@@ -8,11 +8,13 @@ higher total degree first, ties broken by reverse-lex on the exponent tuple.
 The module also houses the polynomial algebra the rest of the package needs:
 exact single-divisor division (behind `exact_div` and the univariate
 Euclid; remainders modulo a cluster modulus are taken by the integer kernel
-of `algebraic`), multivariate gcd (the subresultant PRS behind a coprimality
-certificate from images mod p), Yun squarefree decomposition, a
-fraction-free determinant (for the extactics), and one subresultant chain
-(`_Chain`) behind the subresultant PRS, the resultant and the subresultant
-S1. The resultant and S1 are read from the end of the chain with Cohen's
+of `algebraic`), univariate gcd on integers (a heuristic gcd whose candidate
+is certified by exact division, `_zz_gcd`, behind `poly_gcd`, Yun's
+squarefree decomposition and `squarefree_part`; QuadExt input runs the
+univariate Euclid), multivariate gcd (the subresultant PRS behind a
+coprimality certificate from images mod p), a fraction-free determinant
+(for the extactics), and one subresultant chain (`_Chain`) behind the
+subresultant PRS, the resultant and the subresultant S1. The resultant and S1 are read from the end of the chain with Cohen's
 correction for a degree gap, the scale of the cleared denominators and a
 sign from the degree parities; each equals the determinant of its Sylvester
 or subresultant matrix (derived in `_Chain.subresultant`). The determinant
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from itertools import zip_longest
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -177,10 +180,12 @@ class MPoly:
     def from_univar(cls, var, coeffs, vars):
         vars = tuple(vars)
         i = vars.index(var)
+        zero = (0,) * len(vars)
         out = {}
         for k, ck in enumerate(coeffs):
             if isinstance(ck, _SCALARS):
-                ck = cls.const(vars, ck)
+                out[zero[:i] + (k,) + zero[i + 1:]] = ck
+                continue
             ck = ck.with_vars(vars)
             for e, c in ck.terms.items():
                 if e[i] != 0:
@@ -673,9 +678,13 @@ def _occurring(f):
 def poly_gcd(f, g):
     """GCD over Q (or a quadratic extension), normalized deterministically.
 
-    A rational pair whose images mod p prove it coprime (`_coprime_mod_p`)
-    skips the subresultant PRS, which then only runs on a really shared factor
-    or on QuadExt coefficients; the answer is the one the PRS gives.
+    A rational pair in one occurring variable goes to the integer heuristic
+    gcd `_zz_gcd`, whose candidate is certified by exact division; a QuadExt
+    pair, or one the heuristic gives up on, runs the univariate Euclid. In
+    more variables a pair whose images mod p prove it coprime
+    (`_coprime_mod_p`) skips the subresultant PRS, which then only runs on a
+    really shared factor or on QuadExt coefficients; the answer is the one
+    the PRS gives.
     """
     if isinstance(f, _SCALARS):
         f = MPoly.const(g.vars, f)
@@ -690,8 +699,10 @@ def poly_gcd(f, g):
     if not occ:
         return MPoly.const(f.vars, 1)
     if len(occ) == 1:
-        if _coprime_mod_p(f, g):
-            return MPoly.const(f.vars, 1)
+        if f.is_rational() and g.is_rational():
+            hit = _zz_gcd(_univar_normalized(f), _univar_normalized(g))
+            if hit is not None:
+                return MPoly.from_univar(occ.pop(), hit[0], f.vars)
         return normalized(_euclid_univar_scaled(f, g))
     # subresultant PRS of the primitive parts in the variable of least
     # combined degree: the primitive part of its last element is their gcd
@@ -790,12 +801,113 @@ def _image_mod_p(residues, i, point, p):
 
 
 def _euclid_univar_scaled(f, g):
-    # coefficients may be rationals of mixed size; Euclid with monic steps
+    # Euclid with monic steps, for QuadExt coefficients and for the rare
+    # rational pair that `_zz_gcd` gives up on
     a, b = f, g
     while not b.is_zero():
         b = b / b.lt()[1]
         a, b = b, poly_divmod(a, b)[1]
     return a
+
+
+# -- univariate gcd on integers ----------------------------------------------------
+#
+# Dense lists of ints, lowest degree first, without trailing zeros.
+
+
+def _zz_sign_content(a):
+    """(c, a/c) for a nonzero integer list: c the content, signed so that a/c
+    has a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return c, [x // c for x in a]
+
+
+def _zz_quo(a, h):
+    """a/h when the integer list h divides a over Z, else None."""
+    dh, lc = len(h) - 1, h[-1]
+    if len(a) <= dh:
+        return None
+    r = list(a)
+    q = [0] * (len(a) - dh)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + dh], lc)
+        if m:
+            return None
+        q[k] = c
+        if c:
+            for j in range(dh):
+                r[k + j] -= c * h[j]
+    return None if any(r[:dh]) else q
+
+
+def _zz_gcd(a, b):
+    """(h, a/h, b/h) with h = gcd(a, b) for primitive integer lists with
+    positive leading coefficients, or None after six evaluation points.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): the integer gcd of a(xi) and b(xi)
+    is expanded in symmetric xi-adic digits, and the primitive part h of that
+    candidate is accepted only when it divides both inputs exactly, which
+    also gives the cofactors. CGG prove that for xi >= 2 * min(|a|, |b|) + 2
+    (max norms) a candidate that divides both is the gcd, so xi starts
+    there and grows by their factor 73794/27011 after a failed point.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        if va and vb:
+            gamma, digits = gcd(va, vb), []
+            while gamma:
+                d = gamma % xi
+                if d > xi // 2:
+                    d -= xi
+                digits.append(d)
+                gamma = (gamma - d) // xi
+            h = _zz_sign_content(digits)[1]
+            qa = _zz_quo(a, h)
+            qb = None if qa is None else _zz_quo(b, h)
+            if qb is not None:
+                return h, qa, qb
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _gcd_cofactors(a, b, var, vars):
+    """(h, a/h, b/h) for dense coefficient lists a != 0 and b in `var`, with h
+    the gcd as `normalized` gives it and exact cofactors. Integer lists go to
+    `_zz_gcd` and stay integer; other lists, and integer ones it gives up on,
+    run `_euclid_univar_scaled` with `poly_divmod` cofactors."""
+    ints = all(type(x) is int for x in a) and all(type(x) is int for x in b)
+    if ints:
+        ca, pa = _zz_sign_content(a)
+        if not b:
+            return pa, [ca], []
+        cb, pb = _zz_sign_content(b)
+        hit = _zz_gcd(pa, pb)
+        if hit is not None:
+            h, qa, qb = hit
+            return h, [ca * x for x in qa], [cb * x for x in qb]
+    A, B = MPoly.from_univar(var, a, vars), MPoly.from_univar(var, b, vars)
+    h = normalized(_euclid_univar_scaled(A, B))
+    out = [p.scalar_coeffs() for p in (h, poly_divmod(A, h)[0], poly_divmod(B, h)[0])]
+    return [[int(x) for x in p] for p in out] if ints else out
+
+
+def _deriv(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _minus(a, b):
+    """a - b on dense lists, trailing zeros dropped."""
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _content_primitive(f, var):
@@ -815,7 +927,17 @@ def _content_primitive(f, var):
 
 
 def squarefree_part(f):
-    """Squarefree part over Q: f divided by the gcd of f and all its partials."""
+    """Squarefree part over Q: f divided by the gcd of f and all its partials.
+
+    In one occurring variable it is the normalized cofactor f/gcd(f, f'),
+    which `_gcd_cofactors` returns with the gcd, so no division is left.
+    """
+    occ = _occurring(f)
+    if len(occ) == 1:
+        var = occ.pop()
+        p = _univar_normalized(f)
+        s = MPoly.from_univar(var, _gcd_cofactors(p, _deriv(p), var, f.vars)[1], f.vars)
+        return s if f.is_rational() else normalized(s)
     d = f
     for v in f.vars:
         fv = f.diff(v)
@@ -828,35 +950,40 @@ def squarefree_part(f):
     return normalized(f)
 
 
-def yun_decomposition(f):
-    """Yun's squarefree decomposition of a univariate rational polynomial.
+def _univar_normalized(f):
+    """`normalized(f)` for a nonzero f in at most one occurring variable, as
+    a dense list: integers for rational f, field scalars otherwise."""
+    if f.is_rational():
+        return _zz_sign_content(_integer_coeffs(f.scalar_coeffs())[1])[1]
+    return normalized(f).scalar_coeffs()
 
-    Returns [(g1, 1), (g2, 2), ...] with f = c * prod gi^i for a rational
-    c, the gi squarefree, pairwise coprime and normalized.
+
+def yun_decomposition(f):
+    """Yun's squarefree decomposition of a univariate polynomial over Q (or
+    a quadratic extension).
+
+    Returns [(g1, 1), (g2, 2), ...] with f = c * prod gi^i for a scalar c, the
+    gi squarefree, pairwise coprime and normalized. One loop on dense
+    coefficient lists (Yun 1976) takes each gcd and both its cofactors from
+    `_gcd_cofactors`: rational input runs on integers through `_zz_gcd`, with
+    no Fraction arithmetic, and QuadExt input through the univariate Euclid.
     """
     occ = _occurring(f)
     if len(occ) != 1:
         raise ValueError("yun_decomposition expects a univariate polynomial")
-    var = next(iter(occ))
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    fn = normalized(f)
-    df = fn.diff(var)
-    a = poly_gcd(fn, df)
-    if a.is_constant():
-        return [(fn, 1)] if fn.total_degree() > 0 else []
-    b = exact_div(fn, a)
-    c = exact_div(df, a)
+    var = occ.pop()
+    p = _univar_normalized(f)
+    a, b, c = _gcd_cofactors(p, _deriv(p), var, f.vars)
+    if len(a) == 1:
+        return [(MPoly.from_univar(var, p, f.vars), 1)]
     out = []
     i = 1
-    d = c - b.diff(var)
-    while b.total_degree() > 0:
-        g = poly_gcd(b, d)
-        if g.total_degree() > 0:
-            out.append((g, i))
-            b = exact_div(b, g)
-            d = exact_div(d, g)
-        d = d - b.diff(var)
+    d = _minus(c, _deriv(b))
+    while len(b) > 1:
+        g, b, d = _gcd_cofactors(b, d, var, f.vars)
+        if len(g) > 1:
+            out.append((MPoly.from_univar(var, g, f.vars), i))
+        d = _minus(d, _deriv(b))
         i += 1
     return out
 

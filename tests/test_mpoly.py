@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd as gcd_int, lcm
 
 import pytest
 import sympy
@@ -336,6 +336,240 @@ def test_squarefree_part_matches_sympy(text):
     ratio = sympy.cancel(to_sympy(s) / sympy.sqf_part(to_sympy(f)))
     assert ratio.is_Number and ratio != 0
     assert s == normalized(s)
+
+
+# -- univariate gcd and Yun on integers -------------------------------------------
+
+
+def _euclid_reference(f, g):
+    a, b = f, g
+    while not b.is_zero():
+        b = b / b.lt()[1]
+        a, b = b, poly_divmod(a, b)[1]
+    return a
+
+
+def _gcd_reference(f, g):
+    """The univariate path of `poly_gcd` before the integer kernel: the
+    coprimality certificate, then Fraction Euclid with monic steps."""
+    f, g = f._pair(g)
+    if f.is_zero():
+        return normalized(g)
+    if g.is_zero():
+        return normalized(f)
+    if _coprime_mod_p(f, g):
+        return MPoly.const(f.vars, 1)
+    return normalized(_euclid_reference(f, g))
+
+
+def _yun_reference(f):
+    """`yun_decomposition` before the integer kernel, on Fraction MPolys."""
+    var = next(iter(mpoly._occurring(f)))
+    fn = normalized(f)
+    df = fn.diff(var)
+    a = _gcd_reference(fn, df)
+    if a.is_constant():
+        return [(fn, 1)]
+    b = exact_div(fn, a)
+    c = exact_div(df, a)
+    out = []
+    i = 1
+    d = c - b.diff(var)
+    while b.total_degree() > 0:
+        g = _gcd_reference(b, d)
+        if g.total_degree() > 0:
+            out.append((g, i))
+            b = exact_div(b, g)
+            d = exact_div(d, g)
+        d = d - b.diff(var)
+        i += 1
+    return out
+
+
+def _squarefree_reference(f):
+    d = f
+    for v in f.vars:
+        fv = f.diff(v)
+        if not fv.is_zero():
+            d = _gcd_reference(d, fv)
+    if not d.is_constant():
+        f = exact_div(f, d)
+    return normalized(f)
+
+
+def _same(p, q):
+    """Equal as the package prints them: same variables, same terms."""
+    return p.vars == q.vars and p.terms == q.terms and str(p) == str(q)
+
+
+def _same_parts(mine, ref):
+    return len(mine) == len(ref) and all(
+        _same(g, h) and m == k for (g, m), (h, k) in zip(mine, ref))
+
+
+_BIG = st.one_of(st.integers(-9, 9).filter(bool), st.integers(2**100, 2**120),
+                 st.integers(-2**120, -2**100))
+
+
+@st.composite
+def _univar_factor(draw, max_deg=3):
+    """A nonconstant polynomial in x with coefficients up to 120 bits; one
+    in four is x itself, so that products have a zero constant term."""
+    if draw(st.integers(0, 3)) == 0:
+        return [0, 1]
+    deg = draw(st.integers(1, max_deg))
+    return draw(st.lists(_BIG, min_size=deg + 1, max_size=deg + 1))
+
+
+def _dense_product(factors):
+    out = [1]
+    for f in factors:
+        new = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                new[i + j] += a * b
+        out = new
+    return out
+
+
+_VARS = st.sampled_from([("x",), ("x", "y"), ("y", "x")])
+_SCALE = st.builds(Fraction, st.integers(-2**100, 2**100).filter(bool), st.integers(1, 2**40))
+
+
+@st.composite
+def _planted(draw, max_factors=3, max_mult=5):
+    """(vars, f): a scalar of either sign with a denominator, times factors
+    in x of multiplicity up to 5, over variables that may include a y that
+    does not occur."""
+    factors = draw(st.lists(st.tuples(_univar_factor(max_deg=2), st.integers(1, max_mult)),
+                            min_size=1, max_size=max_factors))
+    dense = _dense_product([g for g, m in factors for _ in range(m)])
+    vars = draw(_VARS)
+    return vars, MPoly.from_univar("x", dense, vars) * draw(_SCALE)
+
+
+@st.composite
+def _planted_pair(draw):
+    """(vars, f, g) with a planted common factor, possibly trivial, and
+    cofactors of up to 120-bit coefficients, either sign and either scale."""
+    vars = draw(_VARS)
+    common = draw(st.lists(_univar_factor(max_deg=2), max_size=2))
+    f, g = ([draw(st.lists(_univar_factor(), min_size=0, max_size=2)) for _ in range(2)])
+    make = lambda fs: MPoly.from_univar("x", _dense_product(common + fs), vars) * draw(_SCALE)
+    return vars, make(f), make(g)
+
+
+@given(_planted_pair())
+@settings(max_examples=60, deadline=None)
+def test_zz_gcd_matches_reference(case):
+    _, f, g = case
+    a, b = mpoly._univar_normalized(f), mpoly._univar_normalized(g)
+    hit = mpoly._zz_gcd(a, b)
+    assert hit is not None
+    h, qa, qb = hit
+    ref = _gcd_reference(f, g)
+    assert h == mpoly._univar_normalized(ref)
+    assert _dense_product([h, qa]) == a and _dense_product([h, qb]) == b
+
+
+@given(_planted_pair())
+@settings(max_examples=60, deadline=None)
+def test_univariate_gcd_matches_reference(case):
+    vars, f, g = case
+    mine = poly_gcd(f, g)
+    assert mine.vars == vars
+    assert _same(mine, _gcd_reference(f, g))
+
+
+@given(_planted())
+@settings(max_examples=60, deadline=None)
+def test_yun_and_squarefree_part_match_reference(case):
+    vars, f = case
+    parts = yun_decomposition(f)
+    assert all(g.vars == vars for g, _ in parts)
+    assert _same_parts(parts, _yun_reference(f))
+    assert _same(squarefree_part(f), _squarefree_reference(f))
+
+
+def test_zz_gcd_rejects_a_candidate_that_does_not_divide():
+    # at the first point xi = 2 * 2 + 2 = 6: f(6) = 8, g(6) = 1416 and their
+    # gcd 8 = 2 + 6 reads as x + 2, which does not divide g (g(-2) = -8)
+    f, g = [2, 1], [0, 2, -3, 1, 1]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    assert xi == 6 and gcd_int(8, 1416) == 8
+    assert mpoly._zz_quo(g, [2, 1]) is None
+    assert mpoly._zz_gcd(f, g) == ([1], f, g)
+
+
+def test_zz_gcd_starts_at_the_certified_point():
+    # at xi = 2 the images of G = x^2 - x - 1 and of the cofactors give the
+    # candidate 1, which divides both inputs; from xi = 6 on the gcd is found
+    G = [-1, -1, 1]
+    f, g = _dense_product([G, [1, 1]]), _dense_product([G, [3, 1]])
+    assert mpoly._zz_gcd(f, g) == (G, [1, 1], [3, 1])
+
+
+@pytest.mark.parametrize("text", ["-x^2 + 1", "-3*x^3*(x - 2)^2", "-(2*x + 1)^3 / 5"])
+def test_negative_leading_coefficients_are_normalized(text):
+    for vars in (("x",), ("x", "y")):
+        f = parse_poly(text, vars=vars)
+        assert _same(squarefree_part(f), _squarefree_reference(f))
+        assert _same_parts(yun_decomposition(f), _yun_reference(f))
+        assert _same(poly_gcd(f, f.diff("x")), _gcd_reference(f, f.diff("x")))
+
+
+def _sqrt2_poly(vars):
+    s = QuadExt(0, 1, 2)
+    x = MPoly.variable("x", vars)
+    return (x - s) ** 3 * (x + 1) ** 2 * (x + s) * (x * 2 - 1)
+
+
+def test_yun_over_q_sqrt2_runs_euclid_and_matches_reference(monkeypatch):
+    calls = {"euclid": 0, "zz": 0}
+    euclid, zz = mpoly._euclid_univar_scaled, mpoly._zz_gcd
+    monkeypatch.setattr(mpoly, "_euclid_univar_scaled",
+                        lambda *a: calls.__setitem__("euclid", calls["euclid"] + 1) or euclid(*a))
+    monkeypatch.setattr(mpoly, "_zz_gcd",
+                        lambda *a: calls.__setitem__("zz", calls["zz"] + 1) or zz(*a))
+    for vars in (("x",), ("x", "y")):
+        f = _sqrt2_poly(vars)
+        parts = yun_decomposition(f)
+        assert [m for _, m in parts] == [1, 2, 3]
+        assert _same_parts(parts, _yun_reference(f))
+        assert _same(squarefree_part(f), _squarefree_reference(f))
+    assert calls["euclid"] and not calls["zz"]
+
+
+@given(_planted(max_factors=2, max_mult=3), _planted_pair())
+@settings(max_examples=20, deadline=None)
+def test_kernel_fallback_gives_the_reference_answers(planted, pair):
+    _, f = planted
+    _, a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpoly, "_zz_gcd", lambda *args: None)
+        assert _same_parts(yun_decomposition(f), _yun_reference(f))
+        assert _same(squarefree_part(f), _squarefree_reference(f))
+        assert _same(poly_gcd(a, b), _gcd_reference(a, b))
+
+
+def test_pullback_shear_resultants_run_no_field_division_or_gcd(monkeypatch):
+    # every R_t that singular_points hands to Yun on the two r = 2 pullbacks
+    # is decomposed on integers: no poly_divmod, no poly_gcd
+    from planefol import singularities
+    seen = []
+    monkeypatch.setattr(singularities, "yun_decomposition",
+                        lambda R: seen.append((R, yun_decomposition(R))) or seen[-1][1])
+    for alpha in (0, 1):
+        singular_points(power_pullback(lins_neto(alpha), 2))
+    monkeypatch.undo()
+    assert len(seen) >= 10
+    calls = []
+    divmod_, gcd_ = mpoly.poly_divmod, mpoly.poly_gcd
+    monkeypatch.setattr(mpoly, "poly_divmod", lambda *a: calls.append("divmod") or divmod_(*a))
+    monkeypatch.setattr(mpoly, "poly_gcd", lambda *a: calls.append("gcd") or gcd_(*a))
+    for R, parts in seen:
+        assert _same_parts(mpoly.yun_decomposition(R), parts)
+    assert calls == []
 
 
 # -- determinants and resultants ---------------------------------------------------
