@@ -6,12 +6,13 @@ are Fraction by default; any exact field scalar with +,-,*,/ and truthiness
 higher total degree first, ties broken by reverse-lex on the exponent tuple.
 
 The module also houses the polynomial algebra the rest of the package needs:
-exact single-divisor division (behind `exact_div` and the univariate
-Euclid; remainders modulo a cluster modulus are taken by the integer kernel
-of `algebraic`), univariate gcd on integers (a heuristic gcd whose candidate
-is certified by exact division, `_zz_gcd`, behind `poly_gcd`, Yun's
-squarefree decomposition and `squarefree_part`; QuadExt input runs the
-univariate Euclid), multivariate gcd (the subresultant PRS behind a
+exact single-divisor division (behind `exact_div` and the extended Euclid
+`algebraic.xgcd_univar`; remainders modulo a cluster modulus are taken by
+the integer kernel of `algebraic`), gcd (a rational pair in one variable on
+integers: a heuristic gcd whose candidate is certified by exact division,
+`_zz_gcd`, behind `poly_gcd`, Yun's squarefree decomposition and
+`squarefree_part`; every other pair, QuadExt ones and the rare pair the
+heuristic gives up on included, runs the subresultant PRS behind a
 coprimality certificate from images mod p), a fraction-free determinant
 (for the extactics), and one subresultant chain (`_Chain`) behind the
 subresultant PRS, the resultant and the subresultant S1. The resultant and S1 are read from the end of the chain with Cohen's
@@ -31,7 +32,7 @@ import operator
 from itertools import zip_longest
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .numbers import QuadExt, rat_str
 
@@ -679,13 +680,12 @@ def poly_gcd(f, g):
     """GCD over Q (or a quadratic extension), normalized deterministically.
 
     A rational pair in one occurring variable goes to the integer heuristic
-    gcd `_zz_gcd`, whose candidate is certified by exact division; a QuadExt
-    pair, or one the heuristic gives up on, runs the univariate Euclid. In
-    more variables a pair whose images mod p prove it coprime
-    (`_coprime_mod_p`) skips the subresultant PRS, which then only runs on a
-    really shared factor or on QuadExt coefficients; the answer is the one
-    the PRS gives.
+    gcd `_zz_gcd`, whose candidate is certified by exact division. Every
+    other pair, and one the heuristic gives up on, goes to `_prs_gcd`. At
+    least one argument must be an MPoly.
     """
+    if isinstance(f, _SCALARS) and isinstance(g, _SCALARS):
+        raise TypeError("poly_gcd needs an MPoly argument, got two scalars")
     if isinstance(f, _SCALARS):
         f = MPoly.const(g.vars, f)
     if isinstance(g, _SCALARS):
@@ -698,19 +698,24 @@ def poly_gcd(f, g):
     occ = _occurring(f) | _occurring(g)
     if not occ:
         return MPoly.const(f.vars, 1)
-    if len(occ) == 1:
-        if f.is_rational() and g.is_rational():
-            hit = _zz_gcd(_univar_normalized(f), _univar_normalized(g))
-            if hit is not None:
-                return MPoly.from_univar(occ.pop(), hit[0], f.vars)
-        return normalized(_euclid_univar_scaled(f, g))
-    # subresultant PRS of the primitive parts in the variable of least
-    # combined degree: the primitive part of its last element is their gcd
-    # (a constant when that element is free of var)
+    if len(occ) == 1 and f.is_rational() and g.is_rational():
+        hit = _zz_gcd(_univar_normalized(f), _univar_normalized(g))
+        if hit is not None:
+            return MPoly.from_univar(next(iter(occ)), hit[0], f.vars)
+    return _prs_gcd(f, g, occ)
+
+
+def _prs_gcd(f, g, occ):
+    """Normalized gcd of nonzero f and g in the occurring variables `occ`:
+    contents and primitive parts in the variable of least combined degree
+    (constants in one variable), then the coprimality certificate
+    (`_coprime_mod_p`, never given on QuadExt coefficients), and only without
+    it the subresultant PRS, the primitive part of whose last element is the
+    gcd of the primitive parts (a constant when it is free of that variable)."""
     var = min(occ, key=lambda v: max(f.deg_in(v), 0) + max(g.deg_in(v), 0))
     cf, pf = _content_primitive(f, var)
     cg, pg = _content_primitive(g, var)
-    cont = poly_gcd(cf, cg)
+    cont = cf if cf.is_constant() else poly_gcd(cf, cg)
     if _coprime_mod_p(pf, pg):
         return normalized(cont)
     last = subresultant_prs(pf, pg, var)[-1]
@@ -800,16 +805,6 @@ def _image_mod_p(residues, i, point, p):
     return images
 
 
-def _euclid_univar_scaled(f, g):
-    # Euclid with monic steps, for QuadExt coefficients and for the rare
-    # rational pair that `_zz_gcd` gives up on
-    a, b = f, g
-    while not b.is_zero():
-        b = b / b.lt()[1]
-        a, b = b, poly_divmod(a, b)[1]
-    return a
-
-
 # -- univariate gcd on integers ----------------------------------------------------
 #
 # Dense lists of ints, lowest degree first, without trailing zeros.
@@ -850,8 +845,8 @@ def _zz_gcd(a, b):
     is expanded in symmetric xi-adic digits, and the primitive part h of that
     candidate is accepted only when it divides both inputs exactly, which
     also gives the cofactors. CGG prove that for xi >= 2 * min(|a|, |b|) + 2
-    (max norms) a candidate that divides both is the gcd, so xi starts
-    there and grows by their factor 73794/27011 after a failed point.
+    (max norms) a candidate that divides both is the gcd, so xi starts there;
+    a failed point grows it to xi^(5/4) * 73794/27011 (Liao and Fateman 1995).
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(6):
@@ -873,7 +868,7 @@ def _zz_gcd(a, b):
             qb = None if qa is None else _zz_quo(b, h)
             if qb is not None:
                 return h, qa, qb
-        xi = xi * 73794 // 27011
+        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
     return None
 
 
@@ -881,7 +876,7 @@ def _gcd_cofactors(a, b, var, vars):
     """(h, a/h, b/h) for dense coefficient lists a != 0 and b in `var`, with h
     the gcd as `normalized` gives it and exact cofactors. Integer lists go to
     `_zz_gcd` and stay integer; other lists, and integer ones it gives up on,
-    run `_euclid_univar_scaled` with `poly_divmod` cofactors."""
+    take the gcd from `_prs_gcd` and the cofactors from `exact_div`."""
     ints = all(type(x) is int for x in a) and all(type(x) is int for x in b)
     if ints:
         ca, pa = _zz_sign_content(a)
@@ -893,8 +888,8 @@ def _gcd_cofactors(a, b, var, vars):
             h, qa, qb = hit
             return h, [ca * x for x in qa], [cb * x for x in qb]
     A, B = MPoly.from_univar(var, a, vars), MPoly.from_univar(var, b, vars)
-    h = normalized(_euclid_univar_scaled(A, B))
-    out = [p.scalar_coeffs() for p in (h, poly_divmod(A, h)[0], poly_divmod(B, h)[0])]
+    h = _prs_gcd(A, B, {var}) if b else normalized(A)
+    out = [p.scalar_coeffs() for p in (h, exact_div(A, h), exact_div(B, h))]
     return [[int(x) for x in p] for p in out] if ints else out
 
 
@@ -915,9 +910,9 @@ def _content_primitive(f, var):
     coeffs = [c for c in f.as_univar(var) if not c.is_zero()]
     cont = coeffs[0]
     for c in coeffs[1:]:
-        cont = poly_gcd(cont, c)
         if cont.is_constant():
             break
+        cont = poly_gcd(cont, c)
     if cont.is_constant():
         return MPoly.const(f.vars, 1), f
     prim = exact_div(f, cont)
@@ -966,7 +961,7 @@ def yun_decomposition(f):
     gi squarefree, pairwise coprime and normalized. One loop on dense
     coefficient lists (Yun 1976) takes each gcd and both its cofactors from
     `_gcd_cofactors`: rational input runs on integers through `_zz_gcd`, with
-    no Fraction arithmetic, and QuadExt input through the univariate Euclid.
+    no Fraction arithmetic, and QuadExt input through the PRS (`_prs_gcd`).
     """
     occ = _occurring(f)
     if len(occ) != 1:

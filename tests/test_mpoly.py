@@ -37,7 +37,7 @@ from planefol.mpoly import (
 )
 from planefol.families import lins_neto, power_pullback
 from planefol.numbers import QuadExt
-from planefol.singularities import singular_points
+from planefol.singularities import classify_all, singular_points
 
 
 X, Y = sympy.symbols("x y")
@@ -210,6 +210,14 @@ def test_gcd_with_zero_and_constants():
     z = MPoly.zero(("x",))
     assert poly_gcd(f, z) == parse_poly("x + 1", vars=("x",))
     assert poly_gcd(parse_poly("4", vars=("x",)), parse_poly("6", vars=("x",))) == 1
+    assert poly_gcd(4, f) == 1 and poly_gcd(f, Fraction(1, 2)) == 1
+
+
+def test_gcd_of_two_scalars_is_a_type_error():
+    import planefol
+    for a, b in ((2, 4), (Fraction(1, 2), 3), (QuadExt(0, 1, 2), 1)):
+        with pytest.raises(TypeError, match="MPoly"):
+            planefol.poly_gcd(a, b)
 
 
 def test_gcd_certificate_skips_images_that_lose_degree():
@@ -411,14 +419,21 @@ _BIG = st.one_of(st.integers(-9, 9).filter(bool), st.integers(2**100, 2**120),
                  st.integers(-2**120, -2**100))
 
 
+def _quad(d):
+    """Nonzero elements a + b*sqrt(d) of Q(sqrt(d)) with small integers a, b."""
+    return st.builds(QuadExt, st.integers(-9, 9), st.integers(-9, 9), st.just(d)).filter(bool)
+
+
 @st.composite
-def _univar_factor(draw, max_deg=3):
-    """A nonconstant polynomial in x with coefficients up to 120 bits; one
-    in four is x itself, so that products have a zero constant term."""
+def _univar_factor(draw, max_deg=3, d=None):
+    """A nonconstant polynomial in x with coefficients up to 120 bits, or
+    small ones in Q(sqrt(d)) when d is given; one in four is x itself, so
+    that products have a zero constant term."""
     if draw(st.integers(0, 3)) == 0:
         return [0, 1]
     deg = draw(st.integers(1, max_deg))
-    return draw(st.lists(_BIG, min_size=deg + 1, max_size=deg + 1))
+    coeff = _BIG if d is None else _quad(d)
+    return draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
 
 
 def _dense_product(factors):
@@ -437,11 +452,11 @@ _SCALE = st.builds(Fraction, st.integers(-2**100, 2**100).filter(bool), st.integ
 
 
 @st.composite
-def _planted(draw, max_factors=3, max_mult=5):
+def _planted(draw, max_factors=3, max_mult=5, d=None):
     """(vars, f): a scalar of either sign with a denominator, times factors
-    in x of multiplicity up to 5, over variables that may include a y that
-    does not occur."""
-    factors = draw(st.lists(st.tuples(_univar_factor(max_deg=2), st.integers(1, max_mult)),
+    in x of multiplicity up to 5, over Q or Q(sqrt(d)), over variables that
+    may include a y that does not occur."""
+    factors = draw(st.lists(st.tuples(_univar_factor(2, d), st.integers(1, max_mult)),
                             min_size=1, max_size=max_factors))
     dense = _dense_product([g for g, m in factors for _ in range(m)])
     vars = draw(_VARS)
@@ -449,12 +464,13 @@ def _planted(draw, max_factors=3, max_mult=5):
 
 
 @st.composite
-def _planted_pair(draw):
+def _planted_pair(draw, d=None):
     """(vars, f, g) with a planted common factor, possibly trivial, and
-    cofactors of up to 120-bit coefficients, either sign and either scale."""
+    cofactors of up to 120-bit coefficients (small ones in Q(sqrt(d)) when d
+    is given), either sign and either scale."""
     vars = draw(_VARS)
-    common = draw(st.lists(_univar_factor(max_deg=2), max_size=2))
-    f, g = ([draw(st.lists(_univar_factor(), min_size=0, max_size=2)) for _ in range(2)])
+    common = draw(st.lists(_univar_factor(2, d), max_size=2))
+    f, g = ([draw(st.lists(_univar_factor(3, d), min_size=0, max_size=2)) for _ in range(2)])
     make = lambda fs: MPoly.from_univar("x", _dense_product(common + fs), vars) * draw(_SCALE)
     return vars, make(f), make(g)
 
@@ -472,7 +488,8 @@ def test_zz_gcd_matches_reference(case):
     assert _dense_product([h, qa]) == a and _dense_product([h, qb]) == b
 
 
-@given(_planted_pair())
+# Q, Q(sqrt(2)) and Q(sqrt(-3)): the QuadExt pairs run the PRS of `_prs_gcd`
+@given(st.one_of(_planted_pair(), _planted_pair(2), _planted_pair(-3)))
 @settings(max_examples=60, deadline=None)
 def test_univariate_gcd_matches_reference(case):
     vars, f, g = case
@@ -481,7 +498,7 @@ def test_univariate_gcd_matches_reference(case):
     assert _same(mine, _gcd_reference(f, g))
 
 
-@given(_planted())
+@given(st.one_of(_planted(), _planted(d=2), _planted(d=-3)))
 @settings(max_examples=60, deadline=None)
 def test_yun_and_squarefree_part_match_reference(case):
     vars, f = case
@@ -524,11 +541,11 @@ def _sqrt2_poly(vars):
     return (x - s) ** 3 * (x + 1) ** 2 * (x + s) * (x * 2 - 1)
 
 
-def test_yun_over_q_sqrt2_runs_euclid_and_matches_reference(monkeypatch):
-    calls = {"euclid": 0, "zz": 0}
-    euclid, zz = mpoly._euclid_univar_scaled, mpoly._zz_gcd
-    monkeypatch.setattr(mpoly, "_euclid_univar_scaled",
-                        lambda *a: calls.__setitem__("euclid", calls["euclid"] + 1) or euclid(*a))
+def test_yun_over_q_sqrt2_runs_the_prs_and_matches_reference(monkeypatch):
+    calls = {"prs": 0, "zz": 0}
+    prs, zz = mpoly.subresultant_prs, mpoly._zz_gcd
+    monkeypatch.setattr(mpoly, "subresultant_prs",
+                        lambda *a: calls.__setitem__("prs", calls["prs"] + 1) or prs(*a))
     monkeypatch.setattr(mpoly, "_zz_gcd",
                         lambda *a: calls.__setitem__("zz", calls["zz"] + 1) or zz(*a))
     for vars in (("x",), ("x", "y")):
@@ -537,7 +554,18 @@ def test_yun_over_q_sqrt2_runs_euclid_and_matches_reference(monkeypatch):
         assert [m for _, m in parts] == [1, 2, 3]
         assert _same_parts(parts, _yun_reference(f))
         assert _same(squarefree_part(f), _squarefree_reference(f))
-    assert calls["euclid"] and not calls["zz"]
+    assert calls["prs"] and not calls["zz"]
+
+
+def test_zz_gcd_never_gives_up_on_the_lins_neto_pullback(monkeypatch):
+    # the evaluations of two coprime pairs of degree 49 and 48 share a 90-bit
+    # factor of small primes, which xi grown by 73794/27011 alone never
+    # outgrows within six points; xi^(5/4) * 73794/27011 does
+    results = []
+    zz = mpoly._zz_gcd
+    monkeypatch.setattr(mpoly, "_zz_gcd", lambda *a: results.append(zz(*a)) or results[-1])
+    classify_all(power_pullback(lins_neto(0), 2))
+    assert results and all(r is not None for r in results)
 
 
 @given(_planted(max_factors=2, max_mult=3), _planted_pair())
